@@ -30,7 +30,6 @@ from .encoding import (
 )
 from .engine import (
     QaoaConfig,
-    QaoaProblem,
     QaoaResult,
     build_ansatz,
     maxcut_problem,
@@ -50,13 +49,7 @@ from .graphs import (
     save_graph,
 )
 from .optimize import NonFiniteObjectiveError, OptimizerConfig, OptResult, minimize
-from .simulator import (
-    CapacityError,
-    Counts,
-    expectation_diagonal,
-    sample,
-    simulate,
-)
+from .simulator import CapacityError, Counts, sample, simulate
 
 __version__ = "0.1.0"
 
@@ -74,7 +67,6 @@ __all__ = [
     "OptResult",
     "OptimizerConfig",
     "QaoaConfig",
-    "QaoaProblem",
     "QaoaResult",
     "Qubo",
     "brute_force_optimum",
@@ -85,7 +77,6 @@ __all__ = [
     "depth",
     "energy_table",
     "exhaustive_optimum",
-    "expectation_diagonal",
     "export_circuit_text",
     "gate_counts",
     "generate_random_graph",

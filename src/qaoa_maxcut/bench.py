@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import build_qaoa_ansatz, decompose, depth
-from .encoding import maxcut_to_qubo, qubo_to_ising
 from .engine import EXACT, SAMPLED, QaoaConfig, maxcut_problem, run_qaoa
-from .graphs import MAX_BRUTE_FORCE_NODES, Graph, brute_force_optimum
+from .graphs import Graph, brute_force_optimum
 from .seeding import fnv1a64, mix64
+from .simulator import DEFAULT_MAX_QUBITS, CapacityError
 
 DEFAULT_SIZES = (8, 10, 12, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25)
 DEFAULT_DENSITY = 0.5
@@ -143,22 +143,22 @@ def run_benchmark(
 ) -> tuple[list[BenchRecord], list[str]]:
     """All (instance, layers, run) records plus skip warnings.
 
-    Instances too large for the exact oracle are skipped with a warning
-    rather than failing the whole suite. Results are sorted into a
-    canonical order regardless of worker scheduling.
+    Any instance wider than the simulator's DEFAULT_MAX_QUBITS raises
+    CapacityError before any optimum is computed or any run starts; an
+    instance whose optimum cut is 0 is skipped with a warning. Results
+    are sorted into a canonical order regardless of worker scheduling.
     """
     if not layer_counts:
         raise ValueError("need at least one layer count")
+    too_wide = [f"{name} ({g.num_nodes} nodes)" for name, g in instances if g.num_nodes > DEFAULT_MAX_QUBITS]
+    if too_wide:
+        raise CapacityError(
+            f"wider than the simulator's {DEFAULT_MAX_QUBITS}-qubit limit: {', '.join(too_wide)}"
+        )
     warnings: list[str] = []
     optima: dict[str, float] = {}
     usable: list[tuple[str, Graph]] = []
     for name, g in instances:
-        if g.num_nodes > MAX_BRUTE_FORCE_NODES:
-            warnings.append(
-                f"skipped {name}: {g.num_nodes} nodes exceeds the exact-optimum bound "
-                f"({MAX_BRUTE_FORCE_NODES})"
-            )
-            continue
         optima[name] = brute_force_optimum(g).value  # cached once per instance
         if optima[name] <= 0:
             warnings.append(f"skipped {name}: optimum cut is 0 (edgeless graph?)")
@@ -259,7 +259,7 @@ def depth_table(
     """
     rows = []
     for name, g in sorted(instances, key=lambda ng: (ng[1].num_nodes, ng[0])):
-        model = qubo_to_ising(maxcut_to_qubo(g))
+        model = maxcut_problem(g)
         for p in layer_counts:
             gammas = [0.5] * p
             betas = [0.5] * p
@@ -313,7 +313,7 @@ def verify_instance(path) -> list[tuple[str, bool, str]]:
         return checks
     checks.append(("parse", True, f"{g.num_nodes} nodes, {g.num_edges} edges"))
 
-    model = encoding.qubo_to_ising(maxcut_to_qubo(g))
+    model = maxcut_problem(g)
     if g.num_nodes <= 12:
         assignments = (
             tuple((z >> i) & 1 for i in range(g.num_nodes)) for z in range(1 << g.num_nodes)
@@ -342,7 +342,7 @@ def verify_instance(path) -> list[tuple[str, bool, str]]:
 
     if g.num_edges > 0 and g.num_nodes <= 20:
         config = QaoaConfig(layers=1, shots=1, objective_mode=EXACT, seed=0)
-        value = objective(maxcut_problem(g), config, [0.0, 0.0])
+        value = objective(model, config, [0.0, 0.0])
         target = -g.total_weight() / 2.0
         checks.append(
             ("zero-angle-expectation", abs(value - target) <= 1e-9, f"{value:.12g} vs {target:.12g}")

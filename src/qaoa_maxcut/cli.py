@@ -18,6 +18,7 @@ from . import bench
 from .engine import EXACT, SAMPLED
 from .graphs import generate_random_graph, load_graph, save_graph
 from .seeding import mix64
+from .simulator import CapacityError
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -84,17 +85,21 @@ def cmd_bench(args) -> int:
         print("error: --layers must not be empty", file=sys.stderr)
         return 2
     instances = [(path.stem, load_graph(path)) for path in args.instances]
-    records, warnings = bench.run_benchmark(
-        instances,
-        layer_counts=args.layers,
-        runs=args.runs,
-        shots=args.shots,
-        budget=args.budget,
-        mode=EXACT if args.mode == "exact" else SAMPLED,
-        strategy=args.strategy,
-        master_seed=args.seed,
-        workers=args.workers,
-    )
+    try:
+        records, warnings = bench.run_benchmark(
+            instances,
+            layer_counts=args.layers,
+            runs=args.runs,
+            shots=args.shots,
+            budget=args.budget,
+            mode=EXACT if args.mode == "exact" else SAMPLED,
+            strategy=args.strategy,
+            master_seed=args.seed,
+            workers=args.workers,
+        )
+    except CapacityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     bench.write_records(records, args.out)
     rows = bench.summarize(records)
     table = bench.format_summary_table(rows, sorted(set(args.layers)))

@@ -1,12 +1,13 @@
 """The variational run loop tying ansatz, simulator, and optimizer together.
 
-A `QaoaProblem` bundles the four pluggable pieces: an initial-state
-builder, a phase-separator builder, a mixer builder, and the classical
-cost used to score sampled assignments. The defaults reproduce the
-standard Max-Cut setup (uniform superposition, Ising phase separator,
-transverse-field mixer, Ising energy). The cost convention is
-minimization throughout: for Max-Cut, cost(z) = -cut(z), and the
-reported approximation ratios re-invert the sign.
+A Max-Cut instance enters as the Ising model of -cut (`maxcut_problem`).
+Its energy table (`encoding.energy_table`, one entry per basis state)
+is built once per objective and is the only cost representation: the
+exact objective is the probability-weighted sum over the table, and a
+sampled one scores the shot histogram's basis-state indices against it.
+The cost convention is minimization throughout: for Max-Cut,
+cost(z) = -cut(z), and the reported approximation ratios re-invert the
+sign.
 
 Parameter vectors are ordered all gammas first, then all betas:
 params = (gamma_1..gamma_p, beta_1..beta_p).
@@ -21,28 +22,17 @@ mix64(seed, STREAM_FINAL). The optimizer therefore sees a deterministic
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .circuits import (
-    Barrier,
-    Circuit,
-    Gate,
-    decompose,
-    depth,
-    gate_counts,
-    initial_state_gates,
-    mixer_gates,
-    phase_separator_gates,
-)
-from .encoding import IsingModel, energy_table, ising_energy, maxcut_to_qubo, qubo_to_ising
+from .circuits import Circuit, build_qaoa_ansatz, decompose, depth, gate_counts
+from .encoding import IsingModel, energy_table, maxcut_to_qubo, qubo_to_ising
 from .graphs import Graph
 from .optimize import OptimizerConfig, minimize
 from .seeding import mix64
-from .simulator import Counts, bitstring_to_index, expectation_diagonal, sample, simulate
+from .simulator import Counts, probabilities, sample, simulate
 
 STREAM_INIT = 0x01
 STREAM_EVAL = 0x02
@@ -52,32 +42,9 @@ EXACT = "exact_expectation"
 SAMPLED = "sampled_expectation"
 
 
-@dataclass
-class QaoaProblem:
-    """Cost model plus the circuit builders that define one QAOA family."""
-
-    ising: IsingModel
-    initial_state: Callable[[int], list[Gate]] = initial_state_gates
-    phase_separator: Callable[[IsingModel, float, str], list[Gate]] = phase_separator_gates
-    mixer: Callable[[int, float], list[Gate]] = mixer_gates
-    classical_cost: Callable[[Sequence[int]], float] | None = None
-
-    def __post_init__(self):
-        if self.classical_cost is None:
-            self.classical_cost = functools.partial(ising_energy, self.ising)
-            self._default_cost = True
-        else:
-            self._default_cost = False
-
-    @property
-    def num_qubits(self) -> int:
-        return self.ising.n
-
-
-def maxcut_problem(g: Graph) -> QaoaProblem:
-    """Standard Max-Cut problem: minimize the Ising form of -cut."""
-    return QaoaProblem(ising=qubo_to_ising(maxcut_to_qubo(g)))
-
+def maxcut_problem(g: Graph) -> IsingModel:
+    """Standard Max-Cut problem: the Ising form of -cut, to be minimized."""
+    return qubo_to_ising(maxcut_to_qubo(g))
 
 @dataclass
 class QaoaConfig:
@@ -112,79 +79,54 @@ class QaoaResult:
     gate_counts: dict[str, int] = field(default_factory=dict)
 
 
-def build_ansatz(problem: QaoaProblem, params: Sequence[float], strategy: str = "naive") -> Circuit:
+def build_ansatz(model: IsingModel, params: Sequence[float], strategy: str = "naive") -> Circuit:
     """Assemble the circuit for one parameter vector (gammas then betas)."""
     params = np.asarray(params, dtype=float)
     if params.size % 2:
         raise ValueError(f"parameter vector must have even length, got {params.size}")
     p = params.size // 2
-    if p < 1:
-        raise ValueError("need at least one layer of parameters")
-    n = problem.num_qubits
-    gates = list(problem.initial_state(n))
-    for k in range(p):
-        if k > 0:
-            gates.append(Barrier())
-        gates.extend(problem.phase_separator(problem.ising, float(params[k]), strategy))
-        gates.extend(problem.mixer(n, float(params[p + k])))
-    return Circuit(n, tuple(gates))
+    return build_qaoa_ansatz(model, p, params[:p].tolist(), params[p:].tolist(), strategy)
 
 
 class QaoaObjective:
     """Counted, seeded objective: params -> estimated cost.
 
-    exact_expectation: exact diagonal expectation from the statevector.
-    sampled_expectation: counts-weighted mean of the classical cost over
+    exact_expectation: probability-weighted mean of the energy table.
+    sampled_expectation: counts-weighted mean of the energy table over
     a fresh `shots`-shot draw whose seed is mix64(seed, STREAM_EVAL, k)
     at evaluation k.
     """
 
-    def __init__(self, problem: QaoaProblem, config: QaoaConfig):
-        self.problem = problem
+    def __init__(self, model: IsingModel, config: QaoaConfig):
+        self.model = model
         self.config = config
         self.evaluations = 0
-        self._table = energy_table(problem.ising) if problem._default_cost else None
-        self._cost_cache: dict[int, float] = {}
+        self._table = energy_table(model)
 
     def __call__(self, params: Sequence[float]) -> float:
         self.evaluations += 1
-        state = simulate(build_ansatz(self.problem, params, self.config.strategy))
+        state = simulate(build_ansatz(self.model, params, self.config.strategy))
         if self.config.objective_mode == EXACT:
-            if self._table is not None:
-                return float((np.abs(state) ** 2) @ self._table)
-            return expectation_diagonal(state, self.problem.ising)
+            return float(probabilities(state) @ self._table)
         seed = mix64(self.config.seed, STREAM_EVAL, self.evaluations)
-        counts = sample(state, self.config.shots, seed)
-        return self.mean_cost(counts)
+        return self.mean_cost(sample(state, self.config.shots, seed))
 
     def mean_cost(self, counts: Counts) -> float:
-        total = 0.0
-        for key, c in counts.counts.items():
-            total += c * self._cost_of(key)
-        return total / counts.total
+        return float(counts.counts @ self._table[counts.indices]) / counts.total
 
     def min_cost(self, counts: Counts) -> float:
-        return min(self._cost_of(key) for key in counts.counts)
-
-    def _cost_of(self, key: str) -> float:
-        index = bitstring_to_index(key)
-        if self._table is not None:
-            return float(self._table[index])
-        if index not in self._cost_cache:
-            bits = tuple(int(ch) for ch in key)
-            self._cost_cache[index] = float(self.problem.classical_cost(bits))
-        return self._cost_cache[index]
+        return float(self._table[counts.indices].min())
 
 
-def objective(problem: QaoaProblem, config: QaoaConfig, params: Sequence[float]) -> float:
+def objective(model: IsingModel, config: QaoaConfig, params: Sequence[float]) -> float:
     """One-shot objective evaluation (evaluation counter starts at 1)."""
     params = np.asarray(params, dtype=float)
     if params.size != 2 * config.layers:
         raise ValueError(f"expected {2 * config.layers} parameters, got {params.size}")
-    return QaoaObjective(problem, config)(params)
+    return QaoaObjective(model, config)(params)
 
 
-def run_qaoa(problem: QaoaProblem, config: QaoaConfig, optimum: float) -> QaoaResult:
+def run_qaoa(model: IsingModel, config: QaoaConfig, optimum: float) -> QaoaResult:
     """Full variational loop: random init, minimize, sample, and score.
 
     `optimum` is the exact maximum cut (must be positive); approximation
@@ -196,10 +138,10 @@ def run_qaoa(problem: QaoaProblem, config: QaoaConfig, optimum: float) -> QaoaRe
     rng = np.random.default_rng(mix64(config.seed, STREAM_INIT))
     x0 = rng.uniform(0.0, np.pi, size=2 * p)
 
-    obj = QaoaObjective(problem, config)
+    obj = QaoaObjective(model, config)
     opt = minimize(obj, x0, OptimizerConfig(max_evaluations=config.max_evaluations))
 
-    final_circuit = build_ansatz(problem, opt.best_params, config.strategy)
+    final_circuit = build_ansatz(model, opt.best_params, config.strategy)
     state = simulate(final_circuit)
     final_counts = sample(state, config.shots, mix64(config.seed, STREAM_FINAL))
     expected_cost = obj.mean_cost(final_counts)

@@ -5,12 +5,13 @@ assignment is a bit vector where bit i gives the side of node i; its
 value is the total weight of edges whose endpoints land on opposite
 sides. Assignments are also referred to by their integer encoding
 sum(bit_i << i), i.e. node 0 is the least significant bit. The same
-little-endian convention is used for simulator basis states, so sampled
-bitstrings map onto assignments index-for-index.
+little-endian convention is used for simulator basis states, so a
+sampled basis-state index is the assignment integer itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -30,8 +31,8 @@ class Graph:
     """Weighted undirected graph; edges stored canonically as (u, v, w) with u < v.
 
     Edge list order is preserved (it defines the naive gate-emission
-    order downstream). Self-loops, duplicate pairs, and non-positive
-    weights are rejected.
+    order downstream). Self-loops, duplicate pairs, and non-finite or
+    non-positive weights are rejected.
     """
 
     num_nodes: int
@@ -51,6 +52,8 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for {self.num_nodes} nodes")
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
+            if not math.isfinite(w):
+                raise ValueError(f"edge ({u},{v}) has non-finite weight {w}")
             if not w > 0.0:
                 raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
             seen.add((u, v))

@@ -15,8 +15,9 @@ region shrinks from `initial_step` down to `tolerance`.
 
 Both backends run the objective through a counting wrapper, so the
 budget is respected exactly, the best point ever evaluated is what gets
-returned, and a non-finite objective value aborts immediately with the
-offending point attached to the exception.
+returned, every (evaluation, value) pair is kept in `OptResult.trace`,
+and a non-finite objective value aborts immediately with the offending
+point attached to the exception.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class OptimizerConfig:
     f_tolerance: float = 0.0
     initial_step: float = 0.1
     method: str = "nelder-mead"
-    record_trace: bool = True
 
 
 @dataclass
@@ -57,17 +57,17 @@ class OptResult:
     best_value: float
     evaluations: int
     converged: bool
-    trace: list[tuple[int, float]] | None = field(default=None, repr=False)
+    trace: list[tuple[int, float]] = field(default_factory=list, repr=False)
 
 
 class _CountingObjective:
-    def __init__(self, f: Callable[[np.ndarray], float], budget: int, record_trace: bool):
+    def __init__(self, f: Callable[[np.ndarray], float], budget: int):
         self.f = f
         self.budget = budget
         self.evaluations = 0
         self.best_x: np.ndarray | None = None
         self.best_f = np.inf
-        self.trace: list[tuple[int, float]] | None = [] if record_trace else None
+        self.trace: list[tuple[int, float]] = []
 
     def __call__(self, x: np.ndarray) -> float:
         if self.evaluations >= self.budget:
@@ -77,8 +77,7 @@ class _CountingObjective:
         self.evaluations += 1
         if not np.isfinite(value):
             raise NonFiniteObjectiveError(x.copy(), value)
-        if self.trace is not None:
-            self.trace.append((self.evaluations, value))
+        self.trace.append((self.evaluations, value))
         if value < self.best_f:
             self.best_f = value
             self.best_x = x.copy()
@@ -99,7 +98,7 @@ def minimize(
         raise ValueError(
             f"budget {config.max_evaluations} below minimum {dim + 2} for dimension {dim}"
         )
-    counted = _CountingObjective(f, config.max_evaluations, config.record_trace)
+    counted = _CountingObjective(f, config.max_evaluations)
     if config.method == "nelder-mead":
         converged = _nelder_mead(counted, x0, config)
     elif config.method == "cobyla":

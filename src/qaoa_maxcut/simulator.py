@@ -3,8 +3,8 @@
 State layout is a flat complex128 array of 2^n amplitudes in
 little-endian order: bit i of the basis-state index is qubit i, so
 index = sum_i bit_i << i, matching the assignment encoding in
-`graphs`/`encoding`. Bitstring keys in `Counts` follow the same
-convention positionally: character i of the key is qubit i's bit.
+`graphs`/`encoding`. A shot histogram (`Counts`) is keyed by those
+indices, so it can be scored directly against `encoding.energy_table`.
 
 Gate kernels never form operator matrices. Single-qubit kernels act on
 a (blocks, 2, stride) view of the state where the middle axis is the
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Barrier, Circuit, Gate
-from .encoding import IsingModel, energy_table
 
 DEFAULT_MAX_QUBITS = 26
 
@@ -31,25 +30,30 @@ _SQRT_HALF = math.sqrt(0.5)
 
 
 class CapacityError(ValueError):
-    """Circuit width exceeds the configured simulator maximum."""
+    """Circuit width exceeds DEFAULT_MAX_QUBITS."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Counts:
-    """Measurement histogram: bitstring -> count, with the shot total."""
+    """Measurement histogram: `counts[k]` shots landed on basis state
+    `indices[k]`; `indices` holds each sampled state once, ascending."""
 
-    counts: dict[str, int]
+    indices: np.ndarray
+    counts: np.ndarray
     total: int
     num_qubits: int
 
     def __post_init__(self):
-        if sum(self.counts.values()) != self.total:
+        if self.indices.shape != self.counts.shape or self.indices.ndim != 1:
+            raise ValueError("indices and counts must be 1-D arrays of one length")
+        if int(self.counts.sum()) != self.total:
             raise ValueError("counts do not sum to total")
-        for key, c in self.counts.items():
-            if len(key) != self.num_qubits or set(key) - {"0", "1"}:
-                raise ValueError(f"invalid bitstring key {key!r}")
-            if c < 0:
-                raise ValueError(f"negative count for {key!r}")
+        if np.any(self.counts < 1):
+            raise ValueError("counts must be positive")
+        if np.any(np.diff(self.indices) <= 0):
+            raise ValueError("indices must be strictly ascending")
+        if self.indices.size and not (0 <= self.indices[0] and self.indices[-1] < 1 << self.num_qubits):
+            raise ValueError(f"index out of range for {self.num_qubits} qubits")
 
 
 def num_qubits_of(state: np.ndarray) -> int:
@@ -65,12 +69,12 @@ def zero_state(num_qubits: int) -> np.ndarray:
     return state
 
 
-def simulate(c: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
+def simulate(c: Circuit) -> np.ndarray:
     """Amplitudes of U_c |0...0>."""
-    if c.num_qubits > max_qubits:
+    if c.num_qubits > DEFAULT_MAX_QUBITS:
         need_gib = (1 << c.num_qubits) * 16 / 2**30
         raise CapacityError(
-            f"{c.num_qubits} qubits exceeds the {max_qubits}-qubit limit "
+            f"{c.num_qubits} qubits exceeds the {DEFAULT_MAX_QUBITS}-qubit limit "
             f"(statevector alone would need {need_gib:.1f} GiB)"
         )
     state = zero_state(c.num_qubits)
@@ -140,13 +144,6 @@ def probabilities(state: np.ndarray) -> np.ndarray:
     return np.abs(state) ** 2
 
 
-def expectation_diagonal(state: np.ndarray, m: IsingModel) -> float:
-    """<state| C |state> for the diagonal cost C, summed over all basis states."""
-    if num_qubits_of(state) != m.n:
-        raise ValueError(f"state has {num_qubits_of(state)} qubits, model has {m.n}")
-    return float(probabilities(state) @ energy_table(m))
-
-
 def sample_index_counts(state: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Multinomial shot counts per basis-state index.
 
@@ -168,20 +165,6 @@ def sample_index_counts(state: np.ndarray, shots: int, seed: int) -> np.ndarray:
 
 def sample(state: np.ndarray, shots: int, seed: int) -> Counts:
     """Shot-sampled measurement histogram in the computational basis."""
-    n = num_qubits_of(state)
     idx_counts = sample_index_counts(state, shots, seed)
-    counts = {
-        index_to_bitstring(int(z), n): int(c)
-        for z, c in enumerate(idx_counts)
-        if c > 0
-    }
-    return Counts(counts, shots, n)
-
-
-def index_to_bitstring(index: int, num_qubits: int) -> str:
-    """Little-endian positional key: character i is qubit i's bit."""
-    return "".join("1" if (index >> q) & 1 else "0" for q in range(num_qubits))
-
-
-def bitstring_to_index(key: str) -> int:
-    return sum(1 << q for q, ch in enumerate(key) if ch == "1")
+    indices = np.flatnonzero(idx_counts)
+    return Counts(indices, idx_counts[indices], shots, num_qubits_of(state))

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from qaoa_maxcut.circuits import Barrier, Circuit, Gate
+from qaoa_maxcut.graphs import Graph
 
 
 def gate_matrix(g: Gate) -> np.ndarray:
@@ -94,10 +95,12 @@ def unitaries_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float) -> boo
 
 
 def random_circuit(num_qubits: int, num_gates: int, rng: np.random.Generator) -> Circuit:
-    """Random mix of all gate kinds with random angles."""
+    """Random mix of all gate kinds with random angles; one-qubit circuits
+    draw only the one-qubit kinds."""
+    kinds = ["H", "RX", "RZ", "RZZ", "CX"] if num_qubits > 1 else ["H", "RX", "RZ"]
     gates = []
     for _ in range(num_gates):
-        kind = rng.choice(["H", "RX", "RZ", "RZZ", "CX"])
+        kind = rng.choice(kinds)
         if kind in ("RZZ", "CX"):
             q1, q2 = rng.choice(num_qubits, size=2, replace=False)
             angle = float(rng.uniform(-2 * math.pi, 2 * math.pi)) if kind == "RZZ" else None
@@ -107,3 +110,33 @@ def random_circuit(num_qubits: int, num_gates: int, rng: np.random.Generator) ->
             angle = float(rng.uniform(-2 * math.pi, 2 * math.pi)) if kind != "H" else None
             gates.append(Gate(kind, (q,), angle))
     return Circuit(num_qubits, tuple(gates))
+
+
+def random_state(num_qubits: int, seed: int) -> np.ndarray:
+    """Normalized statevector with Gaussian real and imaginary parts."""
+    rng = np.random.default_rng(seed)
+    state = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+    return state / np.linalg.norm(state)
+
+
+def maxcut_p1_edge_expectation(g: Graph, u: int, v: int, gamma: float, beta: float) -> float:
+    """<(1 - Z_u Z_v)/2> after one QAOA layer on a unit-weight graph.
+
+    Closed form of Wang, Hadfield, Jiang & Rieffel (PRA 97, 022304,
+    arXiv:1706.02998) for the state exp(-i beta B) exp(-i gamma C) |+>^n,
+    C = sum over edges of (1 - Z_u Z_v)/2 and B = sum_i X_i. No
+    simulation: only degrees and the triangles through (u, v) enter.
+    """
+    neighbours: dict[int, set[int]] = {i: set() for i in range(g.num_nodes)}
+    for a, b, _ in g.edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    d_u = len(neighbours[u]) - 1
+    d_v = len(neighbours[v]) - 1
+    f = len(neighbours[u] & neighbours[v])
+    cos = math.cos(gamma)
+    return (
+        0.5
+        + 0.25 * math.sin(4 * beta) * math.sin(gamma) * (cos**d_u + cos**d_v)
+        - 0.25 * math.sin(2 * beta) ** 2 * cos ** (d_u + d_v - 2 * f) * (1 - math.cos(2 * gamma) ** f)
+    )

@@ -48,6 +48,11 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(0)
 
+    @pytest.mark.parametrize("weight", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_nonfinite_weight(self, weight):
+        with pytest.raises(ValueError, match="non-finite"):
+            Graph(2, ((0, 1, weight),))
+
 
 class TestGenerator:
     def test_density_one_is_complete(self):
@@ -124,6 +129,13 @@ class TestFileFormat:
         path = tmp_path / "g.txt"
         path.write_text("2 1\n1 1\n")
         with pytest.raises(GraphFormatError, match=":2:"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("weight", ["inf", "nan"])
+    def test_nonfinite_weight_rejected_with_line(self, tmp_path, weight):
+        path = tmp_path / "g.txt"
+        path.write_text(f"3 2\n0 1\n1 2 {weight}\n")
+        with pytest.raises(GraphFormatError, match=":3: .*non-finite"):
             load_graph(path)
 
     def test_malformed_line_number(self, tmp_path):
