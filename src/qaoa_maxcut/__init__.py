@@ -49,7 +49,7 @@ from .graphs import (
     save_graph,
 )
 from .optimize import NonFiniteObjectiveError, OptimizerConfig, OptResult, minimize
-from .simulator import CapacityError, Counts, sample, simulate
+from .simulator import CapacityError, Counts, qaoa_state, sample, simulate
 
 __version__ = "0.1.0"
 
@@ -88,6 +88,7 @@ __all__ = [
     "minimize",
     "objective",
     "parse_circuit_text",
+    "qaoa_state",
     "qubo_energy",
     "qubo_to_ising",
     "run_qaoa",

@@ -2,9 +2,13 @@
 
 A Max-Cut instance enters as the Ising model of -cut (`maxcut_problem`).
 Its energy table (`encoding.energy_table`, one entry per basis state)
-is built once per objective and is the only cost representation: the
-exact objective is the probability-weighted sum over the table, and a
+is built once per objective and is the only cost representation. Each
+evaluation evolves the state from the table (`simulator.qaoa_state`:
+a phase multiply and a fused mixer per layer, no circuit); the exact
+objective is the probability-weighted sum over the table, and a
 sampled one scores the shot histogram's basis-state indices against it.
+The gate-level circuit is built once per run, for the final draw and
+the compiled depth and gate counts the record reports.
 The cost convention is minimization throughout: for Max-Cut,
 cost(z) = -cut(z), and the reported approximation ratios re-invert the
 sign.
@@ -32,7 +36,7 @@ from .encoding import IsingModel, energy_table, maxcut_to_qubo, qubo_to_ising
 from .graphs import Graph
 from .optimize import OptimizerConfig, minimize
 from .seeding import mix64
-from .simulator import Counts, probabilities, sample, simulate
+from .simulator import Counts, check_width, probabilities, qaoa_state, sample, simulate
 
 STREAM_INIT = 0x01
 STREAM_EVAL = 0x02
@@ -79,13 +83,19 @@ class QaoaResult:
     gate_counts: dict[str, int] = field(default_factory=dict)
 
 
-def build_ansatz(model: IsingModel, params: Sequence[float], strategy: str = "naive") -> Circuit:
-    """Assemble the circuit for one parameter vector (gammas then betas)."""
+def split_params(params: Sequence[float]) -> tuple[list[float], list[float]]:
+    """(gammas, betas) of a parameter vector ordered gammas then betas."""
     params = np.asarray(params, dtype=float)
     if params.size % 2:
         raise ValueError(f"parameter vector must have even length, got {params.size}")
     p = params.size // 2
-    return build_qaoa_ansatz(model, p, params[:p].tolist(), params[p:].tolist(), strategy)
+    return params[:p].tolist(), params[p:].tolist()
+
+
+def build_ansatz(model: IsingModel, params: Sequence[float], strategy: str = "naive") -> Circuit:
+    """Assemble the circuit for one parameter vector (gammas then betas)."""
+    gammas, betas = split_params(params)
+    return build_qaoa_ansatz(model, len(gammas), gammas, betas, strategy)
 
 
 class QaoaObjective:
@@ -98,14 +108,18 @@ class QaoaObjective:
     """
 
     def __init__(self, model: IsingModel, config: QaoaConfig):
+        check_width(model.n)
         self.model = model
         self.config = config
         self.evaluations = 0
         self._table = energy_table(model)
 
     def __call__(self, params: Sequence[float]) -> float:
+        gammas, betas = split_params(params)
+        if len(gammas) != self.config.layers:
+            raise ValueError(f"expected {2 * self.config.layers} parameters, got {2 * len(gammas)}")
         self.evaluations += 1
-        state = simulate(build_ansatz(self.model, params, self.config.strategy))
+        state = qaoa_state(self._table, gammas, betas)
         if self.config.objective_mode == EXACT:
             return float(probabilities(state) @ self._table)
         seed = mix64(self.config.seed, STREAM_EVAL, self.evaluations)
@@ -120,9 +134,6 @@ class QaoaObjective:
 
 def objective(model: IsingModel, config: QaoaConfig, params: Sequence[float]) -> float:
     """One-shot objective evaluation (evaluation counter starts at 1)."""
-    params = np.asarray(params, dtype=float)
-    if params.size != 2 * config.layers:
-        raise ValueError(f"expected {2 * config.layers} parameters, got {params.size}")
     return QaoaObjective(model, config)(params)
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from oracles import maxcut_p1_edge_expectation, random_state
 
+from qaoa_maxcut import engine
 from qaoa_maxcut.circuits import build_qaoa_ansatz
-from qaoa_maxcut.encoding import ising_energy
+from qaoa_maxcut.encoding import IsingModel, ising_energy
 from qaoa_maxcut.engine import (
     EXACT,
     SAMPLED,
@@ -19,7 +20,7 @@ from qaoa_maxcut.engine import (
 )
 from qaoa_maxcut.graphs import Graph, generate_random_graph, load_graph
 from qaoa_maxcut.seeding import mix64
-from qaoa_maxcut.simulator import sample, simulate
+from qaoa_maxcut.simulator import DEFAULT_MAX_QUBITS, CapacityError, sample, simulate
 
 UNIT = generate_random_graph(8, 0.5, seed=5)
 WEIGHTED_GRAPH = load_graph(Path(__file__).resolve().parent / "golden" / "W_9.txt")
@@ -78,6 +79,30 @@ class TestScoring:
         state = simulate(build_ansatz(model, params))
         want = loop_mean_cost(model, sample(state, 2000, mix64(9, STREAM_EVAL, 1)))
         assert objective(model, config, params) == want
+
+
+class TestObjectivePath:
+    @pytest.mark.parametrize("mode", [EXACT, SAMPLED])
+    def test_evaluations_build_no_circuit(self, mode, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the objective must not build or simulate a circuit")
+
+        monkeypatch.setattr(engine, "build_ansatz", forbidden)
+        monkeypatch.setattr(engine, "simulate", forbidden)
+        objective(maxcut_problem(UNIT), QaoaConfig(layers=2, objective_mode=mode), [0.4, 1.1, 0.2, 0.7])
+
+    def test_refuses_too_wide_before_the_table(self, monkeypatch):
+        def no_table(model):
+            raise AssertionError("energy table built before the width check")
+
+        monkeypatch.setattr(engine, "energy_table", no_table)
+        with pytest.raises(CapacityError, match=f"{DEFAULT_MAX_QUBITS}-qubit limit"):
+            QaoaObjective(IsingModel(DEFAULT_MAX_QUBITS + 1), QaoaConfig(layers=1))
+
+    @pytest.mark.parametrize("params", [[0.1, 0.2], [0.1, 0.2, 0.3], [0.1] * 6])
+    def test_rejects_parameter_count_other_than_two_per_layer(self, params):
+        with pytest.raises(ValueError, match="parameter"):
+            objective(maxcut_problem(UNIT), QaoaConfig(layers=2), params)
 
 
 class TestBuildAnsatz:

@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 from oracles import circuit_unitary, random_circuit, random_state
 
-from qaoa_maxcut.circuits import Barrier, Circuit, Gate
+from qaoa_maxcut.circuits import Barrier, Circuit, Gate, build_qaoa_ansatz
+from qaoa_maxcut.encoding import energy_table
+from qaoa_maxcut.engine import maxcut_problem
+from qaoa_maxcut.graphs import Graph
 from qaoa_maxcut.simulator import (
     DEFAULT_MAX_QUBITS,
     CapacityError,
     Counts,
+    qaoa_state,
     sample,
     sample_index_counts,
     simulate,
@@ -33,6 +37,40 @@ class TestSimulate:
     def test_refuses_too_wide_before_allocating(self):
         with pytest.raises(CapacityError, match=f"{DEFAULT_MAX_QUBITS}-qubit limit"):
             simulate(Circuit(DEFAULT_MAX_QUBITS + 1))
+
+
+def random_graph(n: int, weighted: bool, rng: np.random.Generator) -> Graph:
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+    return Graph(n, tuple((u, v, float(rng.uniform(0.1, 3.0)) if weighted else 1.0) for u, v in pairs))
+
+
+class TestQaoaState:
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_gate_level_ansatz(self, n, weighted):
+        rng = np.random.default_rng(10 * n + weighted)
+        model = maxcut_problem(random_graph(n, weighted, rng))
+        table = energy_table(model)
+        for p in range(1, 6):
+            gammas, betas = rng.uniform(-np.pi, np.pi, size=(2, p)).tolist()
+            want = simulate(build_qaoa_ansatz(model, p, gammas, betas))
+            # The circuit drops the cost offset, a global phase of
+            # exp(-i gamma offset) per layer.
+            got = qaoa_state(table, gammas, betas) * np.exp(1j * sum(gammas) * model.offset)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_zero_layers_is_uniform_superposition(self):
+        np.testing.assert_allclose(qaoa_state(np.arange(8.0), [], []), np.full(8, 8**-0.5), rtol=0, atol=1e-15)
+
+    def test_rejects_mismatched_angles(self):
+        with pytest.raises(ValueError, match="gammas"):
+            qaoa_state(np.zeros(4), [0.1, 0.2], [0.3])
+
+    def test_refuses_too_wide_before_allocating(self):
+        # A zero-stride view: the table's length without its memory.
+        table = np.broadcast_to(np.zeros(1), 1 << (DEFAULT_MAX_QUBITS + 1))
+        with pytest.raises(CapacityError, match=f"{DEFAULT_MAX_QUBITS}-qubit limit"):
+            qaoa_state(table, [0.1], [0.2])
 
 
 class TestSample:
