@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import Circuit, build_qaoa_ansatz, decompose, depth, gate_counts
-from .encoding import IsingModel, energy_table, maxcut_to_qubo, qubo_to_ising
+from .encoding import IsingModel, energy_table
 from .graphs import Graph
 from .optimize import OptimizerConfig, minimize
 from .seeding import mix64
@@ -47,8 +47,15 @@ SAMPLED = "sampled_expectation"
 
 
 def maxcut_problem(g: Graph) -> IsingModel:
-    """Standard Max-Cut problem: the Ising form of -cut, to be minimized."""
-    return qubo_to_ising(maxcut_to_qubo(g))
+    """Standard Max-Cut problem: the Ising form of -cut, to be minimized.
+
+    -cut(z) = sum over edges of w (z_u z_v - 1) / 2, so J[u,v] = w/2, the
+    offset is -W/2 and there are no fields. Built directly rather than
+    through `qubo_to_ising`, whose fields cancel only up to rounding on
+    weighted graphs and would leave spurious RZ gates in the circuit.
+    """
+    J = {(u, v): w / 2.0 for u, v, w in g.edges}
+    return IsingModel(g.num_nodes, {}, J, -g.total_weight() / 2.0)
 
 @dataclass
 class QaoaConfig:

@@ -6,8 +6,8 @@ import pytest
 from oracles import maxcut_p1_edge_expectation, random_state
 
 from qaoa_maxcut import engine
-from qaoa_maxcut.circuits import build_qaoa_ansatz
-from qaoa_maxcut.encoding import IsingModel, ising_energy
+from qaoa_maxcut.circuits import build_qaoa_ansatz, decompose, gate_counts
+from qaoa_maxcut.encoding import IsingModel, energy_table, ising_energy
 from qaoa_maxcut.engine import (
     EXACT,
     SAMPLED,
@@ -18,7 +18,7 @@ from qaoa_maxcut.engine import (
     maxcut_problem,
     objective,
 )
-from qaoa_maxcut.graphs import Graph, generate_random_graph, load_graph
+from qaoa_maxcut.graphs import Graph, cut_value, generate_random_graph, load_graph
 from qaoa_maxcut.seeding import mix64
 from qaoa_maxcut.simulator import DEFAULT_MAX_QUBITS, CapacityError, sample, simulate
 
@@ -36,6 +36,21 @@ def loop_mean_cost(model, counts):
 
 def loop_min_cost(model, counts):
     return min(ising_energy(model, [(z >> q) & 1 for q in range(model.n)]) for z in counts.indices.tolist())
+
+
+class TestMaxcutProblem:
+    @pytest.mark.parametrize("g", [UNIT, WEIGHTED_GRAPH], ids=["unit", "weighted"])
+    def test_energies_are_negated_cuts(self, g):
+        table = energy_table(maxcut_problem(g))
+        cuts = [cut_value(g, [(z >> q) & 1 for q in range(g.num_nodes)]) for z in range(1 << g.num_nodes)]
+        np.testing.assert_allclose(table, -np.array(cuts), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_weighted_graph_compiles_one_rz_per_edge_and_layer(self, p):
+        model = maxcut_problem(WEIGHTED_GRAPH)
+        assert model.h == {}
+        counts = gate_counts(decompose(build_ansatz(model, [0.3] * p + [0.7] * p)))
+        assert counts["RZ"] == WEIGHTED_GRAPH.num_edges * p
 
 
 class TestClosedFormP1:
