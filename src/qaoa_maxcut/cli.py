@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import bench
 from .engine import EXACT, SAMPLED
-from .graphs import generate_random_graph, load_graph, save_graph
+from .graphs import Graph, GraphFormatError, generate_random_graph, load_graph, save_graph
 from .seeding import mix64
 from .simulator import CapacityError
 
@@ -80,11 +80,23 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def load_instances(paths: list[Path]) -> list[tuple[str, Graph]] | None:
+    """(stem, graph) per instance file; on the first unreadable or
+    malformed file, print `error: ...` and return None."""
+    try:
+        return [(path.stem, load_graph(path)) for path in paths]
+    except (OSError, GraphFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_bench(args) -> int:
     if not args.layers:
         print("error: --layers must not be empty", file=sys.stderr)
         return 2
-    instances = [(path.stem, load_graph(path)) for path in args.instances]
+    instances = load_instances(args.instances)
+    if instances is None:
+        return 2
     try:
         records, warnings = bench.run_benchmark(
             instances,
@@ -117,7 +129,9 @@ def cmd_depth(args) -> int:
     if not args.layers:
         print("error: --layers must not be empty", file=sys.stderr)
         return 2
-    instances = [(path.stem, load_graph(path)) for path in args.instances]
+    instances = load_instances(args.instances)
+    if instances is None:
+        return 2
     rows = bench.depth_table(instances, sorted(set(args.layers)))
     print(bench.format_depth_table(rows), end="")
     if args.out is not None:

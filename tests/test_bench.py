@@ -37,3 +37,24 @@ class TestTooWide:
         widest = generate_random_graph(DEFAULT_MAX_QUBITS, 0.5, seed=3)
         records, warnings = bench.run_benchmark([("MC_MAX", widest)], [1], 1)
         assert records == [] and warnings == ["skipped MC_MAX: optimum cut is 0 (edgeless graph?)"]
+
+
+class TestBadInstanceFiles:
+    @pytest.fixture
+    def inf_weight(self, tmp_path):
+        path = tmp_path / "MC_BAD.txt"
+        path.write_text("3 2\n0 1 1.0\n1 2 inf\n")
+        return path
+
+    @pytest.mark.parametrize("command", ["bench", "depth"])
+    def test_non_finite_weight_is_reported_with_its_line(self, command, inf_weight, capsys):
+        assert cli.main([command, str(inf_weight), "--layers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{inf_weight}:3:" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("command", ["bench", "depth"])
+    def test_missing_file_is_reported(self, command, tmp_path, capsys):
+        missing = tmp_path / "MC_NONE.txt"
+        assert cli.main([command, str(missing), "--layers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
