@@ -1,0 +1,57 @@
+import numpy as np
+import pytest
+from oracles import circuit_unitary, random_circuit
+
+from qaoa_maxcut.circuits import (
+    Barrier,
+    Circuit,
+    decompose,
+    depth,
+    export_circuit_text,
+    parse_circuit_text,
+    schedule_rounds,
+)
+from qaoa_maxcut.engine import build_ansatz, maxcut_problem
+from qaoa_maxcut.graphs import generate_random_graph
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", range(5))
+def test_decompose_preserves_the_unitary(n, seed):
+    c = random_circuit(n, 25, np.random.default_rng(1000 * n + seed))
+    compiled = decompose(c)
+    assert all(g.kind != "RZZ" for g in compiled.gates)
+    np.testing.assert_allclose(circuit_unitary(compiled), circuit_unitary(c), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_schedule_rounds_are_disjoint_and_cover_each_pair_once(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 16))
+    pairs = [(u, v) for u, v, _ in generate_random_graph(n, float(rng.uniform(0.2, 1.0)), seed).edges]
+    rounds = schedule_rounds(pairs)
+    for rnd in rounds:
+        qubits = [q for pair in rnd for q in pair]
+        assert len(qubits) == len(set(qubits))
+    scheduled = [pair for rnd in rounds for pair in rnd]
+    assert sorted(scheduled) == sorted(pairs) and len(scheduled) == len(set(scheduled))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_text_round_trip_keeps_gates_angles_and_barriers(seed):
+    rng = np.random.default_rng(seed)
+    gates = list(random_circuit(5, 30, rng).gates)
+    for k in sorted(rng.choice(len(gates), size=4, replace=False), reverse=True):
+        gates.insert(int(k), Barrier())
+    c = Circuit(5, tuple([Barrier(), *gates, Barrier()]))
+    text = export_circuit_text(c)
+    assert text.count("BARRIER") == 6
+    assert parse_circuit_text(text, num_qubits=5) == c
+
+
+@pytest.mark.parametrize("strategy", ["naive", "scheduled"])
+def test_barriers_make_depth_linear_in_layers(strategy):
+    model = maxcut_problem(generate_random_graph(9, 0.5, seed=4))
+    depths = [depth(decompose(build_ansatz(model, [0.3] * p + [0.7] * p, strategy))) for p in range(1, 5)]
+    steps = np.diff(depths)
+    assert np.all(steps == steps[0]) and steps[0] > 0
