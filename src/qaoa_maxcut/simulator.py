@@ -111,8 +111,9 @@ def qaoa_state(table: np.ndarray, gammas: Sequence[float], betas: Sequence[float
 
     Starts from |+>^n; layer k multiplies by exp(-i gammas[k] table) and
     then applies RX(2 betas[k]) to every qubit. Equals `simulate` of
-    `circuits.build_qaoa_ansatz` up to a global phase per layer (the
-    circuit drops the cost offset), so probabilities agree.
+    `circuits.build_qaoa_ansatz` up to the global phase
+    exp(-i sum(gammas) offset), since the circuit drops the cost offset;
+    probabilities agree.
     """
     if len(gammas) != len(betas):
         raise ValueError(f"need as many gammas as betas, got {len(gammas)} and {len(betas)}")
