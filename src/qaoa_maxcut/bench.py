@@ -159,7 +159,7 @@ def run_benchmark(
     optima: dict[str, float] = {}
     usable: list[tuple[str, Graph]] = []
     for name, g in instances:
-        optima[name] = brute_force_optimum(g).value  # cached once per instance
+        optima[name] = brute_force_optimum(g).value  # once per instance: cut_value of the optimal assignment
         if optima[name] <= 0:
             warnings.append(f"skipped {name}: optimum cut is 0 (edgeless graph?)")
             continue
@@ -298,9 +298,9 @@ def verify_instance(path) -> list[tuple[str, bool, str]]:
     """Named consistency checks for one instance file.
 
     Returns (check name, passed, detail) triples: file parsing, exact
-    QUBO/Ising round-trip against cut values, Gray-code vs naive
-    enumeration agreement (n <= 12), and the zero-angle expectation
-    identity (n <= 20).
+    QUBO/Ising round-trip against cut values, agreement of the chunked
+    exact optimum with naive enumeration (n <= 12), and the zero-angle
+    expectation identity (n <= 20).
     """
     from .engine import objective  # local import to keep module load light
     from . import encoding, graphs
@@ -329,14 +329,14 @@ def verify_instance(path) -> list[tuple[str, bool, str]]:
     checks.append(("encoding-roundtrip", worst <= 1e-12, f"max |E+cut| = {worst:.2e} over {scope}"))
 
     if g.num_nodes <= 12:
-        gray = graphs.brute_force_optimum(g)
+        fast = graphs.brute_force_optimum(g)
         naive = graphs.exhaustive_optimum(g)
         consistent = (
-            gray.value == naive.value
-            and graphs.cut_value(g, gray.assignment) == gray.value
+            fast.value == naive.value
+            and graphs.cut_value(g, fast.assignment) == fast.value
             and graphs.cut_value(g, naive.assignment) == naive.value
         )
-        checks.append(("optimum-oracle", consistent, f"optimum = {gray.value}"))
+        checks.append(("optimum-oracle", consistent, f"optimum = {fast.value}"))
     else:
         checks.append(("optimum-oracle", True, "skipped (n > 12)"))
 

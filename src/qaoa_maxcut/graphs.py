@@ -15,9 +15,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .seeding import SplitMix64
 
 MAX_BRUTE_FORCE_NODES = 28
+
+# Chunk widths of brute_force_optimum: a table over 2**_LOW_BITS low-node
+# assignments, and blocks of 2**_BLOCK_BITS assignments scored at once.
+_LOW_BITS = 10
+_BLOCK_BITS = 13
 
 Edge = tuple[int, int, float]
 
@@ -181,48 +188,104 @@ def load_graph(path) -> Graph:
 
 
 def brute_force_optimum(g: Graph) -> CutSolution:
-    """Exact maximum cut by Gray-code enumeration.
+    """Exact maximum cut by a chunked numpy pass over every assignment.
 
     Node 0 is fixed to side 0 (cuts are complement-symmetric), so only
-    2^(n-1) assignments are visited. Consecutive Gray codes differ in
-    one node, so each step updates the running cut value in O(degree)
-    by re-signing that node's incident edge weights. Ties are broken
-    toward the lowest assignment integer (little-endian encoding).
+    the 2^(n-1) even assignment integers are scored. With b the bits of
+    the free nodes, a cut is d.b - 2 b^T U b, where d holds the weighted
+    degrees and U the edge weights above the diagonal. The free nodes
+    split into up to `_LOW_BITS` low nodes and the rest high. The cut
+    among the low nodes is tabulated once; each block of high
+    assignments adds the cut among its high nodes and the cross edges'
+    term, which is linear in the low bits: one small `bits @ coeffs`
+    product. Every temporary holds at most about 2^`_BLOCK_BITS`
+    floats (64 KiB) at any n up to MAX_BRUTE_FORCE_NODES.
+
+    Ties break toward the lowest assignment integer: blocks run in
+    ascending order, `np.argmax` returns the first maximum of a block,
+    and a later block wins only with a strictly larger cut. The pass
+    sums weights in its own order, so the reported value is recomputed
+    by `cut_value`, the edge-order sum. Integer weights make every sum
+    exact. With real weights, the pass may round two assignments that
+    cut the same edges (a component flipped as a whole) differently, so
+    the winner is moved to the lowest assignment with its cut edges;
+    two different cuts equal in exact arithmetic may still differ in
+    the last bit here, and either may be returned.
     """
     n = g.num_nodes
     if n > MAX_BRUTE_FORCE_NODES:
         raise ValueError(
             f"brute force capped at {MAX_BRUTE_FORCE_NODES} nodes, got {n}"
         )
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    degree = np.zeros(n)
+    upper = np.zeros((n, n))
     for u, v, w in g.edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
+        degree[u] += w
+        degree[v] += w
+        upper[u, v] = w
+    k = min(n - 1, _LOW_BITS)
+    h = n - 1 - k
+    low, high = slice(1, k + 1), slice(k + 1, n)  # node 0 adds only through degree
 
-    mask = 0  # bit i = side of node i; starts all-zeros
-    value = 0.0
-    best_mask, best_value = 0, 0.0
-    for k in range(1, 1 << max(n - 1, 0)):
-        node = ((k & -k).bit_length() - 1) + 1  # Gray code flips bit ctz(k); node 0 stays fixed
-        side = (mask >> node) & 1
-        delta = 0.0
-        for other, w in adj[node]:
-            # edge becomes cut if endpoints currently agree, uncut otherwise
-            delta += w if ((mask >> other) & 1) == side else -w
-        mask ^= 1 << node
-        value += delta
-        if value > best_value or (value == best_value and mask < best_mask):
-            best_mask, best_value = mask, value
-    assignment = tuple((best_mask >> i) & 1 for i in range(n))
-    return CutSolution(assignment, best_value)
+    low_bits = _bit_rows(0, 1 << k, k)
+    low_cut = _cuts(low_bits, degree[low], upper[low, low])
+    cross = -2.0 * upper[low, high].T
+    rows = min(1 << h, 1 << max(_BLOCK_BITS - k, 0))
+    best_index, best_cut = 0, -math.inf
+    for start in range(0, 1 << h, rows):
+        high_bits = _bit_rows(start, start + rows, h)
+        high_cut = _cuts(high_bits, degree[high], upper[high, high])
+        cuts = (high_bits @ cross) @ low_bits.T
+        cuts += low_cut
+        cuts += high_cut[:, None]
+        i = int(np.argmax(cuts))
+        if cuts.flat[i] > best_cut:
+            best_index, best_cut = (start << k) + i, cuts.flat[i]
+    assignment = _lowest_with_same_cut(g, (0,) + tuple((best_index >> i) & 1 for i in range(n - 1)))
+    return CutSolution(assignment, float(cut_value(g, assignment)))
+
+
+def _lowest_with_same_cut(g: Graph, assignment: tuple[int, ...]) -> tuple[int, ...]:
+    """The lowest assignment integer that cuts the same edges as `assignment`.
+
+    Flipping every node of a connected component cuts the same edges, so
+    the lowest such integer puts the highest node of each component
+    other than node 0's on side 0.
+    """
+    root = list(range(g.num_nodes))  # union-find; a component's root is its lowest node
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for u, v, _ in g.edges:
+        a, b = find(u), find(v)
+        root[max(a, b)] = min(a, b)
+    bits = list(assignment)
+    flips = {0: 0}
+    for i in reversed(range(g.num_nodes)):
+        flip = flips.setdefault(find(i), bits[i])  # set at the component's highest node
+        bits[i] ^= flip
+    return tuple(bits)
+
+
+def _bit_rows(start: int, stop: int, width: int) -> np.ndarray:
+    """0/1 float matrix whose row r holds the `width` low bits of start + r."""
+    return ((np.arange(start, stop)[:, None] >> np.arange(width)) & 1).astype(float)
+
+
+def _cuts(bits: np.ndarray, degree: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """d.b - 2 b^T U b for each row b of `bits`: the cut among those nodes."""
+    return bits @ degree - 2.0 * ((bits @ upper) * bits).sum(axis=1)
 
 
 def exhaustive_optimum(g: Graph) -> CutSolution:
     """Reference maximum cut by naive full enumeration of all 2^n assignments.
 
-    Independent of the Gray-code path (recomputes every cut from
-    scratch); used to cross-check it. Ties break toward the lowest
-    assignment integer.
+    Independent of the chunked pass in brute_force_optimum (recomputes
+    every cut from scratch in edge order); used to cross-check it. Ties
+    break toward the lowest assignment integer.
     """
     n = g.num_nodes
     if n > 24:

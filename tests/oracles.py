@@ -119,6 +119,24 @@ def random_state(num_qubits: int, seed: int) -> np.ndarray:
     return state / np.linalg.norm(state)
 
 
+def naive_max_cut(g: Graph) -> tuple[tuple[int, ...], float]:
+    """(assignment, value) of the maximum cut with node 0 on side 0.
+
+    Visits the even assignment integers in ascending order, sums each cut
+    edge by edge, and keeps a later one only if it is strictly larger, so
+    ties go to the lowest integer.
+    """
+    best_mask, best_value = 0, 0.0
+    for mask in range(0, 1 << g.num_nodes, 2):
+        value = 0.0
+        for u, v, w in g.edges:
+            if (mask >> u) & 1 != (mask >> v) & 1:
+                value += w
+        if value > best_value:
+            best_mask, best_value = mask, value
+    return tuple((best_mask >> i) & 1 for i in range(g.num_nodes)), best_value
+
+
 def maxcut_p1_edge_expectation(g: Graph, u: int, v: int, gamma: float, beta: float) -> float:
     """<(1 - Z_u Z_v)/2> after one QAOA layer on a unit-weight graph.
 

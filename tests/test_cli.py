@@ -1,0 +1,49 @@
+"""Exit codes and outputs of the `generate` and `verify` subcommands."""
+
+from pathlib import Path
+
+import pytest
+
+from qaoa_maxcut import cli
+from qaoa_maxcut.graphs import generate_random_graph, save_graph
+from qaoa_maxcut.seeding import mix64
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_generate_writes_the_seeded_instances(tmp_path):
+    out = tmp_path / "inst"
+    assert cli.main(["generate", "--sizes", "8", "10", "--seed", "11", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["MC_10.txt", "MC_8.txt"]
+    for n in (8, 10):
+        expected = tmp_path / f"expected_{n}.txt"
+        save_graph(generate_random_graph(n, 0.5, mix64(11, n)), expected)
+        assert (out / f"MC_{n}.txt").read_bytes() == expected.read_bytes()
+
+
+def test_generate_with_empty_sizes_exits_2(tmp_path, capsys):
+    out = tmp_path / "inst"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["generate", "--sizes", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--sizes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_reports_a_malformed_file(tmp_path, capsys):
+    path = tmp_path / "MC_BAD.txt"
+    path.write_text("3 2\n0 1\n")
+    assert cli.main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("check parse: FAIL")
+
+
+@pytest.mark.parametrize("instance", ["MC_10", "W_9"])
+def test_verify_passes_on_good_instances(instance, tmp_path, capsys):
+    if instance == "W_9":
+        path = GOLDEN / "W_9.txt"
+    else:
+        path = tmp_path / "MC_10.txt"
+        save_graph(generate_random_graph(10, 0.5, mix64(11, 10)), path)
+    assert cli.main(["verify", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and all(": ok (" in line for line in lines)

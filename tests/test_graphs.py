@@ -1,4 +1,8 @@
+import tracemalloc
+
+import numpy as np
 import pytest
+from oracles import naive_max_cut
 
 from qaoa_maxcut.graphs import (
     CutSolution,
@@ -193,7 +197,7 @@ class TestBruteForce:
         assert sol.assignment == (0, 1, 0, 1)
 
     def test_petersen(self):
-        # independent naive oracle first, then the Gray-code path
+        # independent naive oracle first, then the chunked pass
         naive = exhaustive_optimum(PETERSEN)
         assert naive.value == 12.0
         sol = brute_force_optimum(PETERSEN)
@@ -227,3 +231,68 @@ class TestBruteForce:
 
     def test_single_node(self):
         assert brute_force_optimum(Graph(1)) == CutSolution((0,), 0.0)
+
+
+def real_weighted(n: int, density: float, seed: int) -> Graph:
+    """G(n, density) with weights drawn uniformly from [0.05, 2)."""
+    rng = np.random.default_rng(seed)
+    pairs = generate_random_graph(n, density, seed).edges
+    return Graph(n, tuple((u, v, float(rng.uniform(0.05, 2.0))) for u, v, _ in pairs))
+
+
+class TestChunkedOptimum:
+    """brute_force_optimum against the naive even-mask enumeration.
+
+    The pass tabulates 10 low free nodes and scores blocks of 2^13
+    assignments, so n = 11 is the low table alone, n = 14 exactly one
+    block and n = 15, 16 several blocks.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 11, 12, 14, 15, 16])
+    @pytest.mark.parametrize("weights", ["unit", "real"])
+    def test_matches_naive_enumeration(self, n, weights):
+        g = generate_random_graph(n, 0.5, seed=100 + n)
+        if weights == "real":
+            g = real_weighted(n, 0.5, seed=100 + n)
+        assignment, value = naive_max_cut(g)
+        assert brute_force_optimum(g) == CutSolution(assignment, value)
+
+    def test_sparse_real_weights_tie_to_the_lowest_assignment(self):
+        # Sparse graphs are often disconnected: flipping a component that
+        # does not hold node 0 keeps the cut, so ties are common here.
+        for seed in range(60):
+            g = real_weighted(5 + seed % 6, 0.2, seed)
+            assignment, value = naive_max_cut(g)
+            assert brute_force_optimum(g) == CutSolution(assignment, value), seed
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            graph_from_pairs(15, [(i, (i + 1) % 15) for i in range(15)]),
+            graph_from_pairs(16, [(u, v) for u in range(16) for v in range(u + 1, 16)]),
+        ],
+        ids=["odd-cycle-15", "complete-16"],
+    )
+    def test_optima_in_several_blocks_tie_to_the_lowest_assignment(self, g):
+        assignment, value = naive_max_cut(g)
+        assert brute_force_optimum(g) == CutSolution(assignment, value)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 16])
+    def test_edgeless_graph_is_all_zeros(self, n):
+        assert brute_force_optimum(Graph(n)) == CutSolution((0,) * n, 0.0)
+
+    def test_value_matches_exhaustive_optimum_with_real_weights(self):
+        for seed in range(12):
+            g = real_weighted(4 + seed % 9, 0.5, seed)
+            assert brute_force_optimum(g).value == exhaustive_optimum(g).value
+
+    def test_memory_stays_small(self):
+        # A table of all 2^23 cuts would take 64 MiB.
+        g = generate_random_graph(24, 0.5, seed=7)
+        tracemalloc.start()
+        try:
+            brute_force_optimum(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
