@@ -230,7 +230,7 @@ def brute_force_optimum(g: Graph) -> CutSolution:
     low_bits = _bit_rows(0, 1 << k, k)
     low_cut = _cuts(low_bits, degree[low], upper[low, low])
     cross = -2.0 * upper[low, high].T
-    rows = min(1 << h, 1 << max(_BLOCK_BITS - k, 0))
+    rows = min(1 << h, 1 << (_BLOCK_BITS - k))
     best_index, best_cut = 0, -math.inf
     for start in range(0, 1 << h, rows):
         high_bits = _bit_rows(start, start + rows, h)
