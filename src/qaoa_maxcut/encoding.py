@@ -6,6 +6,13 @@ entries and +2w to the off-diagonal entry. The Ising form substitutes
 x_i = (1 - z_i) / 2, i.e. bit 0 maps to spin z = +1 and bit 1 to
 z = -1; constant offsets are carried exactly so Ising energies equal
 QUBO values on every assignment.
+
+`energy_table` tabulates an Ising model's energy on all 2^n
+assignments: the spins split into a low and a high half, and the table
+is the cross-half couplings as one blocked matrix product plus each
+half's own energies as a row and a column. `energy_levels` reduces a
+table to its distinct energies and a small unsigned index per entry,
+which is how the simulator's phase separator consumes it.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _bit_rows
 
 
 @dataclass(frozen=True)
@@ -106,22 +113,52 @@ def energy_table(m: IsingModel) -> np.ndarray:
     """Energies of all 2^n assignments, indexed little-endian (bit i of the
     index = bit i of the assignment).
 
-    Built by strided adds over reshaped views, one pass per nonzero
-    coefficient, so no index array is materialized.
+    The spins split into a low half of L = n // 2 and a high half. With
+    Z_L and Z_H the +-1 spin rows of every half assignment, the table is
+    a (2^(n-L), 2^L) array whose row is the high half's index and whose
+    column is the low half's: the cross-half couplings as one product
+    (Z_H @ J_LH^T) @ Z_L^T, plus each half's own energy h.z + z^T J z as
+    a row and as a column, plus the offset. Flattened, row-major order
+    is the little-endian index. Integer and half-integer energies are
+    exact in any summation order, so Max-Cut tables of unit-weight
+    graphs equal the edge-by-edge sum bit for bit.
     """
-    size = 1 << m.n
-    e = np.full(size, m.offset, dtype=np.float64)
+    low = m.n // 2
+    h = np.zeros(m.n)
     for i, hi in m.h.items():
-        view = e.reshape(-1, 2, 1 << i)
-        view[:, 0, :] += hi  # bit 0 -> z = +1
-        view[:, 1, :] -= hi
+        h[i] = hi
+    J = np.zeros((m.n, m.n))
     for (i, j), jij in m.J.items():
-        view = e.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
-        view[:, 0, :, 0, :] += jij  # equal bits -> z_i z_j = +1
-        view[:, 1, :, 1, :] += jij
-        view[:, 0, :, 1, :] -= jij
-        view[:, 1, :, 0, :] -= jij
-    return e
+        J[i, j] = jij
+    z_low = _spin_rows(low)
+    z_high = _spin_rows(m.n - low)
+    table = (z_high @ J[:low, low:].T) @ z_low.T
+    table += _half_energies(z_low, h[:low], J[:low, :low])
+    table += _half_energies(z_high, h[low:], J[low:, low:])[:, None]
+    table += m.offset
+    return table.ravel()
+
+
+def _spin_rows(width: int) -> np.ndarray:
+    """+-1 matrix whose row r holds the spins z = 1 - 2 bit of r's `width` low bits."""
+    return 1.0 - 2.0 * _bit_rows(0, 1 << width, width)
+
+
+def _half_energies(z: np.ndarray, h: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """h.z + z^T J z for each spin row z, with J strictly upper triangular."""
+    return z @ h + ((z @ J) * z).sum(axis=1)
+
+
+def energy_levels(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, index) with levels[index] == table: the distinct energies,
+    ascending, and each entry's position among them in the smallest
+    unsigned dtype that holds it.
+
+    A unit-weight Max-Cut table has at most |E| + 1 levels, so a phase
+    separator can exponentiate the levels once and gather per entry.
+    """
+    levels, index = np.unique(table, return_inverse=True)
+    return levels, index.astype(np.min_scalar_type(levels.size - 1))
 
 
 def _bits(assignment: Sequence[int] | str, n: int) -> tuple[int, ...]:

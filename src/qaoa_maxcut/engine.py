@@ -2,10 +2,12 @@
 
 A Max-Cut instance enters as the Ising model of -cut (`maxcut_problem`).
 Its energy table (`encoding.energy_table`, one entry per basis state)
-is built once per objective and is the only cost representation. Each
-evaluation evolves the state from the table (`simulator.qaoa_state`:
-a phase multiply and a fused mixer per layer, no circuit); the exact
-objective is the probability-weighted sum over the table, and a
+is built once per objective and is the only cost representation; the
+objective also caches the table's distinct levels and per-entry level
+index (`encoding.energy_levels`). Each evaluation evolves the state from
+those (`simulator.qaoa_state`: a phase multiply gathered from one
+exponential per level and a fused mixer per layer, no circuit); the
+exact objective is the probability-weighted sum over the table, and a
 sampled one scores the shot histogram's basis-state indices against it.
 The gate-level circuit is built once per run, for the final draw and
 the compiled depth and gate counts the record reports.
@@ -32,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import Circuit, build_qaoa_ansatz, decompose, depth, gate_counts
-from .encoding import IsingModel, energy_table
+from .encoding import IsingModel, energy_levels, energy_table
 from .graphs import Graph
 from .optimize import OptimizerConfig, minimize
 from .seeding import mix64
@@ -112,6 +114,9 @@ class QaoaObjective:
     sampled_expectation: counts-weighted mean of the energy table over
     a fresh `shots`-shot draw whose seed is mix64(seed, STREAM_EVAL, k)
     at evaluation k.
+
+    The table and its `energy_levels` are built once, at construction;
+    the levels drive the state evolution and the table the scoring.
     """
 
     def __init__(self, model: IsingModel, config: QaoaConfig):
@@ -120,13 +125,14 @@ class QaoaObjective:
         self.config = config
         self.evaluations = 0
         self._table = energy_table(model)
+        self._levels, self._index = energy_levels(self._table)
 
     def __call__(self, params: Sequence[float]) -> float:
         gammas, betas = split_params(params)
         if len(gammas) != self.config.layers:
             raise ValueError(f"expected {2 * self.config.layers} parameters, got {2 * len(gammas)}")
         self.evaluations += 1
-        state = qaoa_state(self._table, gammas, betas)
+        state = qaoa_state(self._levels, self._index, gammas, betas)
         if self.config.objective_mode == EXACT:
             return float(probabilities(state) @ self._table)
         seed = mix64(self.config.seed, STREAM_EVAL, self.evaluations)

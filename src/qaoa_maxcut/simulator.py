@@ -17,9 +17,12 @@ Two evolution paths share that layout:
 * `qaoa_state` is the QAOA fast path (after Lykov et al., "Fast
   Simulation of High-Depth QAOA Circuits", arXiv:2309.04841). The whole
   phase separator is one elementwise multiply by exp(-i gamma E) over
-  the energy table, and the mixer applies RX(2 beta) to every qubit as
-  fused blocks of up to 4 qubits: one 16x16 Kronecker-product matrix
-  per block, applied with `np.matmul`.
+  the energy table E, given as its distinct levels and a per-entry
+  index into them (`encoding.energy_levels`): the exponential is taken
+  once per level, at most |E| + 1 of them on a unit-weight Max-Cut
+  graph, and gathered per entry with `np.take`. The mixer applies
+  RX(2 beta) to every qubit as fused blocks of up to 4 qubits: one
+  16x16 Kronecker-product matrix per block, applied with `np.matmul`.
 
 Both work in place on the state plus temporaries of at most `_SLICE`
 amplitudes or half the state, so ~26 qubits (1 GiB of amplitudes) is
@@ -106,23 +109,31 @@ def simulate(c: Circuit) -> np.ndarray:
     return state
 
 
-def qaoa_state(table: np.ndarray, gammas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
-    """Amplitudes of the QAOA state for the diagonal cost `table`.
+def qaoa_state(
+    levels: np.ndarray, index: np.ndarray, gammas: Sequence[float], betas: Sequence[float]
+) -> np.ndarray:
+    """Amplitudes of the QAOA state for the diagonal cost levels[index].
 
+    `levels` and `index` are `encoding.energy_levels` of an energy table.
     Starts from |+>^n; layer k multiplies by exp(-i gammas[k] table) and
-    then applies RX(2 betas[k]) to every qubit. Equals `simulate` of
+    then applies RX(2 betas[k]) to every qubit. The exponential is taken
+    once per level and gathered per entry, which gives every entry the
+    same value as exponentiating the table itself. Equals `simulate` of
     `circuits.build_qaoa_ansatz` up to the global phase
     exp(-i sum(gammas) offset), since the circuit drops the cost offset;
     probabilities agree.
     """
     if len(gammas) != len(betas):
         raise ValueError(f"need as many gammas as betas, got {len(gammas)} and {len(betas)}")
-    n = num_qubits_of(table)
+    n = num_qubits_of(index)
     check_width(n)
-    state = np.full(table.size, 2.0 ** (-n / 2), dtype=np.complex128)
+    state = np.full(index.size, 2.0 ** (-n / 2), dtype=np.complex128)
+    gathered = np.empty(min(_SLICE, index.size), dtype=np.complex128)
     for gamma, beta in zip(gammas, betas):
-        for s in range(0, table.size, _SLICE):
-            state[s : s + _SLICE] *= np.exp(-1j * gamma * table[s : s + _SLICE])
+        phases = np.exp(-1j * gamma * levels)
+        for s in range(0, index.size, _SLICE):
+            part = index[s : s + _SLICE]
+            state[s : s + _SLICE] *= np.take(phases, part, out=gathered[: part.size])
         for low in range(0, n, _MIXER_BLOCK):
             _apply_block(state, low, min(_MIXER_BLOCK, n - low), beta)
     return state

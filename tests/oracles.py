@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from qaoa_maxcut.circuits import Barrier, Circuit, Gate
+from qaoa_maxcut.encoding import IsingModel
 from qaoa_maxcut.graphs import Graph
 
 
@@ -117,6 +118,27 @@ def random_state(num_qubits: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     state = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
     return state / np.linalg.norm(state)
+
+
+def strided_energy_table(m: IsingModel) -> np.ndarray:
+    """Energies of all 2^n assignments, little-endian, by strided adds.
+
+    One pass over reshaped views of the whole table per nonzero
+    coefficient, in the model's dict order: the reference for the
+    blocked `encoding.energy_table`.
+    """
+    e = np.full(1 << m.n, m.offset, dtype=np.float64)
+    for i, hi in m.h.items():
+        view = e.reshape(-1, 2, 1 << i)
+        view[:, 0, :] += hi  # bit 0 -> z = +1
+        view[:, 1, :] -= hi
+    for (i, j), jij in m.J.items():
+        view = e.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
+        view[:, 0, :, 0, :] += jij  # equal bits -> z_i z_j = +1
+        view[:, 1, :, 1, :] += jij
+        view[:, 0, :, 1, :] -= jij
+        view[:, 1, :, 0, :] -= jij
+    return e
 
 
 def naive_max_cut(g: Graph) -> tuple[tuple[int, ...], float]:

@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import strided_energy_table
 
 from qaoa_maxcut.encoding import (
     IsingModel,
     Qubo,
+    energy_levels,
     energy_table,
     ising_energy,
     maxcut_to_qubo,
@@ -18,6 +20,7 @@ from qaoa_maxcut.graphs import (
     generate_random_graph,
     graph_from_pairs,
 )
+from qaoa_maxcut.engine import maxcut_problem
 
 SINGLE_EDGE = graph_from_pairs(2, [(0, 1)])
 K3 = graph_from_pairs(3, [(0, 1), (1, 2), (0, 2)])
@@ -158,3 +161,44 @@ class TestEnergyTable:
         for z in range(1 << 7):
             bits = [(z >> i) & 1 for i in range(7)]
             assert table[z] == pytest.approx(-cut_value(g, bits), abs=1e-12)
+
+
+def random_ising(n: int, seed: int) -> IsingModel:
+    """Fields on about half the spins and real couplings on about half the pairs."""
+    rng = np.random.default_rng(seed)
+    h = {i: float(rng.normal()) for i in range(n) if rng.random() < 0.5}
+    J = {(i, j): float(rng.normal()) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5}
+    return IsingModel(n, h, J, float(rng.normal()))
+
+
+class TestBlockedEnergyTable:
+    @pytest.mark.parametrize("n", [*range(1, 13), 16])
+    def test_unit_weight_maxcut_equals_strided_oracle_exactly(self, n):
+        g = generate_random_graph(n, 0.5, seed=40 + n) if n > 1 else Graph(1, ())
+        model = maxcut_problem(g)
+        np.testing.assert_array_equal(energy_table(model), strided_energy_table(model))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+    def test_real_ising_with_fields_matches_strided_oracle(self, n):
+        model = random_ising(n, seed=n)
+        np.testing.assert_allclose(energy_table(model), strided_energy_table(model), rtol=1e-12, atol=1e-12)
+
+
+class TestEnergyLevels:
+    @pytest.mark.parametrize("model", [
+        maxcut_problem(generate_random_graph(12, 0.5, seed=7)),
+        random_ising(7, seed=70),
+        IsingModel(1, offset=0.5),
+    ], ids=["unit-12", "real-7", "constant-1"])
+    def test_levels_gather_back_to_the_table(self, model):
+        table = energy_table(model)
+        levels, index = energy_levels(table)
+        np.testing.assert_array_equal(levels[index], table)
+        assert np.all(np.diff(levels) > 0)
+        assert index.shape == table.shape
+
+    def test_index_dtype_is_the_smallest_unsigned_that_fits(self):
+        table = energy_table(maxcut_problem(generate_random_graph(12, 0.5, seed=7)))
+        levels, index = energy_levels(table)
+        assert index.dtype.kind == "u" and index.dtype.itemsize <= 2
+        assert index.dtype == np.min_scalar_type(levels.size - 1)

@@ -3,7 +3,7 @@ import pytest
 from oracles import circuit_unitary, random_circuit, random_state
 
 from qaoa_maxcut.circuits import Barrier, Circuit, Gate, build_qaoa_ansatz
-from qaoa_maxcut.encoding import energy_table
+from qaoa_maxcut.encoding import energy_levels, energy_table
 from qaoa_maxcut.engine import maxcut_problem
 from qaoa_maxcut.graphs import Graph
 from qaoa_maxcut.simulator import (
@@ -50,27 +50,28 @@ class TestQaoaState:
     def test_matches_gate_level_ansatz(self, n, weighted):
         rng = np.random.default_rng(10 * n + weighted)
         model = maxcut_problem(random_graph(n, weighted, rng))
-        table = energy_table(model)
+        levels, index = energy_levels(energy_table(model))
         for p in range(1, 6):
             gammas, betas = rng.uniform(-np.pi, np.pi, size=(2, p)).tolist()
             want = simulate(build_qaoa_ansatz(model, p, gammas, betas))
             # The circuit drops the cost offset, a global phase of
             # exp(-i gamma offset) per layer.
-            got = qaoa_state(table, gammas, betas) * np.exp(1j * sum(gammas) * model.offset)
+            got = qaoa_state(levels, index, gammas, betas) * np.exp(1j * sum(gammas) * model.offset)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_zero_layers_is_uniform_superposition(self):
-        np.testing.assert_allclose(qaoa_state(np.arange(8.0), [], []), np.full(8, 8**-0.5), rtol=0, atol=1e-15)
+        state = qaoa_state(*energy_levels(np.arange(8.0)), [], [])
+        np.testing.assert_allclose(state, np.full(8, 8**-0.5), rtol=0, atol=1e-15)
 
     def test_rejects_mismatched_angles(self):
         with pytest.raises(ValueError, match="gammas"):
-            qaoa_state(np.zeros(4), [0.1, 0.2], [0.3])
+            qaoa_state(np.zeros(1), np.zeros(4, dtype=np.uint8), [0.1, 0.2], [0.3])
 
     def test_refuses_too_wide_before_allocating(self):
-        # A zero-stride view: the table's length without its memory.
-        table = np.broadcast_to(np.zeros(1), 1 << (DEFAULT_MAX_QUBITS + 1))
+        # A zero-stride view: the index's length without its memory.
+        index = np.broadcast_to(np.zeros(1, dtype=np.uint8), 1 << (DEFAULT_MAX_QUBITS + 1))
         with pytest.raises(CapacityError, match=f"{DEFAULT_MAX_QUBITS}-qubit limit"):
-            qaoa_state(table, [0.1], [0.2])
+            qaoa_state(np.zeros(1), index, [0.1], [0.2])
 
 
 class TestSample:
