@@ -21,6 +21,7 @@ import numpy as np
 from .circuits import build_qaoa_ansatz, decompose, depth
 from .engine import EXACT, SAMPLED, QaoaConfig, maxcut_problem, run_qaoa
 from .graphs import Graph, brute_force_optimum
+from .optimize import min_evaluations
 from .seeding import fnv1a64, mix64
 from .simulator import DEFAULT_MAX_QUBITS, CapacityError
 
@@ -76,6 +77,10 @@ def record_to_json(r: BenchRecord) -> str:
 def record_from_json(line: str) -> BenchRecord:
     data = json.loads(line)
     return BenchRecord(**{name: data[name] for name in _RECORD_FIELDS})
+
+
+class BenchArgumentError(ValueError):
+    """A `run_benchmark` argument is out of range; raised before any work."""
 
 
 def run_seed(master_seed: int, instance: str, layers: int, run: int) -> int:
@@ -143,13 +148,13 @@ def run_benchmark(
 ) -> tuple[list[BenchRecord], list[str]]:
     """All (instance, layers, run) records plus skip warnings.
 
-    Any instance wider than the simulator's DEFAULT_MAX_QUBITS raises
-    CapacityError before any optimum is computed or any run starts; an
-    instance whose optimum cut is 0 is skipped with a warning. Results
-    are sorted into a canonical order regardless of worker scheduling.
+    Out-of-range arguments raise BenchArgumentError, and any instance
+    wider than the simulator's DEFAULT_MAX_QUBITS raises CapacityError,
+    before any optimum is computed or any run starts; an instance whose
+    optimum cut is 0 is skipped with a warning. Results are sorted into
+    a canonical order regardless of worker scheduling.
     """
-    if not layer_counts:
-        raise ValueError("need at least one layer count")
+    _check_arguments(layer_counts, runs, shots, budget, workers)
     too_wide = [f"{name} ({g.num_nodes} nodes)" for name, g in instances if g.num_nodes > DEFAULT_MAX_QUBITS]
     if too_wide:
         raise CapacityError(
@@ -179,6 +184,19 @@ def run_benchmark(
         records = [_task(t) for t in tasks]
     records.sort(key=lambda r: (r.n, r.instance, r.layers, r.run))
     return records, warnings
+
+
+def _check_arguments(layer_counts: list[int], runs: int, shots: int, budget: int, workers: int) -> None:
+    if not layer_counts:
+        raise BenchArgumentError("need at least one layer count")
+    for name, value in (("layer count", min(layer_counts)), ("runs", runs), ("shots", shots), ("workers", workers)):
+        if value < 1:
+            raise BenchArgumentError(f"{name} must be >= 1, got {value}")
+    need = min_evaluations(2 * max(layer_counts))
+    if budget < need:
+        raise BenchArgumentError(
+            f"budget {budget} is below {need}, the least the optimizer accepts at {max(layer_counts)} layers"
+        )
 
 
 def write_records(records: list[BenchRecord], path) -> None:

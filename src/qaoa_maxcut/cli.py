@@ -68,9 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    if not args.sizes:
-        print("error: --sizes must not be empty", file=sys.stderr)
-        return 2
     args.out.mkdir(parents=True, exist_ok=True)
     for n in sorted(set(args.sizes)):
         g = generate_random_graph(n, args.density, mix64(args.seed, n))
@@ -91,9 +88,6 @@ def load_instances(paths: list[Path]) -> list[tuple[str, Graph]] | None:
 
 
 def cmd_bench(args) -> int:
-    if not args.layers:
-        print("error: --layers must not be empty", file=sys.stderr)
-        return 2
     instances = load_instances(args.instances)
     if instances is None:
         return 2
@@ -109,7 +103,7 @@ def cmd_bench(args) -> int:
             master_seed=args.seed,
             workers=args.workers,
         )
-    except CapacityError as exc:
+    except (CapacityError, bench.BenchArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     bench.write_records(records, args.out)
@@ -126,9 +120,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_depth(args) -> int:
-    if not args.layers:
-        print("error: --layers must not be empty", file=sys.stderr)
-        return 2
     instances = load_instances(args.instances)
     if instances is None:
         return 2

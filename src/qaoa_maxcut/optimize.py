@@ -84,6 +84,12 @@ class _CountingObjective:
         return value
 
 
+def min_evaluations(dim: int) -> int:
+    """Smallest budget `minimize` accepts in `dim` dimensions: the
+    initial simplex's dim + 1 points plus one step."""
+    return dim + 2
+
+
 def minimize(
     f: Callable[[np.ndarray], float],
     x0: Sequence[float],
@@ -94,9 +100,9 @@ def minimize(
     dim = x0.size
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    if config.max_evaluations < dim + 2:
+    if config.max_evaluations < min_evaluations(dim):
         raise ValueError(
-            f"budget {config.max_evaluations} below minimum {dim + 2} for dimension {dim}"
+            f"budget {config.max_evaluations} below minimum {min_evaluations(dim)} for dimension {dim}"
         )
     counted = _CountingObjective(f, config.max_evaluations)
     if config.method == "nelder-mead":
