@@ -154,8 +154,9 @@ def energy_levels(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ascending, and each entry's position among them in the smallest
     unsigned dtype that holds it.
 
-    A unit-weight Max-Cut table has at most |E| + 1 levels, so a phase
-    separator can exponentiate the levels once and gather per entry.
+    A unit-weight Max-Cut table has at most one more level than the
+    graph has edges, so a phase separator can exponentiate the levels
+    once and gather per entry.
     """
     levels, index = np.unique(table, return_inverse=True)
     return levels, index.astype(np.min_scalar_type(levels.size - 1))

@@ -19,10 +19,11 @@ Two evolution paths share that layout:
   phase separator is one elementwise multiply by exp(-i gamma E) over
   the energy table E, given as its distinct levels and a per-entry
   index into them (`encoding.energy_levels`): the exponential is taken
-  once per level, at most |E| + 1 of them on a unit-weight Max-Cut
-  graph, and gathered per entry with `np.take`. The mixer applies
-  RX(2 beta) to every qubit as fused blocks of up to 4 qubits: one
-  16x16 Kronecker-product matrix per block, applied with `np.matmul`.
+  once per level (a unit-weight Max-Cut graph has at most one more
+  level than edges) and gathered per entry with `np.take`. The mixer
+  applies RX(2 beta) to every qubit as fused blocks of up to 4 qubits:
+  one 16x16 Kronecker-product matrix per block, applied with
+  `np.matmul`.
 
 Both work in place on the state plus temporaries of at most `_SLICE`
 amplitudes or half the state, so ~26 qubits (1 GiB of amplitudes) is
