@@ -12,6 +12,11 @@ is exact and those records must match byte for byte. Weighted energies
 are not: a change in summation order may move `expected_cost` and the
 ratios derived from it by a few ulps, so those are compared to 1e-12
 relative while everything else must still match exactly.
+
+`golden/depth_suite.csv` is the `depth --layers 1 3 5` CSV over the
+15-instance study suite (MC_8..MC_25 as `generate` writes them with its
+defaults) plus W_9. Depths are integers and do not depend on the
+angles, so it must match byte for byte.
 """
 
 from __future__ import annotations
@@ -77,3 +82,15 @@ def test_records_match_golden(mode, tmp_path, capsys):
         for name in FLOAT_FIELDS:
             assert math.isclose(g.pop(name), w.pop(name), rel_tol=REL_TOL, abs_tol=0.0), name
         assert g == w
+
+
+def test_depth_table_matches_golden(tmp_path, capsys):
+    inst = tmp_path / "inst"
+    assert cli.main(["generate", "--out", str(inst)]) == 0
+    files = sorted(str(p) for p in inst.glob("MC_*.txt"))
+    assert len(files) == 15
+    out = tmp_path / "depth.csv"
+    argv = ["depth", *files, str(GOLDEN / f"{WEIGHTED}.txt"), "--layers", "1", "3", "5", "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / "depth_suite.csv").read_bytes()
