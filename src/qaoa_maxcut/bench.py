@@ -272,19 +272,30 @@ def depth_table(
 ) -> list[dict]:
     """Compiled circuit depth per (instance, layers, strategy).
 
-    Depth does not depend on the parameter values, so placeholder angles
-    are used.
+    Depth does not depend on the angles, and every layer block sits
+    between barriers after an H layer of depth 1 on every qubit, so with
+    d1 the depth of the decomposed one-layer ansatz,
+
+        depth(p) = 1 + p * (d1 - 1)
+
+    exactly. One p=1 circuit is built and decomposed per (instance,
+    strategy), with placeholder angles, and every requested p derives
+    from it. A layer count below 1 raises BenchArgumentError before any
+    circuit is built.
     """
+    if any(p < 1 for p in layer_counts):
+        raise BenchArgumentError(f"layer count must be >= 1, got {min(layer_counts)}")
     rows = []
     for name, g in sorted(instances, key=lambda ng: (ng[1].num_nodes, ng[0])):
         model = maxcut_problem(g)
+        one_layer = {
+            strategy: depth(decompose(build_qaoa_ansatz(model, 1, [0.5], [0.5], strategy)))
+            for strategy in ("naive", "scheduled")
+        }
         for p in layer_counts:
-            gammas = [0.5] * p
-            betas = [0.5] * p
             row = {"instance": name, "n": g.num_nodes, "layers": p}
-            for strategy in ("naive", "scheduled"):
-                circuit = build_qaoa_ansatz(model, p, gammas, betas, strategy)
-                row[strategy] = depth(decompose(circuit))
+            for strategy, d1 in one_layer.items():
+                row[strategy] = 1 + p * (d1 - 1)
             rows.append(row)
     return rows
 
@@ -315,10 +326,11 @@ def depth_csv(rows: list[dict]) -> str:
 def verify_instance(path) -> list[tuple[str, bool, str]]:
     """Named consistency checks for one instance file.
 
-    Returns (check name, passed, detail) triples: file parsing, exact
-    QUBO/Ising round-trip against cut values, agreement of the chunked
-    exact optimum with naive enumeration (n <= 12), and the zero-angle
-    expectation identity (n <= 20).
+    Returns (check name, passed, detail) triples: file parsing, the
+    Ising energy of `maxcut_problem` against minus the cut value (over
+    every assignment for n <= 12, else 512 random ones), agreement of
+    the chunked exact optimum with naive enumeration (n <= 12), and the
+    zero-angle expectation identity (n <= 20).
     """
     from .engine import objective  # local import to keep module load light
     from . import encoding, graphs

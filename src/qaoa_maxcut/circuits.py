@@ -10,10 +10,12 @@ identity to the simulator and to decomposition, contributes nothing to
 gate counts, and synchronizes the per-qubit frontiers in depth
 computation. The ansatz builder places one barrier between consecutive
 layers so that each (phase separator, mixer) block occupies its own
-depth window and total depth grows exactly linearly in the layer count;
-without the barrier, ASAP packing lets later layers slide into earlier
-layers' idle slots, which breaks the exact per-layer depth accounting
-on irregular graphs.
+depth window and total depth grows exactly linearly in the layer count:
+the initial H layer has depth 1 on every qubit, so a p-layer ansatz
+whose one-layer form has depth d1 has depth 1 + p * (d1 - 1), before
+and after decomposition. Without the barrier, ASAP packing lets later
+layers slide into earlier layers' idle slots, which breaks the exact
+per-layer depth accounting on irregular graphs.
 
 Two emission strategies for the commuting phase-separator terms:
 

@@ -123,7 +123,11 @@ def cmd_depth(args) -> int:
     instances = load_instances(args.instances)
     if instances is None:
         return 2
-    rows = bench.depth_table(instances, sorted(set(args.layers)))
+    try:
+        rows = bench.depth_table(instances, sorted(set(args.layers)))
+    except bench.BenchArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(bench.format_depth_table(rows), end="")
     if args.out is not None:
         args.out.write_text(bench.depth_csv(rows))

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from qaoa_maxcut import bench, cli
-from qaoa_maxcut.graphs import CutSolution, generate_random_graph, save_graph
+from qaoa_maxcut.circuits import build_qaoa_ansatz, decompose, depth
+from qaoa_maxcut.engine import maxcut_problem
+from qaoa_maxcut.graphs import CutSolution, generate_random_graph, graph_from_pairs, load_graph, save_graph
 from qaoa_maxcut.seeding import mix64
 from qaoa_maxcut.simulator import DEFAULT_MAX_QUBITS, CapacityError
 
@@ -11,6 +15,10 @@ WIDE = generate_random_graph(DEFAULT_MAX_QUBITS + 1, 0.5, seed=2)
 
 def no_optimum(g):
     raise AssertionError("an optimum was computed before the width check")
+
+
+def no_circuit(*args, **kwargs):
+    raise AssertionError("a circuit was built before the layer counts were checked")
 
 
 class TestTooWide:
@@ -79,6 +87,24 @@ class TestBadArguments:
         assert not out.exists()
 
 
+class TestDepthBadLayers:
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_fails_before_any_circuit(self, bad, monkeypatch):
+        monkeypatch.setattr(bench, "build_qaoa_ansatz", no_circuit)
+        with pytest.raises(bench.BenchArgumentError, match=f"layer count must be >= 1, got {bad}"):
+            bench.depth_table([("MC_5", SMALL)], [bad, 1])
+
+    @pytest.mark.parametrize("bad", ["0", "-2"])
+    def test_cli_reports_error_and_writes_nothing(self, bad, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "build_qaoa_ansatz", no_circuit)
+        save_graph(SMALL, tmp_path / "MC_5.txt")
+        out = tmp_path / "depth.csv"
+        assert cli.main(["depth", str(tmp_path / "MC_5.txt"), "--layers", "1", bad, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: layer count must be >= 1, got {bad}\n"
+        assert captured.out == "" and not out.exists()
+
+
 class TestBadInstanceFiles:
     @pytest.fixture
     def inf_weight(self, tmp_path):
@@ -114,3 +140,26 @@ def test_repeated_bench_writes_identical_records(mode, tmp_path, capsys):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == 2 * 2 * 2
+
+
+DEPTH_GRAPHS = {
+    **{f"random_{n}_{density}": generate_random_graph(n, density, mix64(5, n)) for n, density in
+       [(2, 1.0), (4, 0.3), (6, 0.5), (9, 0.7), (11, 0.4), (12, 0.9)]},
+    "W_9": load_graph(Path(__file__).resolve().parent / "golden" / "W_9.txt"),
+    "edgeless": graph_from_pairs(5, []),
+    "complete": generate_random_graph(8, 1.0, 0),
+}
+
+
+@pytest.mark.parametrize("name", DEPTH_GRAPHS)
+def test_depth_table_matches_full_circuits(name):
+    """The one-layer identity against the depth of every full p-layer circuit."""
+    g = DEPTH_GRAPHS[name]
+    rows = bench.depth_table([(name, g)], list(range(1, 7)))
+    assert [row["layers"] for row in rows] == list(range(1, 7))
+    model = maxcut_problem(g)
+    for row in rows:
+        p = row["layers"]
+        gammas, betas = [0.1 * (k + 1) for k in range(p)], [0.9 - 0.1 * k for k in range(p)]
+        for strategy in ("naive", "scheduled"):
+            assert row[strategy] == depth(decompose(build_qaoa_ansatz(model, p, gammas, betas, strategy))), (p, strategy)
