@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,6 +177,8 @@ def run_benchmark(
         for run in range(runs)
     ]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # kept off the import path of every CLI call
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_task, tasks))
     else:

@@ -11,7 +11,8 @@ which stops immediately on constant objectives).
 
 A COBYLA backend (scipy's linear-approximation trust-region method) is
 available behind the same interface via method="cobyla"; its trust
-region shrinks from `initial_step` down to `tolerance`.
+region shrinks from `initial_step` down to `tolerance`. scipy is
+imported on the first COBYLA call, not with this module.
 
 Both backends run the objective through a counting wrapper, so the
 budget is respected exactly, the best point ever evaluated is what gets
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.optimize
 
 
 class NonFiniteObjectiveError(RuntimeError):
@@ -177,6 +177,8 @@ def _simplex_converged(simplex: list[np.ndarray], values: list[float], config: O
 
 
 def _cobyla(f: _CountingObjective, x0: np.ndarray, config: OptimizerConfig) -> bool:
+    import scipy.optimize  # most of the package's import time, so only this backend pays it
+
     try:
         res = scipy.optimize.minimize(
             f,

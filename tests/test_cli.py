@@ -1,5 +1,9 @@
-"""Exit codes and outputs of the `generate` and `verify` subcommands."""
+"""Exit codes and outputs of the `generate` and `verify` subcommands, and
+what importing the CLI loads."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +13,18 @@ from qaoa_maxcut.graphs import generate_random_graph, save_graph
 from qaoa_maxcut.seeding import mix64
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_cli_import_loads_neither_scipy_nor_process_pools():
+    code = (
+        "import sys, qaoa_maxcut, qaoa_maxcut.cli\n"
+        "print(sorted(m for m in ('scipy', 'concurrent.futures.process') if m in sys.modules))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout == "[]\n"
 
 
 def test_generate_writes_the_seeded_instances(tmp_path):
