@@ -187,10 +187,16 @@ def run_benchmark(
     return records, warnings
 
 
-def _check_arguments(layer_counts: list[int], runs: int, shots: int, budget: int, workers: int) -> None:
+def _check_layer_counts(layer_counts: list[int]) -> None:
     if not layer_counts:
         raise BenchArgumentError("need at least one layer count")
-    for name, value in (("layer count", min(layer_counts)), ("runs", runs), ("shots", shots), ("workers", workers)):
+    if min(layer_counts) < 1:
+        raise BenchArgumentError(f"layer count must be >= 1, got {min(layer_counts)}")
+
+
+def _check_arguments(layer_counts: list[int], runs: int, shots: int, budget: int, workers: int) -> None:
+    _check_layer_counts(layer_counts)
+    for name, value in (("runs", runs), ("shots", shots), ("workers", workers)):
         if value < 1:
             raise BenchArgumentError(f"{name} must be >= 1, got {value}")
     need = min_evaluations(2 * max(layer_counts))
@@ -281,11 +287,10 @@ def depth_table(
 
     exactly. One p=1 circuit is built and decomposed per (instance,
     strategy), with placeholder angles, and every requested p derives
-    from it. A layer count below 1 raises BenchArgumentError before any
-    circuit is built.
+    from it. An empty list or a layer count below 1 raises
+    BenchArgumentError before any circuit is built.
     """
-    if any(p < 1 for p in layer_counts):
-        raise BenchArgumentError(f"layer count must be >= 1, got {min(layer_counts)}")
+    _check_layer_counts(layer_counts)
     rows = []
     for name, g in sorted(instances, key=lambda ng: (ng[1].num_nodes, ng[0])):
         model = maxcut_problem(g)

@@ -88,11 +88,15 @@ class TestBadArguments:
 
 
 class TestDepthBadLayers:
-    @pytest.mark.parametrize("bad", [0, -2])
-    def test_fails_before_any_circuit(self, bad, monkeypatch):
+    @pytest.mark.parametrize("layers, message", [
+        ([0, 1], "layer count must be >= 1, got 0"),
+        ([1, -2], "layer count must be >= 1, got -2"),
+        ([], "need at least one layer count"),
+    ])
+    def test_fails_before_any_circuit(self, layers, message, monkeypatch):
         monkeypatch.setattr(bench, "build_qaoa_ansatz", no_circuit)
-        with pytest.raises(bench.BenchArgumentError, match=f"layer count must be >= 1, got {bad}"):
-            bench.depth_table([("MC_5", SMALL)], [bad, 1])
+        with pytest.raises(bench.BenchArgumentError, match=message):
+            bench.depth_table([("MC_5", SMALL)], layers)
 
     @pytest.mark.parametrize("bad", ["0", "-2"])
     def test_cli_reports_error_and_writes_nothing(self, bad, tmp_path, monkeypatch, capsys):
