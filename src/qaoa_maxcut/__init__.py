@@ -19,15 +19,7 @@ from .circuits import (
     parse_circuit_text,
     schedule_rounds,
 )
-from .encoding import (
-    IsingModel,
-    Qubo,
-    energy_table,
-    ising_energy,
-    maxcut_to_qubo,
-    qubo_energy,
-    qubo_to_ising,
-)
+from .encoding import IsingModel, energy_table, ising_energy
 from .engine import (
     QaoaConfig,
     QaoaResult,
@@ -68,7 +60,6 @@ __all__ = [
     "OptimizerConfig",
     "QaoaConfig",
     "QaoaResult",
-    "Qubo",
     "brute_force_optimum",
     "build_ansatz",
     "build_qaoa_ansatz",
@@ -84,13 +75,10 @@ __all__ = [
     "ising_energy",
     "load_graph",
     "maxcut_problem",
-    "maxcut_to_qubo",
     "minimize",
     "objective",
     "parse_circuit_text",
     "qaoa_state",
-    "qubo_energy",
-    "qubo_to_ising",
     "run_qaoa",
     "sample",
     "save_graph",

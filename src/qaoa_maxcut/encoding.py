@@ -1,18 +1,15 @@
-"""Cost-function encodings: Max-Cut -> QUBO -> Ising.
+"""Cost-function encodings: the Ising model, its energy table and levels.
 
-Everything downstream minimizes. A Max-Cut instance becomes a QUBO with
-f(x) = -cut(x): each edge (u, v, w) contributes -w to both diagonal
-entries and +2w to the off-diagonal entry. The Ising form substitutes
-x_i = (1 - z_i) / 2, i.e. bit 0 maps to spin z = +1 and bit 1 to
-z = -1; constant offsets are carried exactly so Ising energies equal
-QUBO values on every assignment.
+Everything downstream minimizes. A Max-Cut instance becomes the Ising
+model of -cut (`engine.maxcut_problem`), under the spin convention
+z_i = 1 - 2 bit_i: bit 0 maps to spin z = +1 and bit 1 to z = -1.
 
 `energy_table` tabulates an Ising model's energy on all 2^n
 assignments: the spins split into a low and a high half, and the table
 is the cross-half couplings as one blocked matrix product plus each
 half's own energies as a row and a column. `energy_levels` reduces a
-table to its distinct energies and a small unsigned index per entry,
-which is how the simulator's phase separator consumes it.
+table to ascending levels and a small unsigned index per entry, which
+is how the simulator's phase separator consumes it.
 """
 
 from __future__ import annotations
@@ -22,21 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, _bit_rows
+from .graphs import _bit_rows
 
-
-@dataclass(frozen=True)
-class Qubo:
-    """Minimize sum_{i<=j} coeffs[i,j] x_i x_j + offset over binary x."""
-
-    n: int
-    coeffs: dict[tuple[int, int], float] = field(default_factory=dict)
-    offset: float = 0.0
-
-    def __post_init__(self):
-        for i, j in self.coeffs:
-            if not 0 <= i <= j < self.n:
-                raise ValueError(f"non-canonical QUBO key ({i},{j}) for n={self.n}")
+# Tables whose integer levels span less than this take arithmetic levels
+# in `energy_levels`, with an index of at most 2 bytes per entry.
+_ARITHMETIC_SPAN = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -55,46 +42,6 @@ class IsingModel:
         for i, j in self.J:
             if not 0 <= i < j < self.n:
                 raise ValueError(f"non-canonical J key ({i},{j}) for n={self.n}")
-
-
-def maxcut_to_qubo(g: Graph) -> Qubo:
-    """QUBO whose minimum is the negated maximum cut: f(x) = -cut(x)."""
-    coeffs: dict[tuple[int, int], float] = {}
-    for u, v, w in g.edges:
-        coeffs[(u, u)] = coeffs.get((u, u), 0.0) - w
-        coeffs[(v, v)] = coeffs.get((v, v), 0.0) - w
-        coeffs[(u, v)] = coeffs.get((u, v), 0.0) + 2.0 * w
-    return Qubo(g.num_nodes, coeffs, 0.0)
-
-
-def qubo_to_ising(q: Qubo) -> IsingModel:
-    """Exact change of variables x_i = (1 - z_i)/2; zero coefficients are pruned."""
-    h = {i: 0.0 for i in range(q.n)}
-    J: dict[tuple[int, int], float] = {}
-    offset = q.offset
-    for (i, j), c in q.coeffs.items():
-        if i == j:
-            # c*x_i = c/2 - (c/2) z_i
-            h[i] -= c / 2.0
-            offset += c / 2.0
-        else:
-            # c*x_i*x_j = c/4 (1 - z_i - z_j + z_i z_j)
-            quarter = c / 4.0
-            h[i] -= quarter
-            h[j] -= quarter
-            J[(i, j)] = J.get((i, j), 0.0) + quarter
-            offset += quarter
-    return IsingModel(
-        q.n,
-        {i: v for i, v in h.items() if v != 0.0},
-        {k: v for k, v in J.items() if v != 0.0},
-        offset,
-    )
-
-
-def qubo_energy(q: Qubo, assignment: Sequence[int] | str) -> float:
-    x = _bits(assignment, q.n)
-    return sum(c * x[i] * x[j] for (i, j), c in q.coeffs.items()) + q.offset
 
 
 def ising_energy(m: IsingModel, assignment: Sequence[int] | str) -> float:
@@ -150,14 +97,27 @@ def _half_energies(z: np.ndarray, h: np.ndarray, J: np.ndarray) -> np.ndarray:
 
 
 def energy_levels(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(levels, index) with levels[index] == table: the distinct energies,
-    ascending, and each entry's position among them in the smallest
-    unsigned dtype that holds it.
+    """(levels, index) with levels[index] == table: ascending levels and
+    each entry's position among them in the smallest unsigned dtype that
+    holds it, so a phase separator can exponentiate the levels once and
+    gather per entry.
 
-    A unit-weight Max-Cut table has at most one more level than the
-    graph has edges, so a phase separator can exponentiate the levels
-    once and gather per entry.
+    An integer-valued table whose span max - min is below 2^16, as every
+    unit-weight Max-Cut table is, takes the arithmetic levels
+    min, min + 1, ..., max, some of which may not occur, and the index
+    table - min. Beside its output the call then holds one float64
+    temporary, 8 bytes per entry. Any other table takes its distinct
+    values from `np.unique`, which sorts a copy of the table and peaks at
+    about 40 bytes per entry.
     """
+    low, high = table.min(), table.max()
+    span = high - low
+    if span < _ARITHMETIC_SPAN and low == np.floor(low):
+        shifted = table - low
+        index = shifted.astype(np.min_scalar_type(int(span)))
+        shifted -= index
+        if not shifted.any():
+            return low + np.arange(int(span) + 1), index
     levels, index = np.unique(table, return_inverse=True)
     return levels, index.astype(np.min_scalar_type(levels.size - 1))
 

@@ -3,7 +3,7 @@
 A Max-Cut instance enters as the Ising model of -cut (`maxcut_problem`).
 Its energy table (`encoding.energy_table`, one entry per basis state)
 is built once per objective and is the only cost representation; the
-objective also caches the table's distinct levels and per-entry level
+objective also caches the table's levels and per-entry level
 index (`encoding.energy_levels`). Each evaluation evolves the state from
 those (`simulator.qaoa_state`: a phase multiply gathered from one
 exponential per level and a fused mixer per layer, no circuit); the
@@ -52,9 +52,10 @@ def maxcut_problem(g: Graph) -> IsingModel:
     """Standard Max-Cut problem: the Ising form of -cut, to be minimized.
 
     -cut(z) = sum over edges of w (z_u z_v - 1) / 2, so J[u,v] = w/2, the
-    offset is -W/2 and there are no fields. Built directly rather than
-    through `qubo_to_ising`, whose fields cancel only up to rounding on
-    weighted graphs and would leave spurious RZ gates in the circuit.
+    offset is -W/2 and there are no fields. Built from the edges
+    directly: a detour through the QUBO form x^T Q x, whose fields cancel
+    only up to rounding on weighted graphs, would leave spurious RZ gates
+    in the circuit.
     """
     J = {(u, v): w / 2.0 for u, v, w in g.edges}
     return IsingModel(g.num_nodes, {}, J, -g.total_weight() / 2.0)

@@ -17,24 +17,31 @@ Two evolution paths share that layout:
 * `qaoa_state` is the QAOA fast path (after Lykov et al., "Fast
   Simulation of High-Depth QAOA Circuits", arXiv:2309.04841). The whole
   phase separator is one elementwise multiply by exp(-i gamma E) over
-  the energy table E, given as its distinct levels and a per-entry
-  index into them (`encoding.energy_levels`): the exponential is taken
-  once per level (a unit-weight Max-Cut graph has at most one more
-  level than edges) and gathered per entry with `np.take`. The mixer
-  applies RX(2 beta) to every qubit as fused blocks of up to 4 qubits:
-  one 16x16 Kronecker-product matrix per block, applied with
-  `np.matmul`.
+  the energy table E, given as its levels and a per-entry index into
+  them (`encoding.energy_levels`): the exponential is taken once per
+  level (a unit-weight Max-Cut graph has at most one more level than
+  edges) and gathered per entry with `np.take`. The mixer applies
+  RX(2 beta) to every qubit as fused blocks of up to 4 qubits: one
+  16x16 Kronecker-product matrix per block, applied with `np.matmul`.
 
-Both work in place on the state plus temporaries of at most `_SLICE`
-amplitudes or half the state, so ~26 qubits (1 GiB of amplitudes) is
-the practical ceiling; both refuse wider states up front.
+Both work in place on the state and run every kernel over slices of at
+most `_SLICE` amplitudes (`_slices`), so their temporaries stay small
+and cache-resident, about 1 MiB at most; every amplitude sees the same
+arithmetic whatever the slicing. Either path's working set is thus the
+state, 16 bytes per amplitude, plus that fixed part, and `sample` adds
+one float64 buffer of 8 bytes per amplitude. A QAOA run, which also
+holds its energy table and level index (9 bytes per amplitude), peaks
+at about 33 bytes per amplitude plus the fixed part; that is what
+`bench.BYTES_PER_AMPLITUDE` budgets. ~26 qubits (1 GiB of amplitudes)
+is the practical ceiling; both paths refuse wider states up front.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,14 +51,15 @@ DEFAULT_MAX_QUBITS = 26
 
 _SQRT_HALF = math.sqrt(0.5)
 
-# Amplitudes per slice of the fast path's phase multiply and mixer
-# blocks, so their temporaries stay small and cache-resident.
+# Amplitudes per slice of every kernel, so temporaries stay small and
+# cache-resident.
 _SLICE = 1 << 15
 _MIXER_BLOCK = 4
 
 
 class CapacityError(ValueError):
-    """State width exceeds DEFAULT_MAX_QUBITS."""
+    """State width exceeds DEFAULT_MAX_QUBITS, or the runs asked for
+    exceed the available memory (`bench.run_benchmark`)."""
 
 
 def check_width(num_qubits: int) -> None:
@@ -132,9 +140,8 @@ def qaoa_state(
     gathered = np.empty(min(_SLICE, index.size), dtype=np.complex128)
     for gamma, beta in zip(gammas, betas):
         phases = np.exp(-1j * gamma * levels)
-        for s in range(0, index.size, _SLICE):
-            part = index[s : s + _SLICE]
-            state[s : s + _SLICE] *= np.take(phases, part, out=gathered[: part.size])
+        for part, index_part in zip(_slices(state), _slices(index)):
+            part *= np.take(phases, index_part, out=gathered[: part.size])
         for low in range(0, n, _MIXER_BLOCK):
             _apply_block(state, low, min(_MIXER_BLOCK, n - low), beta)
     return state
@@ -146,51 +153,70 @@ def _apply_block(state: np.ndarray, low: int, width: int, beta: float) -> None:
     block = rx
     for _ in range(width - 1):
         block = np.kron(block, rx)
-    dim, stride = 1 << width, 1 << low
-    view = state.reshape(-1, dim, stride)
-    # Slice by outer rows when a row fits in _SLICE, else by columns of one row.
-    rows = max(1, _SLICE // (dim * stride))
-    cols = min(stride, max(1, _SLICE // dim))
-    for r in range(0, view.shape[0], rows):
-        for c in range(0, stride, cols):
-            part = view[r : r + rows, :, c : c + cols]
-            part[...] = np.matmul(block, part)
+    for part in _slices(state.reshape(-1, 1 << width, 1 << low)):
+        part[...] = np.matmul(block, part)
+
+
+def _slices(view: np.ndarray) -> Iterator[np.ndarray]:
+    """Sub-views covering `view` whose odd axes are kept whole.
+
+    The views here reshape the state so that the odd axes are the bits
+    (or the block) a kernel acts on and the even axes run over
+    everything else; a flat array is cut into runs of `_SLICE`. Each sub-view holds at most `_SLICE` amplitudes, or
+    one run of the odd axes when that alone is larger: the innermost
+    even axis is cut first, and an outer one only once every inner one
+    fits whole.
+    """
+    free = range(0, view.ndim, 2)
+    steps = {}
+    budget = max(1, _SLICE // math.prod(view.shape[1::2]))
+    for axis in reversed(free):
+        steps[axis] = min(view.shape[axis], budget)
+        budget = max(1, budget // view.shape[axis])
+    for starts in itertools.product(*(range(0, view.shape[a], steps[a]) for a in free)):
+        index = [slice(None)] * view.ndim
+        for axis, start in zip(free, starts):
+            index[axis] = slice(start, start + steps[axis])
+        yield view[tuple(index)]
 
 
 def apply_gate(state: np.ndarray, g: Gate) -> None:
-    """Apply one gate in place."""
+    """Apply one gate in place, one `_slices` part of the state at a time."""
     if g.kind == "H":
-        view = _single(state, g.qubits[0])
-        a = view[:, 0, :].copy()
-        b = view[:, 1, :]
-        view[:, 0, :] = (a + b) * _SQRT_HALF
-        view[:, 1, :] = (a - b) * _SQRT_HALF
+        for part in _slices(_single(state, g.qubits[0])):
+            a = part[:, 0, :].copy()
+            b = part[:, 1, :]
+            part[:, 0, :] = (a + b) * _SQRT_HALF
+            part[:, 1, :] = (a - b) * _SQRT_HALF
     elif g.kind == "RX":
         cos = math.cos(g.angle / 2.0)
         msin = -1j * math.sin(g.angle / 2.0)
-        view = _single(state, g.qubits[0])
-        a = view[:, 0, :].copy()
-        b = view[:, 1, :]
-        view[:, 0, :] = cos * a + msin * b
-        view[:, 1, :] = msin * a + cos * b
+        for part in _slices(_single(state, g.qubits[0])):
+            a = part[:, 0, :].copy()
+            b = part[:, 1, :]
+            part[:, 0, :] = cos * a + msin * b
+            part[:, 1, :] = msin * a + cos * b
     elif g.kind == "RZ":
-        view = _single(state, g.qubits[0])
-        view[:, 0, :] *= np.exp(-0.5j * g.angle)
-        view[:, 1, :] *= np.exp(0.5j * g.angle)
+        zero, one = np.exp(-0.5j * g.angle), np.exp(0.5j * g.angle)
+        for part in _slices(_single(state, g.qubits[0])):
+            part[:, 0, :] *= zero
+            part[:, 1, :] *= one
     elif g.kind == "RZZ":
         view, a_axis, b_axis = _pair(state, g.qubits[0], g.qubits[1])
         same = np.exp(-0.5j * g.angle)
         diff = np.exp(0.5j * g.angle)
-        view[_idx(a_axis, 0, b_axis, 0)] *= same
-        view[_idx(a_axis, 1, b_axis, 1)] *= same
-        view[_idx(a_axis, 0, b_axis, 1)] *= diff
-        view[_idx(a_axis, 1, b_axis, 0)] *= diff
+        for part in _slices(view):
+            part[_idx(a_axis, 0, b_axis, 0)] *= same
+            part[_idx(a_axis, 1, b_axis, 1)] *= same
+            part[_idx(a_axis, 0, b_axis, 1)] *= diff
+            part[_idx(a_axis, 1, b_axis, 0)] *= diff
     elif g.kind == "CX":
         control, target = g.qubits
         view, c_axis, t_axis = _pair(state, control, target)
-        lo = view[_idx(c_axis, 1, t_axis, 0)].copy()
-        view[_idx(c_axis, 1, t_axis, 0)] = view[_idx(c_axis, 1, t_axis, 1)]
-        view[_idx(c_axis, 1, t_axis, 1)] = lo
+        for part in _slices(view):
+            lo = part[_idx(c_axis, 1, t_axis, 0)].copy()
+            part[_idx(c_axis, 1, t_axis, 0)] = part[_idx(c_axis, 1, t_axis, 1)]
+            part[_idx(c_axis, 1, t_axis, 1)] = lo
     else:  # pragma: no cover - Gate validation forbids this
         raise ValueError(f"unsupported gate {g.kind}")
 
@@ -217,27 +243,22 @@ def probabilities(state: np.ndarray) -> np.ndarray:
     return np.abs(state) ** 2
 
 
-def sample_index_counts(state: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Multinomial shot counts per basis-state index.
+def sample(state: np.ndarray, shots: int, seed: int) -> Counts:
+    """Shot-sampled measurement histogram in the computational basis.
 
     Inverse-CDF sampling: `shots` uniforms from numpy's PCG64 seeded
-    with `seed` are placed into the cumulative probability vector.
-    Deterministic for a fixed seed. Probabilities are renormalized to
-    absorb float drift in the state norm.
+    with `seed` are placed into the cumulative probability vector, which
+    is renormalized to absorb float drift in the state norm.
+    Deterministic for a fixed seed. The vector is built in place in one
+    float64 buffer (8 bytes per amplitude), and the hits are counted
+    among themselves, so no other array is as long as the state.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = probabilities(state)
-    cdf = np.cumsum(probs)
+    cdf = np.abs(state)
+    np.square(cdf, out=cdf)
+    np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
-    rng = np.random.default_rng(seed)
-    draws = rng.random(shots)
-    indices = np.searchsorted(cdf, draws, side="right")
-    return np.bincount(indices, minlength=state.size)
-
-
-def sample(state: np.ndarray, shots: int, seed: int) -> Counts:
-    """Shot-sampled measurement histogram in the computational basis."""
-    idx_counts = sample_index_counts(state, shots, seed)
-    indices = np.flatnonzero(idx_counts)
-    return Counts(indices, idx_counts[indices], shots, num_qubits_of(state))
+    draws = np.random.default_rng(seed).random(shots)
+    indices, counts = np.unique(np.searchsorted(cdf, draws, side="right"), return_counts=True)
+    return Counts(indices, counts, shots, num_qubits_of(state))

@@ -2,13 +2,17 @@
 
 Everything here is deliberately naive and kept separate from the
 package code paths it checks: dense operator matrices built entry by
-entry, and expectation values summed state by state.
+entry, expectation values summed state by state, the QUBO route to the
+Max-Cut Ising model, energy levels by sorting, and shot histograms
+counted over every basis state.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -180,3 +184,82 @@ def maxcut_p1_edge_expectation(g: Graph, u: int, v: int, gamma: float, beta: flo
         + 0.25 * math.sin(4 * beta) * math.sin(gamma) * (cos**d_u + cos**d_v)
         - 0.25 * math.sin(2 * beta) ** 2 * cos ** (d_u + d_v - 2 * f) * (1 - math.cos(2 * gamma) ** f)
     )
+
+
+@dataclass(frozen=True)
+class Qubo:
+    """Minimize sum_{i<=j} coeffs[i,j] x_i x_j + offset over binary x."""
+
+    n: int
+    coeffs: dict[tuple[int, int], float] = field(default_factory=dict)
+    offset: float = 0.0
+
+    def __post_init__(self):
+        for i, j in self.coeffs:
+            if not 0 <= i <= j < self.n:
+                raise ValueError(f"non-canonical QUBO key ({i},{j}) for n={self.n}")
+
+
+def maxcut_to_qubo(g: Graph) -> Qubo:
+    """QUBO whose minimum is the negated maximum cut: f(x) = -cut(x).
+
+    Each edge (u, v, w) contributes -w to both diagonal entries and +2w
+    to the off-diagonal entry.
+    """
+    coeffs: dict[tuple[int, int], float] = {}
+    for u, v, w in g.edges:
+        coeffs[(u, u)] = coeffs.get((u, u), 0.0) - w
+        coeffs[(v, v)] = coeffs.get((v, v), 0.0) - w
+        coeffs[(u, v)] = coeffs.get((u, v), 0.0) + 2.0 * w
+    return Qubo(g.num_nodes, coeffs, 0.0)
+
+
+def qubo_to_ising(q: Qubo) -> IsingModel:
+    """Exact change of variables x_i = (1 - z_i)/2; zero coefficients are pruned."""
+    h = {i: 0.0 for i in range(q.n)}
+    J: dict[tuple[int, int], float] = {}
+    offset = q.offset
+    for (i, j), c in q.coeffs.items():
+        if i == j:
+            # c*x_i = c/2 - (c/2) z_i
+            h[i] -= c / 2.0
+            offset += c / 2.0
+        else:
+            # c*x_i*x_j = c/4 (1 - z_i - z_j + z_i z_j)
+            quarter = c / 4.0
+            h[i] -= quarter
+            h[j] -= quarter
+            J[(i, j)] = J.get((i, j), 0.0) + quarter
+            offset += quarter
+    return IsingModel(
+        q.n,
+        {i: v for i, v in h.items() if v != 0.0},
+        {k: v for k, v in J.items() if v != 0.0},
+        offset,
+    )
+
+
+def qubo_energy(q: Qubo, assignment: Sequence[int] | str) -> float:
+    x = [int(b) for b in assignment]
+    if len(x) != q.n:
+        raise ValueError(f"assignment length {len(x)} != n {q.n}")
+    return sum(c * x[i] * x[j] for (i, j), c in q.coeffs.items()) + q.offset
+
+
+def unique_energy_levels(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, index) by sorting: the distinct energies, ascending, and
+    each entry's position among them in the smallest unsigned dtype."""
+    levels, index = np.unique(table, return_inverse=True)
+    return levels, index.astype(np.min_scalar_type(levels.size - 1))
+
+
+def sample_index_counts(state: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Multinomial shot counts per basis-state index, one per amplitude.
+
+    Inverse-CDF sampling with the same seeded uniforms as
+    `simulator.sample`, counted with a bincount over all 2^n indices.
+    """
+    cdf = np.cumsum(np.abs(state) ** 2)
+    cdf /= cdf[-1]
+    draws = np.random.default_rng(seed).random(shots)
+    return np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=state.size)

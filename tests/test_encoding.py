@@ -2,18 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import strided_energy_table
+from oracles import Qubo, maxcut_to_qubo, qubo_energy, qubo_to_ising, strided_energy_table, unique_energy_levels
 
-from qaoa_maxcut.encoding import (
-    IsingModel,
-    Qubo,
-    energy_levels,
-    energy_table,
-    ising_energy,
-    maxcut_to_qubo,
-    qubo_energy,
-    qubo_to_ising,
-)
+from qaoa_maxcut.encoding import IsingModel, energy_levels, energy_table, ising_energy
 from qaoa_maxcut.graphs import (
     Graph,
     cut_value,
@@ -21,6 +12,7 @@ from qaoa_maxcut.graphs import (
     graph_from_pairs,
 )
 from qaoa_maxcut.engine import maxcut_problem
+from qaoa_maxcut.simulator import qaoa_state
 
 SINGLE_EDGE = graph_from_pairs(2, [(0, 1)])
 K3 = graph_from_pairs(3, [(0, 1), (1, 2), (0, 2)])
@@ -202,3 +194,51 @@ class TestEnergyLevels:
         levels, index = energy_levels(table)
         assert index.dtype.kind == "u" and index.dtype.itemsize <= 2
         assert index.dtype == np.min_scalar_type(levels.size - 1)
+
+
+def assert_same_phases(got, want):
+    """Both (levels, index) pairs gather the same table and drive
+    `qaoa_state` to the same amplitudes, bit for bit."""
+    (levels, index), (want_levels, want_index) = got, want
+    np.testing.assert_array_equal(levels[index], want_levels[want_index])
+    np.testing.assert_array_equal(levels[np.unique(index)], want_levels)
+    for gammas, betas in (([0.3], [1.1]), ([0.7, -2.2, 1.9], [0.4, 0.05, -1.3])):
+        np.testing.assert_array_equal(
+            qaoa_state(levels, index, gammas, betas), qaoa_state(want_levels, want_index, gammas, betas)
+        )
+
+
+class TestArithmeticLevels:
+    """The arithmetic levels against the sorting oracle they replace."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_unit_weight_tables(self, n):
+        g = generate_random_graph(n, 0.5, seed=60 + n) if n > 1 else Graph(1, ())
+        table = energy_table(maxcut_problem(g))
+        levels, index = energy_levels(table)
+        np.testing.assert_array_equal(levels, table.min() + np.arange(levels.size))
+        assert levels[-1] == table.max()
+        assert_same_phases((levels, index), unique_energy_levels(table))
+
+    def test_table_with_gaps(self):
+        # A triangle cuts 0 or 2 edges, never 1; K4 cuts 0, 3 or 4.
+        for g in (K3, graph_from_pairs(4, list(itertools.combinations(range(4), 2)))):
+            table = energy_table(maxcut_problem(g))
+            levels, index = energy_levels(table)
+            want_levels, _ = unique_energy_levels(table)
+            assert levels.size > want_levels.size
+            assert_same_phases((levels, index), unique_energy_levels(table))
+
+    @pytest.mark.parametrize("table", [
+        energy_table(random_ising(7, seed=71)),
+        energy_table(IsingModel(1, offset=0.5)),
+        np.array([0.0, 1.0, 0.5, 2.0]),
+        np.concatenate([np.arange(1 << 16) % 7, [3.5]]),
+        np.array([3.0, 0.0, float(1 << 16), 5.0, 3.0, 0.0, 1.0, 2.0]),
+    ], ids=["real-weights", "half-offset", "half-entry", "half-entry-at-the-end", "span-2^16"])
+    def test_other_tables_fall_back_to_sorting(self, table):
+        levels, index = energy_levels(table)
+        want_levels, want_index = unique_energy_levels(table)
+        np.testing.assert_array_equal(levels, want_levels)
+        np.testing.assert_array_equal(index, want_index)
+        assert index.dtype == want_index.dtype

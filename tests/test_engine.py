@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import maxcut_p1_edge_expectation, random_state
+from oracles import maxcut_p1_edge_expectation, maxcut_to_qubo, qubo_to_ising, random_state
 
 from qaoa_maxcut import engine
 from qaoa_maxcut.circuits import build_qaoa_ansatz, decompose, gate_counts
@@ -44,6 +44,11 @@ class TestMaxcutProblem:
         table = energy_table(maxcut_problem(g))
         cuts = [cut_value(g, [(z >> q) & 1 for q in range(g.num_nodes)]) for z in range(1 << g.num_nodes)]
         np.testing.assert_allclose(table, -np.array(cuts), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("g", [UNIT, WEIGHTED_GRAPH], ids=["unit", "weighted"])
+    def test_energies_equal_the_qubo_route(self, g):
+        via_qubo = qubo_to_ising(maxcut_to_qubo(g))
+        np.testing.assert_allclose(energy_table(maxcut_problem(g)), energy_table(via_qubo), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_weighted_graph_compiles_one_rz_per_edge_and_layer(self, p):

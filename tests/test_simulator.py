@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from oracles import circuit_unitary, random_circuit, random_state
+from oracles import circuit_unitary, random_circuit, random_state, sample_index_counts
 
 from qaoa_maxcut.circuits import Barrier, Circuit, Gate, build_qaoa_ansatz
 from qaoa_maxcut.encoding import energy_levels, energy_table
 from qaoa_maxcut.engine import maxcut_problem
+from qaoa_maxcut import simulator
 from qaoa_maxcut.graphs import Graph
 from qaoa_maxcut.simulator import (
     DEFAULT_MAX_QUBITS,
@@ -12,7 +13,6 @@ from qaoa_maxcut.simulator import (
     Counts,
     qaoa_state,
     sample,
-    sample_index_counts,
     simulate,
 )
 
@@ -23,6 +23,15 @@ class TestSimulate:
     def test_matches_dense_unitary(self, n, seed):
         c = random_circuit(n, 30, np.random.default_rng(100 * n + seed))
         np.testing.assert_allclose(simulate(c), circuit_unitary(c)[:, 0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("slice_size", [1, 2, 4, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_small_slices_match_dense_unitary(self, n, slice_size, monkeypatch):
+        # Slices this small cut the axes on both sides of a gate's bits.
+        monkeypatch.setattr(simulator, "_SLICE", slice_size)
+        for seed in range(3):
+            c = random_circuit(n, 30, np.random.default_rng(1000 * slice_size + 10 * n + seed))
+            np.testing.assert_allclose(simulate(c), circuit_unitary(c)[:, 0], rtol=0, atol=1e-12)
 
     def test_one_qubit_circuit_has_only_one_qubit_gates(self):
         c = random_circuit(1, 50, np.random.default_rng(0))
@@ -37,6 +46,22 @@ class TestSimulate:
     def test_refuses_too_wide_before_allocating(self):
         with pytest.raises(CapacityError, match=f"{DEFAULT_MAX_QUBITS}-qubit limit"):
             simulate(Circuit(DEFAULT_MAX_QUBITS + 1))
+
+
+class TestSlices:
+    @pytest.mark.parametrize("slice_size", [1, 2, 4, 8, 32, 1 << 15])
+    @pytest.mark.parametrize("shape", [
+        (8, 2, 4), (1, 2, 64), (64, 2, 1), (4, 16, 2), (2, 2, 4, 2, 4), (1, 2, 32, 2, 1), (16, 2, 1, 2, 2),
+    ])
+    def test_parts_tile_the_view_once_with_odd_axes_whole(self, shape, slice_size, monkeypatch):
+        monkeypatch.setattr(simulator, "_SLICE", slice_size)
+        view = np.zeros(shape)
+        core = int(np.prod(shape[1::2]))
+        for part in simulator._slices(view):
+            assert part.shape[1::2] == shape[1::2]
+            assert part.size <= max(slice_size, core)
+            part += 1
+        np.testing.assert_array_equal(view, 1)
 
 
 def random_graph(n: int, weighted: bool, rng: np.random.Generator) -> Graph:
@@ -58,6 +83,15 @@ class TestQaoaState:
             # exp(-i gamma offset) per layer.
             got = qaoa_state(levels, index, gammas, betas) * np.exp(1j * sum(gammas) * model.offset)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("slice_size", [2, 16, 64])
+    def test_small_slices_give_the_same_state(self, slice_size, monkeypatch):
+        rng = np.random.default_rng(slice_size)
+        levels, index = energy_levels(energy_table(maxcut_problem(random_graph(9, False, rng))))
+        gammas, betas = rng.uniform(-np.pi, np.pi, size=(2, 3)).tolist()
+        want = qaoa_state(levels, index, gammas, betas)
+        monkeypatch.setattr(simulator, "_SLICE", slice_size)
+        np.testing.assert_allclose(qaoa_state(levels, index, gammas, betas), want, rtol=0, atol=1e-12)
 
     def test_zero_layers_is_uniform_superposition(self):
         state = qaoa_state(*energy_levels(np.arange(8.0)), [], [])
@@ -84,6 +118,15 @@ class TestSample:
         np.testing.assert_array_equal(counts.indices, np.flatnonzero(dense))
         np.testing.assert_array_equal(counts.counts, dense[counts.indices])
         assert len(counts.counts) == np.count_nonzero(dense)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_dense_counts(self, n):
+        state = 3.0 * random_state(n, 40 + n)  # unnormalized: both renormalize the CDF
+        counts = sample(state, 3000, seed=n)
+        dense = sample_index_counts(state, 3000, seed=n)
+        np.testing.assert_array_equal(counts.indices, np.flatnonzero(dense))
+        np.testing.assert_array_equal(counts.counts, dense[counts.indices])
+        assert counts.indices.dtype == counts.counts.dtype == dense.dtype
 
     def test_seeded_draws_replay(self):
         state = random_state(5, 2)
