@@ -12,8 +12,10 @@ records file so identical invocations produce identical files.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +33,16 @@ DEFAULT_RUNS = 5
 DEFAULT_SHOTS = 10_000
 DEFAULT_BUDGET = 5_000
 DEFAULT_SEED = 11
+
+# Peak bytes per amplitude of one `run_qaoa` call, either objective mode:
+# the state (16), the energy table (8) and level index (1), one float64
+# buffer (8), and about 1 MiB of slice temporaries. Pinned by the
+# tracemalloc test of run_qaoa at n = 18, where that fixed part still
+# shows; the memory gate of `run_benchmark` budgets each worker by it.
+BYTES_PER_AMPLITUDE = 38
+
+_MEMINFO = Path("/proc/meminfo")
+_CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
 
 _RECORD_FIELDS = (
     "instance",
@@ -147,17 +159,28 @@ def run_benchmark(
 ) -> tuple[list[BenchRecord], list[str]]:
     """All (instance, layers, run) records plus skip warnings.
 
-    Out-of-range arguments raise BenchArgumentError, and any instance
-    wider than the simulator's DEFAULT_MAX_QUBITS raises CapacityError,
-    before any optimum is computed or any run starts; an instance whose
-    optimum cut is 0 is skipped with a warning. Results are sorted into
-    a canonical order regardless of worker scheduling.
+    Out-of-range arguments raise BenchArgumentError. Any instance wider
+    than the simulator's DEFAULT_MAX_QUBITS raises CapacityError, and so
+    do `workers` runs of the widest instance at BYTES_PER_AMPLITUDE each
+    that would not fit in `available_memory()`; all before any optimum
+    is computed or any run starts. An instance whose optimum cut is 0 is
+    skipped with a warning. Results are sorted into a canonical order
+    regardless of worker scheduling.
     """
     _check_arguments(layer_counts, runs, shots, budget, workers)
     too_wide = [f"{name} ({g.num_nodes} nodes)" for name, g in instances if g.num_nodes > DEFAULT_MAX_QUBITS]
     if too_wide:
         raise CapacityError(
             f"wider than the simulator's {DEFAULT_MAX_QUBITS}-qubit limit: {', '.join(too_wide)}"
+        )
+    widest = max((g.num_nodes for _, g in instances), default=0)
+    need = workers * BYTES_PER_AMPLITUDE << widest
+    available = available_memory()
+    if need > available:
+        raise CapacityError(
+            f"{workers} worker(s) at {widest} qubits need {need / 2**20:.0f} MiB "
+            f"({BYTES_PER_AMPLITUDE} B per amplitude each), but only {available / 2**20:.0f} MiB "
+            "is available; use fewer --workers or smaller instances"
         )
     warnings: list[str] = []
     optima: dict[str, float] = {}
@@ -185,6 +208,23 @@ def run_benchmark(
         records = [_task(t) for t in tasks]
     records.sort(key=lambda r: (r.n, r.instance, r.layers, r.run))
     return records, warnings
+
+
+def available_memory() -> int:
+    """Bytes a run may still allocate: MemAvailable from /proc/meminfo,
+    or the free physical pages from `os.sysconf` where that is missing,
+    capped by the cgroup's memory.max when one is set."""
+    try:
+        with open(_MEMINFO) as fh:
+            kib = next(int(line.split()[1]) for line in fh if line.startswith("MemAvailable:"))
+        available = kib * 1024
+    except (OSError, StopIteration, ValueError):
+        available = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    try:
+        limit = _CGROUP_MEMORY_MAX.read_text().strip()
+    except OSError:
+        return available
+    return min(available, int(limit)) if limit.isdigit() else available
 
 
 def _check_layer_counts(layer_counts: list[int]) -> None:

@@ -4,7 +4,7 @@ import pytest
 
 from qaoa_maxcut import bench, cli
 from qaoa_maxcut.circuits import build_qaoa_ansatz, decompose, depth
-from qaoa_maxcut.engine import maxcut_problem
+from qaoa_maxcut.engine import EXACT, SAMPLED, maxcut_problem
 from qaoa_maxcut.graphs import CutSolution, generate_random_graph, graph_from_pairs, load_graph, save_graph
 from qaoa_maxcut.seeding import mix64
 from qaoa_maxcut.simulator import DEFAULT_MAX_QUBITS, CapacityError
@@ -43,6 +43,8 @@ class TestTooWide:
     def test_widest_simulable_instance_is_accepted(self, monkeypatch):
         # A zero optimum makes run_benchmark skip the instance, so no run starts.
         monkeypatch.setattr(bench, "brute_force_optimum", lambda g: CutSolution((0,) * g.num_nodes, 0.0))
+        # Exactly one run's memory at this width, whatever this machine has free.
+        monkeypatch.setattr(bench, "available_memory", lambda: bench.BYTES_PER_AMPLITUDE << DEFAULT_MAX_QUBITS)
         widest = generate_random_graph(DEFAULT_MAX_QUBITS, 0.5, seed=3)
         records, warnings = bench.run_benchmark([("MC_MAX", widest)], [1], 1)
         assert records == [] and warnings == ["skipped MC_MAX: optimum cut is 0 (edgeless graph?)"]
@@ -85,6 +87,64 @@ class TestBadArguments:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not out.exists()
+
+
+class TestMemoryGate:
+    INSTANCES = [("MC_8", generate_random_graph(8, 0.5, seed=4)), ("MC_10", generate_random_graph(10, 0.5, seed=5))]
+    NEED = 2 * bench.BYTES_PER_AMPLITUDE << 10  # two workers at the widest, 10 qubits
+
+    def test_fails_before_any_optimum(self, monkeypatch):
+        monkeypatch.setattr(bench, "brute_force_optimum", no_optimum)
+        monkeypatch.setattr(bench, "available_memory", lambda: self.NEED - 1)
+        with pytest.raises(CapacityError, match=r"2 worker\(s\) at 10 qubits need"):
+            bench.run_benchmark(self.INSTANCES, [1], 1, budget=4, workers=2)
+
+    def test_exactly_enough_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(bench, "brute_force_optimum", lambda g: CutSolution((0,) * g.num_nodes, 0.0))
+        monkeypatch.setattr(bench, "available_memory", lambda: self.NEED)
+        records, warnings = bench.run_benchmark(self.INSTANCES, [1], 1, budget=4, workers=2)
+        assert records == [] and len(warnings) == 2
+
+    def test_cli_reports_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "brute_force_optimum", no_optimum)
+        monkeypatch.setattr(bench, "available_memory", lambda: self.NEED - 1)
+        files = []
+        for name, g in self.INSTANCES:
+            save_graph(g, tmp_path / f"{name}.txt")
+            files.append(str(tmp_path / f"{name}.txt"))
+        out = tmp_path / "results.jsonl"
+        assert cli.main(["bench", *files, "--layers", "1", "--budget", "4", "--workers", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "use fewer --workers" in err
+        assert not out.exists()
+
+
+class TestAvailableMemory:
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        meminfo, limit = tmp_path / "meminfo", tmp_path / "memory.max"
+        meminfo.write_text("MemTotal:       8000 kB\nMemFree:        1000 kB\nMemAvailable:   3000 kB\n")
+        monkeypatch.setattr(bench, "_MEMINFO", meminfo)
+        monkeypatch.setattr(bench, "_CGROUP_MEMORY_MAX", limit)
+        return meminfo, limit
+
+    def test_reads_mem_available_without_a_cgroup_limit(self, files):
+        assert bench.available_memory() == 3000 * 1024
+        files[1].write_text("max\n")
+        assert bench.available_memory() == 3000 * 1024
+
+    def test_a_lower_cgroup_limit_caps_it(self, files):
+        files[1].write_text("1048576\n")
+        assert bench.available_memory() == 1048576
+        files[1].write_text(f"{1 << 40}\n")
+        assert bench.available_memory() == 3000 * 1024
+
+    def test_falls_back_to_free_pages_without_meminfo(self, files):
+        files[0].unlink()
+        assert bench.available_memory() > 0
+
+    def test_this_machine_reports_some_memory(self):
+        assert bench.available_memory() > 0
 
 
 class TestDepthBadLayers:
@@ -142,6 +202,18 @@ def test_repeated_bench_writes_identical_records(mode, tmp_path, capsys):
         argv = ["bench", *files, "--layers", "1", "3", "--runs", "2", "--budget", "12", "--mode", mode]
         assert cli.main([*argv, "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 2 * 2 * 2
+
+
+@pytest.mark.parametrize("mode", [EXACT, SAMPLED])
+def test_process_pool_writes_the_same_records(mode, tmp_path):
+    instances = [(f"MC_{n}", generate_random_graph(n, 0.5, mix64(11, n))) for n in (8, 10)]
+    outputs = []
+    for workers in (1, 2):
+        records, _ = bench.run_benchmark(instances, [1, 3], 2, budget=12, mode=mode, workers=workers)
+        bench.write_records(records, tmp_path / f"{workers}.jsonl")
+        outputs.append((tmp_path / f"{workers}.jsonl").read_bytes())
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == 2 * 2 * 2
 

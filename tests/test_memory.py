@@ -1,0 +1,60 @@
+"""Per-amplitude working set of a QAOA run, pinned with tracemalloc.
+
+Every figure counts what a call allocates while it runs, in bytes per
+amplitude of its 2^n-long arrays. `bench.BYTES_PER_AMPLITUDE`, which
+the memory gate of `run_benchmark` budgets each worker by, is the
+bound of the `run_qaoa` test.
+"""
+
+import tracemalloc
+
+import pytest
+from oracles import random_state
+
+from qaoa_maxcut.bench import BYTES_PER_AMPLITUDE
+from qaoa_maxcut.encoding import energy_levels, energy_table
+from qaoa_maxcut.engine import EXACT, SAMPLED, QaoaConfig, build_ansatz, maxcut_problem, run_qaoa
+from qaoa_maxcut.graphs import generate_random_graph
+from qaoa_maxcut.seeding import mix64
+from qaoa_maxcut.simulator import sample, simulate
+
+
+def mc(n):
+    return maxcut_problem(generate_random_graph(n, 0.5, mix64(11, n)))
+
+
+def peak_per_amplitude(n, call, *args):
+    """Peak bytes allocated during call(*args), per amplitude of n qubits.
+
+    The call runs once on its own first, so one-off allocations of a
+    first call (caches, lazy set-up) do not count.
+    """
+    call(*args)
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] / (1 << n)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode", [EXACT, SAMPLED])
+def test_run_qaoa_stays_within_the_gate_figure(mode):
+    # The fixed few MiB of slice temporaries still show at n = 18.
+    config = QaoaConfig(layers=1, max_evaluations=4, objective_mode=mode, seed=3, strategy="scheduled")
+    assert peak_per_amplitude(18, run_qaoa, mc(18), config, 1.0) <= BYTES_PER_AMPLITUDE
+
+
+def test_energy_levels_adds_little_beyond_its_table():
+    table = energy_table(mc(20))
+    assert peak_per_amplitude(20, energy_levels, table) <= 10
+
+
+def test_sample_adds_little_beyond_its_state():
+    state = random_state(20, 5)
+    assert peak_per_amplitude(20, sample, state, 10_000, 7) <= 10
+
+
+def test_simulate_holds_little_beyond_its_state():
+    circuit = build_ansatz(mc(20), [0.3, 0.7], "scheduled")
+    assert peak_per_amplitude(20, simulate, circuit) <= 18
