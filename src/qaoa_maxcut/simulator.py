@@ -162,10 +162,10 @@ def _slices(view: np.ndarray) -> Iterator[np.ndarray]:
 
     The views here reshape the state so that the odd axes are the bits
     (or the block) a kernel acts on and the even axes run over
-    everything else; a flat array is cut into runs of `_SLICE`. Each sub-view holds at most `_SLICE` amplitudes, or
-    one run of the odd axes when that alone is larger: the innermost
-    even axis is cut first, and an outer one only once every inner one
-    fits whole.
+    everything else; a flat array is cut into runs of `_SLICE`. Each
+    sub-view holds at most `_SLICE` amplitudes, or one run of the odd
+    axes when that alone is larger: the innermost even axis is cut
+    first, and an outer one only once every inner one fits whole.
     """
     free = range(0, view.ndim, 2)
     steps = {}
