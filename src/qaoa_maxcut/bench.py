@@ -1,12 +1,15 @@
 """Benchmark harness: the instance-suite protocol behind the CLI.
 
 One benchmark record corresponds to one (instance, layer count, run)
-triple. Per-run seeds are pre-assigned as
+triple. `run_benchmark` builds one `QaoaConfig` per triple, with its
+seed pre-assigned as
 mix64(master_seed, fnv1a64(instance_name), layers, run_index), so runs
-are reproducible and independent of execution order or worker count.
-Records serialize as one JSON object per line with a fixed key order;
-wall_time is tracked in memory for the summary but kept out of the
-records file so identical invocations produce identical files.
+are reproducible and independent of execution order or worker count;
+`run_single` hands that config to `run_qaoa` and copies its layers,
+seed and strategy into the record. Records serialize as one JSON object
+per line, with the keys in `BenchRecord`'s field order; wall_time is
+tracked in memory for the summary but kept out of the records file so
+identical invocations produce identical files.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import encoding, graphs
 from .circuits import build_qaoa_ansatz, decompose, depth
-from .engine import EXACT, SAMPLED, QaoaConfig, maxcut_problem, run_qaoa
+from .engine import EXACT, MODES, SAMPLED, STRATEGIES, QaoaConfig, maxcut_problem, objective, run_qaoa
 from .graphs import Graph, brute_force_optimum
 from .optimize import min_evaluations
 from .seeding import fnv1a64, mix64
@@ -44,23 +48,6 @@ BYTES_PER_AMPLITUDE = 38
 _MEMINFO = Path("/proc/meminfo")
 _CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
 
-_RECORD_FIELDS = (
-    "instance",
-    "n",
-    "layers",
-    "run",
-    "seed",
-    "ar_expectation",
-    "ar_best",
-    "expected_cost",
-    "optimum",
-    "evaluations",
-    "compiled_depth",
-    "gate_counts",
-    "strategy",
-)
-
-
 @dataclass
 class BenchRecord:
     instance: str
@@ -77,6 +64,10 @@ class BenchRecord:
     gate_counts: dict[str, int]
     strategy: str
     wall_time: float = 0.0
+
+
+# The records file's keys, in declaration order; wall_time stays in memory.
+_RECORD_FIELDS = tuple(f.name for f in fields(BenchRecord) if f.name != "wall_time")
 
 
 def record_to_json(r: BenchRecord) -> str:
@@ -98,37 +89,16 @@ def run_seed(master_seed: int, instance: str, layers: int, run: int) -> int:
     return mix64(master_seed, fnv1a64(instance), layers, run)
 
 
-def run_single(
-    name: str,
-    g: Graph,
-    layers: int,
-    run: int,
-    optimum: float,
-    *,
-    shots: int = DEFAULT_SHOTS,
-    budget: int = DEFAULT_BUDGET,
-    mode: str = SAMPLED,
-    strategy: str = "naive",
-    master_seed: int = DEFAULT_SEED,
-) -> BenchRecord:
-    seed = run_seed(master_seed, name, layers, run)
-    config = QaoaConfig(
-        layers=layers,
-        shots=shots,
-        max_evaluations=budget,
-        objective_mode=mode,
-        seed=seed,
-        strategy=strategy,
-    )
+def run_single(name: str, g: Graph, run: int, optimum: float, config: QaoaConfig) -> BenchRecord:
     start = time.perf_counter()
     result = run_qaoa(maxcut_problem(g), config, optimum)
     elapsed = time.perf_counter() - start
     return BenchRecord(
         instance=name,
         n=g.num_nodes,
-        layers=layers,
+        layers=config.layers,
         run=run,
-        seed=seed,
+        seed=config.seed,
         ar_expectation=result.ar_expectation,
         ar_best=result.ar_best,
         expected_cost=result.expected_cost,
@@ -136,13 +106,13 @@ def run_single(
         evaluations=result.evaluations,
         compiled_depth=result.compiled_depth,
         gate_counts=result.gate_counts,
-        strategy=strategy,
+        strategy=config.strategy,
         wall_time=elapsed,
     )
 
 
 def _task(args) -> BenchRecord:
-    return run_single(*args[:5], **args[5])
+    return run_single(*args)
 
 
 def run_benchmark(
@@ -159,15 +129,16 @@ def run_benchmark(
 ) -> tuple[list[BenchRecord], list[str]]:
     """All (instance, layers, run) records plus skip warnings.
 
-    Out-of-range arguments raise BenchArgumentError. Any instance wider
-    than the simulator's DEFAULT_MAX_QUBITS raises CapacityError, and so
-    do `workers` runs of the widest instance at BYTES_PER_AMPLITUDE each
-    that would not fit in `available_memory()`; all before any optimum
-    is computed or any run starts. An instance whose optimum cut is 0 is
-    skipped with a warning. Results are sorted into a canonical order
-    regardless of worker scheduling.
+    Out-of-range arguments and an unknown `mode` or `strategy` raise
+    BenchArgumentError. Any instance wider than the simulator's
+    DEFAULT_MAX_QUBITS raises CapacityError, and so do `workers` runs of
+    the widest instance at BYTES_PER_AMPLITUDE each that would not fit
+    in `available_memory()`; all before any optimum is computed or any
+    run starts. An instance whose optimum cut is 0 is skipped with a
+    warning. Results are sorted into a canonical order regardless of
+    worker scheduling.
     """
-    _check_arguments(layer_counts, runs, shots, budget, workers)
+    _check_arguments(layer_counts, runs, shots, budget, mode, strategy, workers)
     too_wide = [f"{name} ({g.num_nodes} nodes)" for name, g in instances if g.num_nodes > DEFAULT_MAX_QUBITS]
     if too_wide:
         raise CapacityError(
@@ -192,9 +163,11 @@ def run_benchmark(
             continue
         usable.append((name, g))
 
-    opts = dict(shots=shots, budget=budget, mode=mode, strategy=strategy, master_seed=master_seed)
     tasks = [
-        (name, g, layers, run, optima[name], opts)
+        (name, g, run, optima[name], QaoaConfig(
+            layers, shots=shots, max_evaluations=budget, objective_mode=mode,
+            seed=run_seed(master_seed, name, layers, run), strategy=strategy,
+        ))
         for name, g in usable
         for layers in layer_counts
         for run in range(runs)
@@ -234,8 +207,14 @@ def _check_layer_counts(layer_counts: list[int]) -> None:
         raise BenchArgumentError(f"layer count must be >= 1, got {min(layer_counts)}")
 
 
-def _check_arguments(layer_counts: list[int], runs: int, shots: int, budget: int, workers: int) -> None:
+def _check_arguments(
+    layer_counts: list[int], runs: int, shots: int, budget: int, mode: str, strategy: str, workers: int
+) -> None:
     _check_layer_counts(layer_counts)
+    if mode not in MODES:
+        raise BenchArgumentError(f"unknown objective mode {mode!r}")
+    if strategy not in STRATEGIES:
+        raise BenchArgumentError(f"unknown strategy {strategy!r}")
     for name, value in (("runs", runs), ("shots", shots), ("workers", workers)):
         if value < 1:
             raise BenchArgumentError(f"{name} must be >= 1, got {value}")
@@ -293,7 +272,13 @@ def format_summary_table(rows: list[dict], layer_counts: list[int]) -> str:
             else:
                 cells += [f"{stats['mean']:.4f}", f"{stats['std']:.4f}"]
         table.append(cells)
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
+    return _text_table(table)
+
+
+def _text_table(table: list[list[str]]) -> str:
+    """Left-aligned columns two spaces apart, with a dashed rule under the
+    header row (the first row)."""
+    widths = [max(len(r[i]) for r in table) for i in range(len(table[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table]
     lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"
@@ -336,7 +321,7 @@ def depth_table(
         model = maxcut_problem(g)
         one_layer = {
             strategy: depth(decompose(build_qaoa_ansatz(model, 1, [0.5], [0.5], strategy)))
-            for strategy in ("naive", "scheduled")
+            for strategy in STRATEGIES
         }
         for p in layer_counts:
             row = {"instance": name, "n": g.num_nodes, "layers": p}
@@ -352,10 +337,7 @@ def format_depth_table(rows: list[dict]) -> str:
         table.append(
             [row["instance"], str(row["n"]), str(row["layers"]), str(row["naive"]), str(row["scheduled"])]
         )
-    widths = [max(len(r[i]) for r in table) for i in range(5)]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines) + "\n"
+    return _text_table(table)
 
 
 def depth_csv(rows: list[dict]) -> str:
@@ -378,9 +360,6 @@ def verify_instance(path) -> list[tuple[str, bool, str]]:
     the chunked exact optimum with naive enumeration (n <= 12), and the
     zero-angle expectation identity (n <= 20).
     """
-    from .engine import objective  # local import to keep module load light
-    from . import encoding, graphs
-
     checks: list[tuple[str, bool, str]] = []
     try:
         g = graphs.load_graph(path)

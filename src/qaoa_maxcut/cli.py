@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import bench
-from .engine import EXACT, SAMPLED
+from .engine import MODES, SAMPLED, STRATEGIES
 from .graphs import Graph, GraphFormatError, generate_random_graph, load_graph, save_graph
 from .seeding import mix64
 from .simulator import CapacityError
@@ -47,8 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--shots", type=int, default=bench.DEFAULT_SHOTS)
     b.add_argument("--budget", type=int, default=bench.DEFAULT_BUDGET,
                    help="max objective evaluations per run")
-    b.add_argument("--strategy", choices=["naive", "scheduled"], default="scheduled")
-    b.add_argument("--mode", choices=["exact", "sampled"], default="sampled")
+    b.add_argument("--strategy", choices=STRATEGIES, default="scheduled")
+    b.add_argument("--mode", choices=MODES, default=SAMPLED)
     b.add_argument("--seed", type=int, default=bench.DEFAULT_SEED)
     b.add_argument("--out", type=Path, default=Path("results.jsonl"),
                    help="records file; summary lands next to it as .summary.csv")
@@ -98,7 +98,7 @@ def cmd_bench(args) -> int:
             runs=args.runs,
             shots=args.shots,
             budget=args.budget,
-            mode=EXACT if args.mode == "exact" else SAMPLED,
+            mode=args.mode,
             strategy=args.strategy,
             master_seed=args.seed,
             workers=args.workers,

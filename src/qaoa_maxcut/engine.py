@@ -44,8 +44,10 @@ STREAM_INIT = 0x01
 STREAM_EVAL = 0x02
 STREAM_FINAL = 0x03
 
-EXACT = "exact_expectation"
-SAMPLED = "sampled_expectation"
+EXACT = "exact"
+SAMPLED = "sampled"
+MODES = (EXACT, SAMPLED)
+STRATEGIES = ("naive", "scheduled")
 
 
 def maxcut_problem(g: Graph) -> IsingModel:
@@ -74,9 +76,9 @@ class QaoaConfig:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.objective_mode not in (EXACT, SAMPLED):
+        if self.objective_mode not in MODES:
             raise ValueError(f"unknown objective mode {self.objective_mode!r}")
-        if self.strategy not in ("naive", "scheduled"):
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
@@ -111,10 +113,12 @@ def build_ansatz(model: IsingModel, params: Sequence[float], strategy: str = "na
 class QaoaObjective:
     """Counted, seeded objective: params -> estimated cost.
 
-    exact_expectation: probability-weighted mean of the energy table.
-    sampled_expectation: counts-weighted mean of the energy table over
-    a fresh `shots`-shot draw whose seed is mix64(seed, STREAM_EVAL, k)
-    at evaluation k.
+    The objective mode is EXACT ("exact") or SAMPLED ("sampled"), the
+    names `bench --mode` takes.
+    exact: probability-weighted mean of the energy table.
+    sampled: counts-weighted mean of the energy table over a fresh
+    `shots`-shot draw whose seed is mix64(seed, STREAM_EVAL, k) at
+    evaluation k.
 
     The table and its `energy_levels` are built once, at construction;
     the levels drive the state evolution and the table the scoring.

@@ -74,13 +74,6 @@ class Graph:
     def total_weight(self) -> float:
         return sum(w for _, _, w in self.edges)
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.num_nodes
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
 
 @dataclass(frozen=True)
 class CutSolution:

@@ -2,17 +2,17 @@
 
 The default backend is a self-contained Nelder-Mead simplex with fixed
 coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
-The initial simplex is x0 plus a step of `initial_step` (default 0.1)
-along each coordinate. Termination: the evaluation budget is exhausted,
-or the simplex collapses (max infinity-norm distance of any vertex from
-the best vertex <= `tolerance`), or the objective values across the
-simplex are exactly degenerate (spread <= `f_tolerance`, default 0,
-which stops immediately on constant objectives).
+The initial simplex is x0 plus a step of INITIAL_STEP (0.1) along each
+coordinate. Termination: the evaluation budget is exhausted, or the
+simplex collapses (max infinity-norm distance of any vertex from the
+best vertex <= TOLERANCE, 1e-6), or the objective values across the
+simplex are exactly degenerate (spread <= F_TOLERANCE, 0, which stops
+immediately on constant objectives).
 
 A COBYLA backend (scipy's linear-approximation trust-region method) is
 available behind the same interface via method="cobyla"; its trust
-region shrinks from `initial_step` down to `tolerance`. scipy is
-imported on the first COBYLA call, not with this module.
+region shrinks from INITIAL_STEP down to TOLERANCE. scipy is imported
+on the first COBYLA call, not with this module.
 
 Both backends run the objective through a counting wrapper, so the
 budget is respected exactly, the best point ever evaluated is what gets
@@ -27,6 +27,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+
+INITIAL_STEP = 0.1
+TOLERANCE = 1e-6
+F_TOLERANCE = 0.0
 
 
 class NonFiniteObjectiveError(RuntimeError):
@@ -45,9 +49,6 @@ class _BudgetExhausted(Exception):
 @dataclass
 class OptimizerConfig:
     max_evaluations: int
-    tolerance: float = 1e-6
-    f_tolerance: float = 0.0
-    initial_step: float = 0.1
     method: str = "nelder-mead"
 
 
@@ -106,7 +107,7 @@ def minimize(
         )
     counted = _CountingObjective(f, config.max_evaluations)
     if config.method == "nelder-mead":
-        converged = _nelder_mead(counted, x0, config)
+        converged = _nelder_mead(counted, x0)
     elif config.method == "cobyla":
         converged = _cobyla(counted, x0, config)
     else:
@@ -121,7 +122,7 @@ def minimize(
     )
 
 
-def _nelder_mead(f: _CountingObjective, x0: np.ndarray, config: OptimizerConfig) -> bool:
+def _nelder_mead(f: _CountingObjective, x0: np.ndarray) -> bool:
     alpha, chi, rho, sigma = 1.0, 2.0, 0.5, 0.5
     dim = x0.size
     try:
@@ -129,14 +130,14 @@ def _nelder_mead(f: _CountingObjective, x0: np.ndarray, config: OptimizerConfig)
         values = [f(x0)]
         for i in range(dim):
             vertex = x0.copy()
-            vertex[i] += config.initial_step
+            vertex[i] += INITIAL_STEP
             simplex.append(vertex)
             values.append(f(vertex))
         while True:
             order = sorted(range(dim + 1), key=lambda k: values[k])
             simplex = [simplex[k] for k in order]
             values = [values[k] for k in order]
-            if _simplex_converged(simplex, values, config):
+            if _simplex_converged(simplex, values):
                 return True
             centroid = np.mean(simplex[:-1], axis=0)
             worst = simplex[-1]
@@ -170,10 +171,10 @@ def _nelder_mead(f: _CountingObjective, x0: np.ndarray, config: OptimizerConfig)
         return False
 
 
-def _simplex_converged(simplex: list[np.ndarray], values: list[float], config: OptimizerConfig) -> bool:
+def _simplex_converged(simplex: list[np.ndarray], values: list[float]) -> bool:
     spread = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:])
     f_spread = values[-1] - values[0]
-    return spread <= config.tolerance or f_spread <= config.f_tolerance
+    return spread <= TOLERANCE or f_spread <= F_TOLERANCE
 
 
 def _cobyla(f: _CountingObjective, x0: np.ndarray, config: OptimizerConfig) -> bool:
@@ -186,8 +187,8 @@ def _cobyla(f: _CountingObjective, x0: np.ndarray, config: OptimizerConfig) -> b
             method="COBYLA",
             options={
                 "maxiter": config.max_evaluations,
-                "rhobeg": config.initial_step,
-                "tol": config.tolerance,
+                "rhobeg": INITIAL_STEP,
+                "tol": TOLERANCE,
             },
         )
     except _BudgetExhausted:

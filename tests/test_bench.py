@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from pathlib import Path
 
 import pytest
@@ -57,6 +59,8 @@ class TestBadArguments:
         "layers": (dict(layer_counts=[1, 0]), "layer count must be >= 1, got 0"),
         "workers": (dict(workers=0), "workers must be >= 1, got 0"),
         "budget": (dict(layer_counts=[1, 3], budget=7), "budget 7 is below 8"),
+        "mode": (dict(mode="bogus"), "unknown objective mode 'bogus'"),
+        "strategy": (dict(strategy="bogus"), "unknown strategy 'bogus'"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -64,7 +68,7 @@ class TestBadArguments:
         monkeypatch.setattr(bench, "brute_force_optimum", no_optimum)
         override, message = self.CASES[case]
         kwargs = dict(layer_counts=[1], runs=1, shots=10, budget=8, workers=1) | override
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(bench.BenchArgumentError, match=message):
             bench.run_benchmark([("MC_5", SMALL)], **kwargs)
 
     def test_budget_at_the_minimum_is_accepted(self, monkeypatch):
@@ -206,7 +210,7 @@ def test_repeated_bench_writes_identical_records(mode, tmp_path, capsys):
     assert len(outputs[0].splitlines()) == 2 * 2 * 2
 
 
-@pytest.mark.parametrize("mode", [EXACT, SAMPLED])
+@pytest.mark.parametrize("mode", [EXACT, SAMPLED], ids=["exact_expectation", "sampled_expectation"])
 def test_process_pool_writes_the_same_records(mode, tmp_path):
     instances = [(f"MC_{n}", generate_random_graph(n, 0.5, mix64(11, n))) for n in (8, 10)]
     outputs = []
@@ -216,6 +220,63 @@ def test_process_pool_writes_the_same_records(mode, tmp_path):
         outputs.append((tmp_path / f"{workers}.jsonl").read_bytes())
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == 2 * 2 * 2
+
+
+def record(instance, n, layers, run, ar):
+    return bench.BenchRecord(
+        instance=instance, n=n, layers=layers, run=run, seed=1000 + run, ar_expectation=ar, ar_best=1.0,
+        expected_cost=-ar * 5, optimum=5.0, evaluations=12, compiled_depth=7,
+        gate_counts={"RX": n, "CX": 2, "H": n}, strategy="naive",
+    )
+
+
+class TestSummary:
+    # Out of order on purpose: two instances share n = 10, and MC_a lacks p = 3.
+    RECORDS = [
+        record("MC_b", 10, 1, 0, 0.5),
+        record("MC_b", 10, 3, 0, 0.9),
+        record("MC_a", 10, 1, 0, 0.6),
+        record("MC_b", 10, 1, 1, 0.75),
+        record("MC_z", 8, 1, 0, 1 / 3),
+    ]
+
+    def test_population_std_and_runs_per_instance_and_layers(self):
+        rows = bench.summarize(self.RECORDS)
+        assert [(row["instance"], row["n"]) for row in rows] == [("MC_z", 8), ("MC_a", 10), ("MC_b", 10)]
+        assert rows[2]["layers"] == {
+            1: {"mean": 0.625, "std": 0.125, "runs": 2},
+            3: {"mean": 0.9, "std": 0.0, "runs": 1},
+        }
+        assert list(rows[1]["layers"]) == [1]
+
+    def test_table_marks_missing_layer_counts(self):
+        table = bench.format_summary_table(bench.summarize(self.RECORDS), [1, 3])
+        assert table == (
+            "instance  n   1-layer mean  1-layer std  3-layer mean  3-layer std\n"
+            "--------  --  ------------  -----------  ------------  -----------\n"
+            "MC_z      8   0.3333        0.0000       -             -\n"
+            "MC_a      10  0.6000        0.0000       -             -\n"
+            "MC_b      10  0.6250        0.1250       0.9000        0.0000\n"
+        )
+
+    def test_csv_has_one_line_per_instance_and_layers(self):
+        assert bench.summary_csv(bench.summarize(self.RECORDS)) == (
+            "instance,n,layers,mean_ar,std_ar,runs\n"
+            "MC_z,8,1,0.333333333333,0,1\n"
+            "MC_a,10,1,0.6,0,1\n"
+            "MC_b,10,1,0.625,0.125,2\n"
+            "MC_b,10,3,0.9,0,1\n"
+        )
+
+
+def test_record_keys_follow_the_golden_files():
+    r = dataclasses.replace(record("MC_b", 10, 3, 1, 0.9), wall_time=2.5)
+    golden = Path(__file__).resolve().parent / "golden" / "exact_naive.jsonl"
+    first = golden.read_text().splitlines()[0]
+    line = bench.record_to_json(r)
+    assert list(json.loads(line)) == list(json.loads(first))
+    assert list(json.loads(line)["gate_counts"]) == ["CX", "H", "RX"]
+    assert bench.record_from_json(line) == dataclasses.replace(r, wall_time=0.0)
 
 
 DEPTH_GRAPHS = {

@@ -102,7 +102,7 @@ class TestScoring:
 
 
 class TestObjectivePath:
-    @pytest.mark.parametrize("mode", [EXACT, SAMPLED])
+    @pytest.mark.parametrize("mode", [EXACT, SAMPLED], ids=["exact_expectation", "sampled_expectation"])
     def test_evaluations_build_no_circuit(self, mode, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("the objective must not build or simulate a circuit")

@@ -38,7 +38,7 @@ def peak_per_amplitude(n, call, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("mode", [EXACT, SAMPLED])
+@pytest.mark.parametrize("mode", [EXACT, SAMPLED], ids=["exact_expectation", "sampled_expectation"])
 def test_run_qaoa_stays_within_the_gate_figure(mode):
     # The fixed few MiB of slice temporaries still show at n = 18.
     config = QaoaConfig(layers=1, max_evaluations=4, objective_mode=mode, seed=3, strategy="scheduled")
