@@ -17,6 +17,11 @@ relative while everything else must still match exactly.
 15-instance study suite (MC_8..MC_25 as `generate` writes them with its
 defaults) plus W_9. Depths are integers and do not depend on the
 angles, so it must match byte for byte.
+
+`golden/optima_suite.jsonl` holds `brute_force_optimum`'s instance,
+value and assignment over the same instances, one JSON object per line.
+The assignment is the tie-broken lowest one and the value its
+edge-order `cut_value`, so it must match byte for byte too.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from pathlib import Path
 import pytest
 
 from qaoa_maxcut import cli
-from qaoa_maxcut.graphs import generate_random_graph, save_graph
+from qaoa_maxcut.graphs import brute_force_optimum, generate_random_graph, load_graph, save_graph
 from qaoa_maxcut.seeding import mix64
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -84,13 +89,28 @@ def test_records_match_golden(mode, tmp_path, capsys):
         assert g == w
 
 
-def test_depth_table_matches_golden(tmp_path, capsys):
-    inst = tmp_path / "inst"
-    assert cli.main(["generate", "--out", str(inst)]) == 0
-    files = sorted(str(p) for p in inst.glob("MC_*.txt"))
+def study_suite(directory: Path) -> list[Path]:
+    """MC_8..MC_25 as `generate` writes them with its defaults, by size."""
+    assert cli.main(["generate", "--out", str(directory)]) == 0
+    files = sorted(directory.glob("MC_*.txt"), key=lambda p: int(p.stem.split("_")[1]))
     assert len(files) == 15
+    return files
+
+
+def test_depth_table_matches_golden(tmp_path, capsys):
+    files = sorted(str(p) for p in study_suite(tmp_path / "inst"))
     out = tmp_path / "depth.csv"
     argv = ["depth", *files, str(GOLDEN / f"{WEIGHTED}.txt"), "--layers", "1", "3", "5", "--out", str(out)]
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / "depth_suite.csv").read_bytes()
+
+
+def test_optima_match_golden(tmp_path, capsys):
+    files = study_suite(tmp_path / "inst") + [GOLDEN / f"{WEIGHTED}.txt"]
+    capsys.readouterr()
+    lines = []
+    for path in files:
+        sol = brute_force_optimum(load_graph(path))
+        lines.append(json.dumps({"instance": path.stem, "value": sol.value, "assignment": list(sol.assignment)}))
+    assert "\n".join(lines) + "\n" == (GOLDEN / "optima_suite.jsonl").read_text()
