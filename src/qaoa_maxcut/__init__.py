@@ -1,7 +1,8 @@
 """Max-Cut QAOA toolkit.
 
-Library layers, bottom to top: problem instances (`graphs`), cost
-encodings (`encoding`), circuit IR and compilation (`circuits`),
+Library layers, bottom to top: cost encodings and the all-assignment
+energy kernel (`encoding`), problem instances and their exact optimum
+(`graphs`), circuit IR and compilation (`circuits`),
 statevector execution (`simulator`), derivative-free parameter search
 (`optimize`), the variational loop (`engine`), and the benchmark
 harness (`bench`, `cli`).
@@ -19,12 +20,11 @@ from .circuits import (
     parse_circuit_text,
     schedule_rounds,
 )
-from .encoding import IsingModel, energy_table, ising_energy
+from .encoding import IsingModel, energy_table, ising_energy, maxcut_problem
 from .engine import (
     QaoaConfig,
     QaoaResult,
     build_ansatz,
-    maxcut_problem,
     objective,
     run_qaoa,
 )

@@ -24,7 +24,10 @@ import numpy as np
 
 from . import encoding, graphs
 from .circuits import build_qaoa_ansatz, decompose, depth
-from .engine import EXACT, MODES, SAMPLED, STRATEGIES, QaoaConfig, maxcut_problem, objective, run_qaoa
+from .encoding import maxcut_problem
+from .engine import (
+    DEFAULT_BUDGET, DEFAULT_SHOTS, DEFAULT_STRATEGY, EXACT, MODES, SAMPLED, STRATEGIES, QaoaConfig, objective, run_qaoa,
+)
 from .graphs import Graph, brute_force_optimum
 from .optimize import min_evaluations
 from .seeding import fnv1a64, mix64
@@ -34,8 +37,6 @@ DEFAULT_SIZES = (8, 10, 12, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25)
 DEFAULT_DENSITY = 0.5
 DEFAULT_LAYERS = (1, 3, 5)
 DEFAULT_RUNS = 5
-DEFAULT_SHOTS = 10_000
-DEFAULT_BUDGET = 5_000
 DEFAULT_SEED = 11
 
 # Peak bytes per amplitude of one `run_qaoa` call, either objective mode:
@@ -123,7 +124,7 @@ def run_benchmark(
     shots: int = DEFAULT_SHOTS,
     budget: int = DEFAULT_BUDGET,
     mode: str = SAMPLED,
-    strategy: str = "naive",
+    strategy: str = DEFAULT_STRATEGY,
     master_seed: int = DEFAULT_SEED,
     workers: int = 1,
 ) -> tuple[list[BenchRecord], list[str]]:
@@ -320,7 +321,7 @@ def depth_table(
     for name, g in sorted(instances, key=lambda ng: (ng[1].num_nodes, ng[0])):
         model = maxcut_problem(g)
         one_layer = {
-            strategy: depth(decompose(build_qaoa_ansatz(model, 1, [0.5], [0.5], strategy)))
+            strategy: depth(decompose(build_qaoa_ansatz(model, [0.5], [0.5], strategy)))
             for strategy in STRATEGIES
         }
         for p in layer_counts:

@@ -147,26 +147,26 @@ def schedule_rounds(pairs: Iterable[tuple[int, int]]) -> list[list[tuple[int, in
 
 def build_qaoa_ansatz(
     m: IsingModel,
-    p: int,
     gammas: Iterable[float],
     betas: Iterable[float],
     strategy: str = "naive",
 ) -> Circuit:
-    """p-layer ansatz: H on all qubits, then p blocks of phase separator
-    followed by mixer, with a barrier between consecutive blocks.
+    """p-layer ansatz, p = len(gammas): H on all qubits, then p blocks of
+    phase separator followed by mixer, with a barrier between
+    consecutive blocks.
     """
     gammas = list(gammas)
     betas = list(betas)
-    if p < 1:
-        raise ValueError(f"layer count must be >= 1, got {p}")
-    if len(gammas) != p or len(betas) != p:
-        raise ValueError(f"need {p} gammas and {p} betas, got {len(gammas)} and {len(betas)}")
+    if not gammas:
+        raise ValueError("need at least one layer, got no gammas")
+    if len(betas) != len(gammas):
+        raise ValueError(f"need as many betas as gammas, got {len(gammas)} gammas and {len(betas)} betas")
     gates: list[Instruction] = list(initial_state_gates(m.n))
-    for k in range(p):
+    for k, (gamma, beta) in enumerate(zip(gammas, betas)):
         if k > 0:
             gates.append(Barrier())
-        gates.extend(phase_separator_gates(m, gammas[k], strategy))
-        gates.extend(mixer_gates(m.n, betas[k]))
+        gates.extend(phase_separator_gates(m, gamma, strategy))
+        gates.extend(mixer_gates(m.n, beta))
     return Circuit(m.n, tuple(gates))
 
 

@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--shots", type=int, default=bench.DEFAULT_SHOTS)
     b.add_argument("--budget", type=int, default=bench.DEFAULT_BUDGET,
                    help="max objective evaluations per run")
-    b.add_argument("--strategy", choices=STRATEGIES, default="scheduled")
+    b.add_argument("--strategy", choices=STRATEGIES, default=bench.DEFAULT_STRATEGY)
     b.add_argument("--mode", choices=MODES, default=SAMPLED)
     b.add_argument("--seed", type=int, default=bench.DEFAULT_SEED)
     b.add_argument("--out", type=Path, default=Path("results.jsonl"),

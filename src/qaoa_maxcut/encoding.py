@@ -1,25 +1,25 @@
-"""Cost-function encodings: the Ising model, its energy table and levels.
+"""Cost-function encodings: the Ising model, Max-Cut's Ising form, and
+its energies on every assignment.
 
 Everything downstream minimizes. A Max-Cut instance becomes the Ising
-model of -cut (`engine.maxcut_problem`), under the spin convention
+model of -cut (`maxcut_problem`), under the spin convention
 z_i = 1 - 2 bit_i: bit 0 maps to spin z = +1 and bit 1 to z = -1.
 
-`energy_table` tabulates an Ising model's energy on all 2^n
-assignments: the spins split into a low and a high half, and the table
-is the cross-half couplings as one blocked matrix product plus each
-half's own energies as a row and a column. `energy_levels` reduces a
-table to ascending levels and a small unsigned index per entry, which
-is how the simulator's phase separator consumes it.
+`energy_blocks` is the one kernel that scores all 2^n assignments, in
+blocks of a table split into a low and a high half of the spins: the
+simulator's cost vector is its table as one block (`energy_table`), and
+`graphs.brute_force_optimum` takes its argmin block by block.
+`energy_levels` reduces a table to ascending levels and a small
+unsigned index per entry, which is how the simulator's phase separator
+consumes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-
-from .graphs import _bit_rows
 
 # Tables whose integer levels span less than this take arithmetic levels
 # in `energy_levels`, with an index of at most 2 bytes per entry.
@@ -44,10 +44,33 @@ class IsingModel:
                 raise ValueError(f"non-canonical J key ({i},{j}) for n={self.n}")
 
 
+def maxcut_problem(g) -> IsingModel:
+    """Standard Max-Cut problem of a `graphs.Graph`: the Ising form of
+    -cut, to be minimized.
+
+    -cut(z) = sum over edges of w (z_u z_v - 1) / 2, so J[u,v] = w/2, the
+    offset is -W/2 and there are no fields. Built from the edges
+    directly: a detour through the QUBO form x^T Q x, whose fields cancel
+    only up to rounding on weighted graphs, would leave spurious RZ gates
+    in the circuit.
+    """
+    J = {(u, v): w / 2.0 for u, v, w in g.edges}
+    return IsingModel(g.num_nodes, {}, J, -g.total_weight() / 2.0)
+
+
+def as_bits(assignment: Sequence[int] | str, n: int) -> tuple[int, ...]:
+    """An assignment as n bits; a wrong length or an entry other than 0
+    or 1 raises ValueError."""
+    if len(assignment) != n:
+        raise ValueError(f"assignment length {len(assignment)} != {n} nodes")
+    if any(b not in (0, 1, "0", "1") for b in assignment):
+        raise ValueError("assignment entries must be 0 or 1")
+    return tuple(int(b) for b in assignment)
+
+
 def ising_energy(m: IsingModel, assignment: Sequence[int] | str) -> float:
     """Energy of a bit vector under the spin convention z_i = 1 - 2*bit_i."""
-    b = _bits(assignment, m.n)
-    z = [1 - 2 * bi for bi in b]
+    z = [1 - 2 * bi for bi in as_bits(assignment, m.n)]
     e = m.offset
     for i, hi in m.h.items():
         e += hi * z[i]
@@ -58,17 +81,29 @@ def ising_energy(m: IsingModel, assignment: Sequence[int] | str) -> float:
 
 def energy_table(m: IsingModel) -> np.ndarray:
     """Energies of all 2^n assignments, indexed little-endian (bit i of the
-    index = bit i of the assignment).
+    index = bit i of the assignment): `energy_blocks` as one block,
+    flattened row-major."""
+    ((_, table),) = energy_blocks(m, 1 << m.n)
+    return table.ravel()
 
-    The spins split into a low half of L = n // 2 and a high half. With
-    Z_L and Z_H the +-1 spin rows of every half assignment, the table is
-    a (2^(n-L), 2^L) array whose row is the high half's index and whose
-    column is the low half's: the cross-half couplings as one product
-    (Z_H @ J_LH^T) @ Z_L^T, plus each half's own energy h.z + z^T J z as
-    a row and as a column, plus the offset. Flattened, row-major order
-    is the little-endian index. Integer and half-integer energies are
-    exact in any summation order, so Max-Cut tables of unit-weight
-    graphs equal the edge-by-edge sum bit for bit.
+
+def energy_blocks(m: IsingModel, entries: int, even_only: bool = False) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, block) pairs that tile the (2^(n-L), 2^L) energy table,
+    in ascending row order, each block of as many whole rows as fit in
+    `entries` (at least one).
+
+    The spins split into a low half of L = n // 2 and a high half. Row r
+    and column c of the table hold assignment r * 2^L + c: with Z_L and
+    Z_H the +-1 spin rows of the half assignments, a block is the
+    cross-half couplings as one product (Z_H @ J_LH^T) @ Z_L^T, plus each
+    half's own energy h.z + z^T J z as a row and as a column, plus the
+    offset. Integer and half-integer energies are exact in any summation
+    order, so Max-Cut tables of unit-weight graphs equal the edge-by-edge
+    sum bit for bit.
+
+    With `even_only`, a block keeps only the even columns, the
+    assignments with bit 0 clear, as its columns (for n >= 2; a one-spin
+    model has no low half).
     """
     low = m.n // 2
     h = np.zeros(m.n)
@@ -77,18 +112,24 @@ def energy_table(m: IsingModel) -> np.ndarray:
     J = np.zeros((m.n, m.n))
     for (i, j), jij in m.J.items():
         J[i, j] = jij
-    z_low = _spin_rows(low)
-    z_high = _spin_rows(m.n - low)
-    table = (z_high @ J[:low, low:].T) @ z_low.T
-    table += _half_energies(z_low, h[:low], J[:low, :low])
-    table += _half_energies(z_high, h[low:], J[low:, low:])[:, None]
-    table += m.offset
-    return table.ravel()
+    z_low = _spin_rows(np.arange(0, 1 << low, 2 if even_only else 1), low)
+    low_energy = _half_energies(z_low, h[:low], J[:low, :low])
+    cross = J[:low, low:].T
+    high_rows = 1 << (m.n - low)
+    rows = max(1, entries // len(z_low))
+    for start in range(0, high_rows, rows):
+        z_high = _spin_rows(np.arange(start, min(start + rows, high_rows)), m.n - low)
+        block = (z_high @ cross) @ z_low.T
+        block += low_energy
+        block += _half_energies(z_high, h[low:], J[low:, low:])[:, None]
+        block += m.offset
+        yield start, block
 
 
-def _spin_rows(width: int) -> np.ndarray:
-    """+-1 matrix whose row r holds the spins z = 1 - 2 bit of r's `width` low bits."""
-    return 1.0 - 2.0 * _bit_rows(0, 1 << width, width)
+def _spin_rows(indices: np.ndarray, width: int) -> np.ndarray:
+    """+-1 matrix whose row r holds the spins z = 1 - 2 bit of the `width`
+    low bits of indices[r]."""
+    return 1.0 - 2.0 * ((indices[:, None] >> np.arange(width)) & 1)
 
 
 def _half_energies(z: np.ndarray, h: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -121,9 +162,3 @@ def energy_levels(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     levels, index = np.unique(table, return_inverse=True)
     return levels, index.astype(np.min_scalar_type(levels.size - 1))
 
-
-def _bits(assignment: Sequence[int] | str, n: int) -> tuple[int, ...]:
-    bits = tuple(int(b) for b in assignment)
-    if len(bits) != n:
-        raise ValueError(f"assignment length {len(bits)} != n {n}")
-    return bits

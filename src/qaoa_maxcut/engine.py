@@ -1,6 +1,7 @@
 """The variational run loop tying ansatz, simulator, and optimizer together.
 
-A Max-Cut instance enters as the Ising model of -cut (`maxcut_problem`).
+A Max-Cut instance enters as the Ising model of -cut
+(`encoding.maxcut_problem`).
 Its energy table (`encoding.energy_table`, one entry per basis state)
 is built once per objective and is the only cost representation; the
 objective also caches the table's levels and per-entry level
@@ -35,7 +36,6 @@ import numpy as np
 
 from .circuits import Circuit, build_qaoa_ansatz, decompose, depth, gate_counts
 from .encoding import IsingModel, energy_levels, energy_table
-from .graphs import Graph
 from .optimize import OptimizerConfig, minimize
 from .seeding import mix64
 from .simulator import Counts, check_width, probabilities, qaoa_state, sample, simulate
@@ -49,27 +49,21 @@ SAMPLED = "sampled"
 MODES = (EXACT, SAMPLED)
 STRATEGIES = ("naive", "scheduled")
 
+# The one default of each run parameter, for QaoaConfig, run_benchmark
+# and the `bench` command alike.
+DEFAULT_SHOTS = 10_000
+DEFAULT_BUDGET = 5_000
+DEFAULT_STRATEGY = "scheduled"
 
-def maxcut_problem(g: Graph) -> IsingModel:
-    """Standard Max-Cut problem: the Ising form of -cut, to be minimized.
-
-    -cut(z) = sum over edges of w (z_u z_v - 1) / 2, so J[u,v] = w/2, the
-    offset is -W/2 and there are no fields. Built from the edges
-    directly: a detour through the QUBO form x^T Q x, whose fields cancel
-    only up to rounding on weighted graphs, would leave spurious RZ gates
-    in the circuit.
-    """
-    J = {(u, v): w / 2.0 for u, v, w in g.edges}
-    return IsingModel(g.num_nodes, {}, J, -g.total_weight() / 2.0)
 
 @dataclass
 class QaoaConfig:
     layers: int
-    shots: int = 10_000
-    max_evaluations: int = 5_000
+    shots: int = DEFAULT_SHOTS
+    max_evaluations: int = DEFAULT_BUDGET
     objective_mode: str = SAMPLED
     seed: int = 0
-    strategy: str = "naive"
+    strategy: str = DEFAULT_STRATEGY
 
     def __post_init__(self):
         if self.layers < 1:
@@ -104,10 +98,10 @@ def split_params(params: Sequence[float]) -> tuple[list[float], list[float]]:
     return params[:p].tolist(), params[p:].tolist()
 
 
-def build_ansatz(model: IsingModel, params: Sequence[float], strategy: str = "naive") -> Circuit:
+def build_ansatz(model: IsingModel, params: Sequence[float], strategy: str = DEFAULT_STRATEGY) -> Circuit:
     """Assemble the circuit for one parameter vector (gammas then betas)."""
     gammas, betas = split_params(params)
-    return build_qaoa_ansatz(model, len(gammas), gammas, betas, strategy)
+    return build_qaoa_ansatz(model, gammas, betas, strategy)
 
 
 class QaoaObjective:

@@ -7,6 +7,9 @@ sides. Assignments are also referred to by their integer encoding
 sum(bit_i << i), i.e. node 0 is the least significant bit. The same
 little-endian convention is used for simulator basis states, so a
 sampled basis-state index is the assignment integer itself.
+
+The exact optimum, `brute_force_optimum`, scores every assignment with
+`encoding.energy_blocks`, the kernel behind the simulator's energy table.
 """
 
 from __future__ import annotations
@@ -17,14 +20,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .encoding import as_bits, energy_blocks, maxcut_problem
 from .seeding import SplitMix64
 
 MAX_BRUTE_FORCE_NODES = 28
 
-# Chunk widths of brute_force_optimum: a table over 2**_LOW_BITS low-node
-# assignments, and blocks of 2**_BLOCK_BITS assignments scored at once.
-_LOW_BITS = 10
-_BLOCK_BITS = 13
+# Energies brute_force_optimum asks `energy_blocks` for at once (64 KiB).
+_BLOCK = 1 << 13
 
 Edge = tuple[int, int, float]
 
@@ -111,17 +113,8 @@ def generate_random_graph(n: int, density: float, seed: int) -> Graph:
 
 def cut_value(g: Graph, assignment: Sequence[int] | str) -> float:
     """Total weight of edges crossing the partition given by `assignment`."""
-    bits = _as_bits(assignment, g.num_nodes)
+    bits = as_bits(assignment, g.num_nodes)
     return sum(w for u, v, w in g.edges if bits[u] != bits[v])
-
-
-def _as_bits(assignment: Sequence[int] | str, n: int) -> tuple[int, ...]:
-    bits = tuple(int(b) for b in assignment)
-    if len(bits) != n:
-        raise ValueError(f"assignment length {len(bits)} != num_nodes {n}")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("assignment entries must be 0 or 1")
-    return bits
 
 
 def save_graph(g: Graph, path) -> None:
@@ -181,60 +174,37 @@ def load_graph(path) -> Graph:
 
 
 def brute_force_optimum(g: Graph) -> CutSolution:
-    """Exact maximum cut by a chunked numpy pass over every assignment.
+    """Exact maximum cut: the lowest energy of `maxcut_problem(g)`, the
+    Ising form of -cut, over every assignment.
 
     Node 0 is fixed to side 0 (cuts are complement-symmetric), so only
-    the 2^(n-1) even assignment integers are scored. With b the bits of
-    the free nodes, a cut is d.b - 2 b^T U b, where d holds the weighted
-    degrees and U the edge weights above the diagonal. The free nodes
-    split into up to `_LOW_BITS` low nodes and the rest high. The cut
-    among the low nodes is tabulated once; each block of high
-    assignments adds the cut among its high nodes and the cross edges'
-    term, which is linear in the low bits: one small `bits @ coeffs`
-    product. Every temporary holds at most about 2^`_BLOCK_BITS`
-    floats (64 KiB) at any n up to MAX_BRUTE_FORCE_NODES.
+    the 2^(n-1) even assignment integers are scored: `energy_blocks` with
+    `even_only`, in blocks of `_BLOCK` energies, so every temporary stays
+    near 64 KiB at any n up to MAX_BRUTE_FORCE_NODES.
 
-    Ties break toward the lowest assignment integer: blocks run in
-    ascending order, `np.argmax` returns the first maximum of a block,
-    and a later block wins only with a strictly larger cut. The pass
-    sums weights in its own order, so the reported value is recomputed
-    by `cut_value`, the edge-order sum. Integer weights make every sum
-    exact. With real weights, the pass may round two assignments that
-    cut the same edges (a component flipped as a whole) differently, so
-    the winner is moved to the lowest assignment with its cut edges;
-    two different cuts equal in exact arithmetic may still differ in
-    the last bit here, and either may be returned.
+    Ties break toward the lowest assignment integer: blocks come in
+    ascending order, `np.argmin` returns the first minimum of a block,
+    and a later block wins only with a strictly lower energy. The
+    kernel sums weights in its own order, so the reported value is
+    recomputed by `cut_value`, the edge-order sum. Integer weights make
+    every sum exact. With real weights, the kernel may round two
+    assignments that cut the same edges (a component flipped as a
+    whole) differently, so the winner is moved to the lowest assignment
+    with its cut edges; two different cuts equal in exact arithmetic may
+    still differ in the last bit here, and either may be returned.
     """
     n = g.num_nodes
     if n > MAX_BRUTE_FORCE_NODES:
         raise ValueError(
             f"brute force capped at {MAX_BRUTE_FORCE_NODES} nodes, got {n}"
         )
-    degree = np.zeros(n)
-    upper = np.zeros((n, n))
-    for u, v, w in g.edges:
-        degree[u] += w
-        degree[v] += w
-        upper[u, v] = w
-    k = min(n - 1, _LOW_BITS)
-    h = n - 1 - k
-    low, high = slice(1, k + 1), slice(k + 1, n)  # node 0 adds only through degree
-
-    low_bits = _bit_rows(0, 1 << k, k)
-    low_cut = _cuts(low_bits, degree[low], upper[low, low])
-    cross = -2.0 * upper[low, high].T
-    rows = min(1 << h, 1 << (_BLOCK_BITS - k))
-    best_index, best_cut = 0, -math.inf
-    for start in range(0, 1 << h, rows):
-        high_bits = _bit_rows(start, start + rows, h)
-        high_cut = _cuts(high_bits, degree[high], upper[high, high])
-        cuts = (high_bits @ cross) @ low_bits.T
-        cuts += low_cut
-        cuts += high_cut[:, None]
-        i = int(np.argmax(cuts))
-        if cuts.flat[i] > best_cut:
-            best_index, best_cut = (start << k) + i, cuts.flat[i]
-    assignment = _lowest_with_same_cut(g, (0,) + tuple((best_index >> i) & 1 for i in range(n - 1)))
+    best_index, best_energy = 0, math.inf
+    for start, block in energy_blocks(maxcut_problem(g), _BLOCK, even_only=True):
+        i = int(np.argmin(block))
+        if block.flat[i] < best_energy:
+            row, column = divmod(i, block.shape[1])
+            best_index, best_energy = (start + row) << (n // 2) | 2 * column, block.flat[i]
+    assignment = _lowest_with_same_cut(g, tuple((best_index >> i) & 1 for i in range(n)))
     return CutSolution(assignment, float(cut_value(g, assignment)))
 
 
@@ -263,20 +233,10 @@ def _lowest_with_same_cut(g: Graph, assignment: tuple[int, ...]) -> tuple[int, .
     return tuple(bits)
 
 
-def _bit_rows(start: int, stop: int, width: int) -> np.ndarray:
-    """0/1 float matrix whose row r holds the `width` low bits of start + r."""
-    return ((np.arange(start, stop)[:, None] >> np.arange(width)) & 1).astype(float)
-
-
-def _cuts(bits: np.ndarray, degree: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """d.b - 2 b^T U b for each row b of `bits`: the cut among those nodes."""
-    return bits @ degree - 2.0 * ((bits @ upper) * bits).sum(axis=1)
-
-
 def exhaustive_optimum(g: Graph) -> CutSolution:
     """Reference maximum cut by naive full enumeration of all 2^n assignments.
 
-    Independent of the chunked pass in brute_force_optimum (recomputes
+    Independent of the blocked kernel behind brute_force_optimum (recomputes
     every cut from scratch in edge order); used to cross-check it. Ties
     break toward the lowest assignment integer.
     """

@@ -6,7 +6,8 @@ import pytest
 
 from qaoa_maxcut import bench, cli
 from qaoa_maxcut.circuits import build_qaoa_ansatz, decompose, depth
-from qaoa_maxcut.engine import EXACT, SAMPLED, maxcut_problem
+from qaoa_maxcut.encoding import maxcut_problem
+from qaoa_maxcut.engine import EXACT, SAMPLED
 from qaoa_maxcut.graphs import CutSolution, generate_random_graph, graph_from_pairs, load_graph, save_graph
 from qaoa_maxcut.seeding import mix64
 from qaoa_maxcut.simulator import DEFAULT_MAX_QUBITS, CapacityError
@@ -210,6 +211,20 @@ def test_repeated_bench_writes_identical_records(mode, tmp_path, capsys):
     assert len(outputs[0].splitlines()) == 2 * 2 * 2
 
 
+def test_library_and_cli_share_every_default(tmp_path, capsys):
+    # Strategy, shots, mode and seed are left to each entry point's default.
+    g = generate_random_graph(6, 0.5, seed=1)
+    save_graph(g, tmp_path / "g6.txt")
+    cli_out = tmp_path / "cli.jsonl"
+    argv = ["bench", str(tmp_path / "g6.txt"), "--layers", "1", "--runs", "1", "--budget", "12"]
+    assert cli.main([*argv, "--out", str(cli_out)]) == 0
+    capsys.readouterr()
+    records, _ = bench.run_benchmark([("g6", g)], [1], 1, budget=12)
+    bench.write_records(records, tmp_path / "library.jsonl")
+    assert (tmp_path / "library.jsonl").read_bytes() == cli_out.read_bytes()
+    assert records[0].strategy == "scheduled"
+
+
 @pytest.mark.parametrize("mode", [EXACT, SAMPLED], ids=["exact_expectation", "sampled_expectation"])
 def test_process_pool_writes_the_same_records(mode, tmp_path):
     instances = [(f"MC_{n}", generate_random_graph(n, 0.5, mix64(11, n))) for n in (8, 10)]
@@ -299,4 +314,4 @@ def test_depth_table_matches_full_circuits(name):
         p = row["layers"]
         gammas, betas = [0.1 * (k + 1) for k in range(p)], [0.9 - 0.1 * k for k in range(p)]
         for strategy in ("naive", "scheduled"):
-            assert row[strategy] == depth(decompose(build_qaoa_ansatz(model, p, gammas, betas, strategy))), (p, strategy)
+            assert row[strategy] == depth(decompose(build_qaoa_ansatz(model, gammas, betas, strategy))), (p, strategy)

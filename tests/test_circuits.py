@@ -5,13 +5,15 @@ from oracles import circuit_unitary, random_circuit
 from qaoa_maxcut.circuits import (
     Barrier,
     Circuit,
+    build_qaoa_ansatz,
     decompose,
     depth,
     export_circuit_text,
     parse_circuit_text,
     schedule_rounds,
 )
-from qaoa_maxcut.engine import build_ansatz, maxcut_problem
+from qaoa_maxcut.encoding import maxcut_problem
+from qaoa_maxcut.engine import build_ansatz
 from qaoa_maxcut.graphs import generate_random_graph
 
 
@@ -55,3 +57,21 @@ def test_barriers_make_depth_linear_in_layers(strategy):
     depths = [depth(decompose(build_ansatz(model, [0.3] * p + [0.7] * p, strategy))) for p in range(1, 5)]
     steps = np.diff(depths)
     assert np.all(steps == steps[0]) and steps[0] > 0
+
+
+@pytest.mark.parametrize(
+    "gammas, betas",
+    [([], []), ([0.3], []), ([0.3, 0.4], [0.7])],
+    ids=["no-layers", "no-betas", "one-beta-short"],
+)
+def test_ansatz_needs_one_beta_per_gamma_and_at_least_one_layer(gammas, betas):
+    with pytest.raises(ValueError):
+        build_qaoa_ansatz(maxcut_problem(generate_random_graph(4, 0.5, seed=1)), gammas, betas)
+
+
+def test_ansatz_has_one_layer_per_gamma():
+    model = maxcut_problem(generate_random_graph(5, 0.5, seed=2))
+    for p in (1, 2, 4):
+        c = build_qaoa_ansatz(model, [0.3] * p, [0.7] * p)
+        assert sum(isinstance(g, Barrier) for g in c.gates) == p - 1
+        assert sum(getattr(g, "kind", None) == "RX" for g in c.gates) == p * model.n

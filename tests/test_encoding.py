@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from oracles import Qubo, maxcut_to_qubo, qubo_energy, qubo_to_ising, strided_energy_table, unique_energy_levels
 
-from qaoa_maxcut.encoding import IsingModel, energy_levels, energy_table, ising_energy
+from qaoa_maxcut.encoding import IsingModel, energy_blocks, energy_levels, energy_table, ising_energy, maxcut_problem
 from qaoa_maxcut.graphs import (
     Graph,
     cut_value,
     generate_random_graph,
     graph_from_pairs,
 )
-from qaoa_maxcut.engine import maxcut_problem
 from qaoa_maxcut.simulator import qaoa_state
 
 SINGLE_EDGE = graph_from_pairs(2, [(0, 1)])
@@ -105,6 +104,14 @@ class TestIsingEnergy:
         with pytest.raises(ValueError, match="length"):
             ising_energy(IsingModel(3), "01")
 
+    @pytest.mark.parametrize("assignment", [(2, 0), (0, -1), "20", (0.5, 1)])
+    def test_rejects_entries_other_than_0_and_1(self, assignment):
+        # One edge has energies 0 and -1 only; a spin of 1 - 2*2 would read -2.
+        with pytest.raises(ValueError, match="0 or 1"):
+            ising_energy(maxcut_problem(SINGLE_EDGE), assignment)
+        with pytest.raises(ValueError, match="0 or 1"):
+            cut_value(SINGLE_EDGE, assignment)
+
 
 class TestRoundTrip:
     def test_matches_negated_cut_exactly(self):
@@ -174,6 +181,82 @@ class TestBlockedEnergyTable:
     def test_real_ising_with_fields_matches_strided_oracle(self, n):
         model = random_ising(n, seed=n)
         np.testing.assert_allclose(energy_table(model), strided_energy_table(model), rtol=1e-12, atol=1e-12)
+
+
+def real_weighted_maxcut(n: int, seed: int, dyadic: bool = False) -> IsingModel:
+    """Max-Cut of G(n, 0.5) with weights uniform in [0.05, 3), or, with
+    `dyadic`, in sixteenths from 1/16 to 3, whose sums are exact in any order."""
+    rng = np.random.default_rng(seed)
+    edges = generate_random_graph(n, 0.5, seed).edges
+    weights = rng.integers(1, 49, len(edges)) / 16 if dyadic else rng.uniform(0.05, 3.0, len(edges))
+    return maxcut_problem(Graph(n, tuple((u, v, float(w)) for (u, v, _), w in zip(edges, weights))))
+
+
+def dyadic_ising(n: int, seed: int) -> IsingModel:
+    """`random_ising` with every coefficient rounded to eighths, so every
+    energy is exact in any summation order."""
+    m = random_ising(n, seed)
+    return IsingModel(
+        n,
+        {i: round(8 * v) / 8 for i, v in m.h.items()},
+        {ij: round(8 * v) / 8 for ij, v in m.J.items()},
+        round(8 * m.offset) / 8,
+    )
+
+
+MODEL_SIZES = (1, 2, 5, 8, 11)
+EXACT_MODELS = {
+    **{f"unit-{n}": maxcut_problem(generate_random_graph(n, 0.5, seed=80 + n)) for n in MODEL_SIZES[1:]},
+    **{f"dyadic-weights-{n}": real_weighted_maxcut(n, seed=90 + n, dyadic=True) for n in MODEL_SIZES[1:]},
+    **{f"dyadic-fields-{n}": dyadic_ising(n, seed=100 + n) for n in MODEL_SIZES},
+}
+ROUNDED_MODELS = {
+    **{f"real-weights-{n}": real_weighted_maxcut(n, seed=90 + n) for n in MODEL_SIZES[1:]},
+    **{f"real-fields-{n}": random_ising(n, seed=100 + n) for n in MODEL_SIZES},
+}
+
+
+def concatenated(model: IsingModel, entries: int, even_only: bool = False) -> np.ndarray:
+    """The blocks of `energy_blocks` stacked, after checking that they come
+    in ascending row order, each of at most `entries` or one row."""
+    blocks = list(energy_blocks(model, entries, even_only))
+    rows, columns = blocks[0][1].shape
+    assert [start for start, _ in blocks] == list(range(0, 1 << (model.n - model.n // 2), rows))
+    assert all(block.size <= max(entries, columns) for _, block in blocks)
+    return np.concatenate([block for _, block in blocks])
+
+
+def table_columns(model: IsingModel, even_only: bool) -> np.ndarray:
+    table = energy_table(model).reshape(1 << (model.n - model.n // 2), -1)
+    return table[:, ::2] if even_only and model.n > 1 else table
+
+
+class TestEnergyBlocks:
+    """`energy_blocks` in pieces against `energy_table`, which is one block.
+
+    Where every energy is exact in any summation order (unit and dyadic
+    weights, dyadic fields) the pieces must equal the table bit for bit.
+    With arbitrary real coefficients a block of one or two rows may round
+    differently in the last bits, because BLAS takes a matrix-vector or a
+    thin product through other kernels than the table's.
+    """
+
+    @pytest.mark.parametrize("name", sorted(EXACT_MODELS))
+    @pytest.mark.parametrize("entries", ["1", "4", "2^n"])
+    @pytest.mark.parametrize("even_only", [False, True], ids=["all", "even"])
+    def test_exact_energies_tile_the_table_bit_for_bit(self, name, entries, even_only):
+        model = EXACT_MODELS[name]
+        entries = 1 << model.n if entries == "2^n" else int(entries)
+        np.testing.assert_array_equal(concatenated(model, entries, even_only), table_columns(model, even_only))
+
+    @pytest.mark.parametrize("name", sorted(ROUNDED_MODELS))
+    @pytest.mark.parametrize("entries", [1, 4, 64])
+    @pytest.mark.parametrize("even_only", [False, True], ids=["all", "even"])
+    def test_real_energies_tile_the_table_to_rounding(self, name, entries, even_only):
+        model = ROUNDED_MODELS[name]
+        np.testing.assert_allclose(
+            concatenated(model, entries, even_only), table_columns(model, even_only), rtol=0, atol=1e-12
+        )
 
 
 class TestEnergyLevels:

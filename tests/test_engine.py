@@ -7,7 +7,7 @@ from oracles import maxcut_p1_edge_expectation, maxcut_to_qubo, qubo_to_ising, r
 
 from qaoa_maxcut import engine
 from qaoa_maxcut.circuits import build_qaoa_ansatz, decompose, gate_counts
-from qaoa_maxcut.encoding import IsingModel, energy_table, ising_energy
+from qaoa_maxcut.encoding import IsingModel, energy_table, ising_energy, maxcut_problem
 from qaoa_maxcut.engine import (
     EXACT,
     SAMPLED,
@@ -15,7 +15,6 @@ from qaoa_maxcut.engine import (
     QaoaConfig,
     QaoaObjective,
     build_ansatz,
-    maxcut_problem,
     objective,
 )
 from qaoa_maxcut.graphs import Graph, cut_value, generate_random_graph, load_graph
@@ -129,7 +128,7 @@ class TestBuildAnsatz:
     def test_splits_gammas_then_betas(self):
         model = maxcut_problem(UNIT)
         params = [0.1, 0.2, 0.3, 1.0, 2.0, 3.0]
-        want = build_qaoa_ansatz(model, 3, [0.1, 0.2, 0.3], [1.0, 2.0, 3.0], "scheduled")
+        want = build_qaoa_ansatz(model, [0.1, 0.2, 0.3], [1.0, 2.0, 3.0], "scheduled")
         assert build_ansatz(model, params, "scheduled") == want
 
     @pytest.mark.parametrize("params", [[], [0.1, 0.2, 0.3]])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from oracles import naive_max_cut
 
+from qaoa_maxcut import graphs
+from qaoa_maxcut.encoding import energy_blocks, maxcut_problem
 from qaoa_maxcut.graphs import (
     CutSolution,
     Graph,
@@ -243,10 +245,15 @@ def real_weighted(n: int, density: float, seed: int) -> Graph:
 class TestChunkedOptimum:
     """brute_force_optimum against the naive even-mask enumeration.
 
-    The pass tabulates 10 low free nodes and scores blocks of 2^13
-    assignments, so n = 11 is the low table alone, n = 14 exactly one
-    block and n = 15, 16 several blocks.
+    It scores the 2^(n-1) assignments with node 0 on side 0 in blocks of
+    `graphs._BLOCK` = 2^13 energies, so n <= 14 is one block, n = 15 two
+    and n = 16 four.
     """
+
+    @pytest.mark.parametrize("n, blocks", [(12, 1), (14, 1), (15, 2), (16, 4)])
+    def test_sizes_span_one_and_several_blocks(self, n, blocks):
+        model = maxcut_problem(generate_random_graph(n, 0.5, seed=100 + n))
+        assert len(list(energy_blocks(model, graphs._BLOCK, even_only=True))) == blocks
 
     @pytest.mark.parametrize("n", [2, 3, 6, 11, 12, 14, 15, 16])
     @pytest.mark.parametrize("weights", ["unit", "real"])
@@ -285,6 +292,17 @@ class TestChunkedOptimum:
         for seed in range(12):
             g = real_weighted(4 + seed % 9, 0.5, seed)
             assert brute_force_optimum(g).value == exhaustive_optimum(g).value
+
+    @pytest.mark.parametrize("block", [1, 2, 4, 64])
+    def test_any_block_size_gives_the_same_optimum(self, block, monkeypatch):
+        # Blocks of a single row, and of rows cut from the middle of the table.
+        monkeypatch.setattr(graphs, "_BLOCK", block)
+        for n in range(2, 13):
+            for g in (generate_random_graph(n, 0.5, seed=200 + n), real_weighted(n, 0.5, seed=200 + n)):
+                assert brute_force_optimum(g) == CutSolution(*naive_max_cut(g)), n
+        for seed in range(60):
+            g = real_weighted(5 + seed % 6, 0.2, seed)
+            assert brute_force_optimum(g) == CutSolution(*naive_max_cut(g)), seed
 
     def test_memory_stays_small(self):
         # A table of all 2^23 cuts would take 64 MiB.

@@ -13,7 +13,8 @@ from oracles import random_state
 
 from qaoa_maxcut.bench import BYTES_PER_AMPLITUDE
 from qaoa_maxcut.encoding import energy_levels, energy_table
-from qaoa_maxcut.engine import EXACT, SAMPLED, QaoaConfig, build_ansatz, maxcut_problem, run_qaoa
+from qaoa_maxcut.encoding import maxcut_problem
+from qaoa_maxcut.engine import EXACT, SAMPLED, QaoaConfig, build_ansatz, run_qaoa
 from qaoa_maxcut.graphs import generate_random_graph
 from qaoa_maxcut.seeding import mix64
 from qaoa_maxcut.simulator import sample, simulate

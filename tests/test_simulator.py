@@ -3,8 +3,7 @@ import pytest
 from oracles import circuit_unitary, random_circuit, random_state, sample_index_counts
 
 from qaoa_maxcut.circuits import Barrier, Circuit, Gate, build_qaoa_ansatz
-from qaoa_maxcut.encoding import energy_levels, energy_table
-from qaoa_maxcut.engine import maxcut_problem
+from qaoa_maxcut.encoding import energy_levels, energy_table, maxcut_problem
 from qaoa_maxcut import simulator
 from qaoa_maxcut.graphs import Graph
 from qaoa_maxcut.simulator import (
@@ -78,7 +77,7 @@ class TestQaoaState:
         levels, index = energy_levels(energy_table(model))
         for p in range(1, 6):
             gammas, betas = rng.uniform(-np.pi, np.pi, size=(2, p)).tolist()
-            want = simulate(build_qaoa_ansatz(model, p, gammas, betas))
+            want = simulate(build_qaoa_ansatz(model, gammas, betas))
             # The circuit drops the cost offset, a global phase of
             # exp(-i gamma offset) per layer.
             got = qaoa_state(levels, index, gammas, betas) * np.exp(1j * sum(gammas) * model.offset)
