@@ -9,11 +9,11 @@ indices, so it can be scored directly against `encoding.energy_table`.
 Two evolution paths share that layout:
 
 * `simulate` runs a gate-level `Circuit` and is the reference. Its
-  kernels never form operator matrices: single-qubit kernels act on a
-  (blocks, 2, stride) view of the state where the middle axis is the
-  target bit; two-qubit kernels use a (blocks, 2, mid, 2, stride) view
-  exposing both bits. Diagonal gates (RZ, RZZ) are pure phase
-  multiplies, CX is a strided swap, and H/RX mix amplitude pairs.
+  kernels never form operator matrices. H and RX mix amplitude pairs in
+  a (blocks, 2, stride) view, CX swaps them in a (blocks, 2, mid, 2,
+  stride) view. RZ and RZZ share a parity-phase kernel: each contiguous
+  run of `_SLICE` amplitudes is multiplied once by exp(-/+ i theta/2),
+  chosen per amplitude by the parity of its bits on the gate's qubits.
 * `qaoa_state` is the QAOA fast path (after Lykov et al., "Fast
   Simulation of High-Depth QAOA Circuits", arXiv:2309.04841). The whole
   phase separator is one elementwise multiply by exp(-i gamma E) over
@@ -24,16 +24,18 @@ Two evolution paths share that layout:
   RX(2 beta) to every qubit as fused blocks of up to 4 qubits: one
   16x16 Kronecker-product matrix per block, applied with `np.matmul`.
 
-Both work in place on the state and run every kernel over slices of at
-most `_SLICE` amplitudes (`_slices`), so their temporaries stay small
-and cache-resident, about 1 MiB at most; every amplitude sees the same
-arithmetic whatever the slicing. Either path's working set is thus the
-state, 16 bytes per amplitude, plus that fixed part, and `sample` adds
-one float64 buffer of 8 bytes per amplitude. A QAOA run, which also
-holds its energy table and level index (9 bytes per amplitude), peaks
-at about 33 bytes per amplitude plus the fixed part; that is what
-`bench.BYTES_PER_AMPLITUDE` budgets. ~26 qubits (1 GiB of amplitudes)
-is the practical ceiling; both paths refuse wider states up front.
+Both work in place on the state, over slices or runs of at most
+`_SLICE` amplitudes, so their temporaries stay small and cache-resident:
+about 1 MiB at most, the parity-phase kernel's two complex patterns.
+`simulate` is bit-identical whatever the slicing; `qaoa_state`'s mixer
+products can differ in the last bit when a slice holds few blocks.
+Either path's working set is thus the state, 16 bytes per amplitude,
+plus that fixed part, and `sample` adds one float64 buffer of 8 bytes
+per amplitude. A QAOA run, which also holds its energy table and level
+index (9 bytes per amplitude), peaks at about 33 bytes per amplitude
+plus the fixed part; that is what `bench.BYTES_PER_AMPLITUDE` budgets.
+~26 qubits (1 GiB of amplitudes) is the practical ceiling; both paths
+refuse wider states up front.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ def _slices(view: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def apply_gate(state: np.ndarray, g: Gate) -> None:
-    """Apply one gate in place, one `_slices` part of the state at a time."""
+    """Apply one gate in place, one `_slices` part or `_apply_phase` run at a time."""
     if g.kind == "H":
         for part in _slices(_single(state, g.qubits[0])):
             a = part[:, 0, :].copy()
@@ -196,20 +198,8 @@ def apply_gate(state: np.ndarray, g: Gate) -> None:
             b = part[:, 1, :]
             part[:, 0, :] = cos * a + msin * b
             part[:, 1, :] = msin * a + cos * b
-    elif g.kind == "RZ":
-        zero, one = np.exp(-0.5j * g.angle), np.exp(0.5j * g.angle)
-        for part in _slices(_single(state, g.qubits[0])):
-            part[:, 0, :] *= zero
-            part[:, 1, :] *= one
-    elif g.kind == "RZZ":
-        view, a_axis, b_axis = _pair(state, g.qubits[0], g.qubits[1])
-        same = np.exp(-0.5j * g.angle)
-        diff = np.exp(0.5j * g.angle)
-        for part in _slices(view):
-            part[_idx(a_axis, 0, b_axis, 0)] *= same
-            part[_idx(a_axis, 1, b_axis, 1)] *= same
-            part[_idx(a_axis, 0, b_axis, 1)] *= diff
-            part[_idx(a_axis, 1, b_axis, 0)] *= diff
+    elif g.kind in ("RZ", "RZZ"):
+        _apply_phase(state, g.qubits, np.exp([-0.5j * g.angle, 0.5j * g.angle]))
     elif g.kind == "CX":
         control, target = g.qubits
         view, c_axis, t_axis = _pair(state, control, target)
@@ -219,6 +209,26 @@ def apply_gate(state: np.ndarray, g: Gate) -> None:
             part[_idx(c_axis, 1, t_axis, 1)] = lo
     else:  # pragma: no cover - Gate validation forbids this
         raise ValueError(f"unsupported gate {g.kind}")
+
+
+def _apply_phase(state: np.ndarray, qubits: Sequence[int], phases: np.ndarray) -> None:
+    """Multiply each amplitude by phases[parity of its bits on `qubits`].
+
+    Runs of `_SLICE` contiguous amplitudes (at least two: numpy rounds a
+    lone complex product differently, without its vector loop's fused
+    multiply-add) share one parity pattern from the bits below the run
+    width; bits above it give each run a parity, and an odd run takes
+    the pattern's phases swapped.
+    """
+    width = min(num_qubits_of(state), max(1, _SLICE.bit_length() - 1))
+    pattern = np.zeros(1 << width, dtype=np.uint8)
+    parity = np.zeros(state.size >> width, dtype=np.uint8)
+    for q in qubits:
+        bits, q = (pattern, q) if q < width else (parity, q - width)
+        bits.reshape(-1, 2, 1 << q)[:, 1] ^= 1
+    patterns = np.take(phases, pattern), np.take(phases[::-1], pattern)
+    for run, odd in zip(state.reshape(-1, 1 << width), parity):
+        run *= patterns[odd]
 
 
 def _single(state: np.ndarray, q: int) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive and kept separate from the
 package code paths it checks: dense operator matrices built entry by
-entry, expectation values summed state by state, the QUBO route to the
-Max-Cut Ising model, energy levels by sorting, and shot histograms
-counted over every basis state.
+entry, diagonal phases read off the index bits, expectation values
+summed state by state, the QUBO route to the Max-Cut Ising model,
+energy levels by sorting, and shot histograms counted over every basis
+state.
 """
 
 from __future__ import annotations
@@ -184,6 +185,25 @@ def maxcut_p1_edge_expectation(g: Graph, u: int, v: int, gamma: float, beta: flo
         + 0.25 * math.sin(4 * beta) * math.sin(gamma) * (cos**d_u + cos**d_v)
         - 0.25 * math.sin(2 * beta) ** 2 * cos ** (d_u + d_v - 2 * f) * (1 - math.cos(2 * gamma) ** f)
     )
+
+
+def diagonal_after_h_layer(num_qubits: int, gates: Sequence[Gate]) -> np.ndarray:
+    """Amplitudes of H on every qubit followed by RZ/RZZ `gates`.
+
+    Each basis state x keeps its uniform amplitude and gathers the phase
+    exp(-i/2 sum_g theta_g (-1)^parity_g(x)), where parity_g(x) is the
+    XOR of x's bits on g's qubits, read straight off the index.
+    """
+    x = np.arange(1 << num_qubits)
+    exponent = np.zeros(x.size)
+    for g in gates:
+        if g.kind not in ("RZ", "RZZ"):
+            raise ValueError(f"{g.kind} is not diagonal")
+        parity = np.zeros(x.size, dtype=np.int64)
+        for q in g.qubits:
+            parity ^= (x >> q) & 1
+        exponent += g.angle * (1 - 2 * parity)
+    return 2.0 ** (-num_qubits / 2) * np.exp(-0.5j * exponent)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from oracles import circuit_unitary, random_circuit, random_state, sample_index_counts
+from oracles import circuit_unitary, diagonal_after_h_layer, random_circuit, random_state, sample_index_counts
 
-from qaoa_maxcut.circuits import Barrier, Circuit, Gate, build_qaoa_ansatz
+from qaoa_maxcut.circuits import Barrier, Circuit, Gate, build_qaoa_ansatz, decompose
 from qaoa_maxcut.encoding import energy_levels, energy_table, maxcut_problem
 from qaoa_maxcut import simulator
 from qaoa_maxcut.graphs import Graph
@@ -31,6 +31,33 @@ class TestSimulate:
         for seed in range(3):
             c = random_circuit(n, 30, np.random.default_rng(1000 * slice_size + 10 * n + seed))
             np.testing.assert_allclose(simulate(c), circuit_unitary(c)[:, 0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_diagonal_gates_across_the_run_width_match_the_phase_oracle(self, n):
+        # With runs of 2^15 amplitudes, qubits from 15 up select a run.
+        assert simulator._SLICE == 1 << 15
+        rng = np.random.default_rng(n)
+        diagonal = [Gate("RZ", (15,), 0.9), Gate("RZZ", (3, 15), -1.3), Gate("RZZ", (15, 0), 2.1)]
+        if n == 17:
+            diagonal += [Gate("RZ", (16,), -0.4), Gate("RZZ", (16, 15), 1.7), Gate("RZZ", (7, 16), 0.6)]
+        for _ in range(40):
+            kind = "RZ" if rng.random() < 0.3 else "RZZ"
+            qubits = (int(rng.integers(n)),) if kind == "RZ" else tuple(map(int, rng.choice(n, 2, replace=False)))
+            diagonal.append(Gate(kind, qubits, float(rng.uniform(-2 * np.pi, 2 * np.pi))))
+        c = Circuit(n, tuple(Gate("H", (q,)) for q in range(n)) + tuple(diagonal))
+        np.testing.assert_allclose(simulate(c), diagonal_after_h_layer(n, diagonal), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("slice_size", [1, 4, 1 << 6])
+    @pytest.mark.parametrize("n", [6, 16])
+    def test_small_slices_give_the_same_state(self, n, slice_size, monkeypatch):
+        rng = np.random.default_rng(10 * n + slice_size)
+        boundary = (Gate("H", (n - 1,)), Gate("RZZ", (2, n - 1), 0.4), Gate("CX", (n - 1, 1)), Gate("RZ", (n - 1,), 1.1))
+        c = Circuit(n, random_circuit(n, 60 if n == 6 else 12, rng).gates + boundary)
+        circuits = (c, decompose(c))
+        want = [simulate(circuit) for circuit in circuits]
+        monkeypatch.setattr(simulator, "_SLICE", slice_size)
+        for circuit, state in zip(circuits, want):
+            np.testing.assert_array_equal(simulate(circuit), state)
 
     def test_one_qubit_circuit_has_only_one_qubit_gates(self):
         c = random_circuit(1, 50, np.random.default_rng(0))
