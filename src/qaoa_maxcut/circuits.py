@@ -100,10 +100,9 @@ def mixer_gates(num_qubits: int, beta: float) -> list[Gate]:
 def phase_separator_gates(m: IsingModel, gamma: float, strategy: str = "naive") -> list[Gate]:
     """exp(-i gamma C) for the diagonal cost C, dropping the offset's global phase.
 
-    Nonzero h_i become RZ(2*gamma*h_i); nonzero J_ij become
-    RZZ(2*gamma*J_ij), ordered per `strategy`.
+    One RZZ(2*gamma*J_ij) per nonzero coupling J_ij, ordered per
+    `strategy`; the model has no fields, so there are no RZ gates.
     """
-    gates = [Gate("RZ", (i,), 2.0 * gamma * hi) for i, hi in m.h.items() if hi != 0.0]
     pairs = [p for p, jij in m.J.items() if jij != 0.0]
     if strategy == "naive":
         ordered = pairs
@@ -111,8 +110,7 @@ def phase_separator_gates(m: IsingModel, gamma: float, strategy: str = "naive") 
         ordered = [p for rnd in schedule_rounds(pairs) for p in rnd]
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    gates.extend(Gate("RZZ", p, 2.0 * gamma * m.J[p]) for p in ordered)
-    return gates
+    return [Gate("RZZ", p, 2.0 * gamma * m.J[p]) for p in ordered]
 
 
 def schedule_rounds(pairs: Iterable[tuple[int, int]]) -> list[list[tuple[int, int]]]:

@@ -4,6 +4,9 @@ its energies on every assignment.
 Everything downstream minimizes. A Max-Cut instance becomes the Ising
 model of -cut (`maxcut_problem`), under the spin convention
 z_i = 1 - 2 bit_i: bit 0 maps to spin z = +1 and bit 1 to z = -1.
+Max-Cut's cost is ZZ couplings plus an offset, so `IsingModel` has no
+fields: every energy, and so every QAOA amplitude, is unchanged when all
+spins flip (the Z2 symmetry of Bravyi et al., arXiv:1910.08980).
 
 `energy_blocks` is the one kernel that scores all 2^n assignments, in
 blocks of a table split into a low and a high half of the spins: the
@@ -28,17 +31,13 @@ _ARITHMETIC_SPAN = 1 << 16
 
 @dataclass(frozen=True)
 class IsingModel:
-    """E(z) = sum_i h[i] z_i + sum_{i<j} J[i,j] z_i z_j + offset over z in {-1,+1}^n."""
+    """E(z) = sum_{i<j} J[i,j] z_i z_j + offset over z in {-1,+1}^n, so E(z) = E(-z)."""
 
     n: int
-    h: dict[int, float] = field(default_factory=dict)
     J: dict[tuple[int, int], float] = field(default_factory=dict)
     offset: float = 0.0
 
     def __post_init__(self):
-        for i in self.h:
-            if not 0 <= i < self.n:
-                raise ValueError(f"h index {i} out of range for n={self.n}")
         for i, j in self.J:
             if not 0 <= i < j < self.n:
                 raise ValueError(f"non-canonical J key ({i},{j}) for n={self.n}")
@@ -48,14 +47,11 @@ def maxcut_problem(g) -> IsingModel:
     """Standard Max-Cut problem of a `graphs.Graph`: the Ising form of
     -cut, to be minimized.
 
-    -cut(z) = sum over edges of w (z_u z_v - 1) / 2, so J[u,v] = w/2, the
-    offset is -W/2 and there are no fields. Built from the edges
-    directly: a detour through the QUBO form x^T Q x, whose fields cancel
-    only up to rounding on weighted graphs, would leave spurious RZ gates
-    in the circuit.
+    -cut(z) = sum over edges of w (z_u z_v - 1) / 2, so J[u,v] = w/2 and
+    the offset is -W/2.
     """
     J = {(u, v): w / 2.0 for u, v, w in g.edges}
-    return IsingModel(g.num_nodes, {}, J, -g.total_weight() / 2.0)
+    return IsingModel(g.num_nodes, J, -g.total_weight() / 2.0)
 
 
 def as_bits(assignment: Sequence[int] | str, n: int) -> tuple[int, ...]:
@@ -72,8 +68,6 @@ def ising_energy(m: IsingModel, assignment: Sequence[int] | str) -> float:
     """Energy of a bit vector under the spin convention z_i = 1 - 2*bit_i."""
     z = [1 - 2 * bi for bi in as_bits(assignment, m.n)]
     e = m.offset
-    for i, hi in m.h.items():
-        e += hi * z[i]
     for (i, j), jij in m.J.items():
         e += jij * z[i] * z[j]
     return e
@@ -96,24 +90,21 @@ def energy_blocks(m: IsingModel, entries: int, even_only: bool = False) -> Itera
     and column c of the table hold assignment r * 2^L + c: with Z_L and
     Z_H the +-1 spin rows of the half assignments, a block is the
     cross-half couplings as one product (Z_H @ J_LH^T) @ Z_L^T, plus each
-    half's own energy h.z + z^T J z as a row and as a column, plus the
-    offset. Integer and half-integer energies are exact in any summation
-    order, so Max-Cut tables of unit-weight graphs equal the edge-by-edge
-    sum bit for bit.
+    half's own energy z^T J z as a row and as a column, plus the offset.
+    Integer and half-integer energies are exact in any summation order,
+    so Max-Cut tables of unit-weight graphs equal the edge-by-edge sum
+    bit for bit.
 
     With `even_only`, a block keeps only the even columns, the
     assignments with bit 0 clear, as its columns (for n >= 2; a one-spin
     model has no low half).
     """
     low = m.n // 2
-    h = np.zeros(m.n)
-    for i, hi in m.h.items():
-        h[i] = hi
     J = np.zeros((m.n, m.n))
     for (i, j), jij in m.J.items():
         J[i, j] = jij
     z_low = _spin_rows(np.arange(0, 1 << low, 2 if even_only else 1), low)
-    low_energy = _half_energies(z_low, h[:low], J[:low, :low])
+    low_energy = _half_energies(z_low, J[:low, :low])
     cross = J[:low, low:].T
     high_rows = 1 << (m.n - low)
     rows = max(1, entries // len(z_low))
@@ -121,7 +112,7 @@ def energy_blocks(m: IsingModel, entries: int, even_only: bool = False) -> Itera
         z_high = _spin_rows(np.arange(start, min(start + rows, high_rows)), m.n - low)
         block = (z_high @ cross) @ z_low.T
         block += low_energy
-        block += _half_energies(z_high, h[low:], J[low:, low:])[:, None]
+        block += _half_energies(z_high, J[low:, low:])[:, None]
         block += m.offset
         yield start, block
 
@@ -132,9 +123,9 @@ def _spin_rows(indices: np.ndarray, width: int) -> np.ndarray:
     return 1.0 - 2.0 * ((indices[:, None] >> np.arange(width)) & 1)
 
 
-def _half_energies(z: np.ndarray, h: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """h.z + z^T J z for each spin row z, with J strictly upper triangular."""
-    return z @ h + ((z @ J) * z).sum(axis=1)
+def _half_energies(z: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """z^T J z for each spin row z, with J strictly upper triangular."""
+    return ((z @ J) * z).sum(axis=1)
 
 
 def energy_levels(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,7 @@
 Everything here is deliberately naive and kept separate from the
 package code paths it checks: dense operator matrices built entry by
 entry, diagonal phases read off the index bits, expectation values
-summed state by state, the QUBO route to the Max-Cut Ising model,
+summed state by state, the QUBO route to an Ising model with fields,
 energy levels by sorting, and shot histograms counted over every basis
 state.
 """
@@ -125,7 +125,7 @@ def random_state(num_qubits: int, seed: int) -> np.ndarray:
     return state / np.linalg.norm(state)
 
 
-def strided_energy_table(m: IsingModel) -> np.ndarray:
+def strided_energy_table(m: IsingModel | FieldIsing) -> np.ndarray:
     """Energies of all 2^n assignments, little-endian, by strided adds.
 
     One pass over reshaped views of the whole table per nonzero
@@ -133,7 +133,7 @@ def strided_energy_table(m: IsingModel) -> np.ndarray:
     blocked `encoding.energy_table`.
     """
     e = np.full(1 << m.n, m.offset, dtype=np.float64)
-    for i, hi in m.h.items():
+    for i, hi in (m.h if isinstance(m, FieldIsing) else {}).items():
         view = e.reshape(-1, 2, 1 << i)
         view[:, 0, :] += hi  # bit 0 -> z = +1
         view[:, 1, :] -= hi
@@ -234,7 +234,33 @@ def maxcut_to_qubo(g: Graph) -> Qubo:
     return Qubo(g.num_nodes, coeffs, 0.0)
 
 
-def qubo_to_ising(q: Qubo) -> IsingModel:
+@dataclass(frozen=True)
+class FieldIsing:
+    """E(z) = sum_i h[i] z_i + sum_{i<j} J[i,j] z_i z_j + offset over z in {-1,+1}^n.
+
+    The Ising form with fields, which `qubo_to_ising` produces and the
+    package's field-free `encoding.IsingModel` cannot hold.
+    """
+
+    n: int
+    h: dict[int, float] = field(default_factory=dict)
+    J: dict[tuple[int, int], float] = field(default_factory=dict)
+    offset: float = 0.0
+
+    def energy(self, assignment: Sequence[int] | str) -> float:
+        """Energy of a bit vector under the spin convention z_i = 1 - 2*bit_i."""
+        z = [1 - 2 * int(b) for b in assignment]
+        if len(z) != self.n:
+            raise ValueError(f"assignment length {len(z)} != n {self.n}")
+        e = self.offset
+        for i, hi in self.h.items():
+            e += hi * z[i]
+        for (i, j), jij in self.J.items():
+            e += jij * z[i] * z[j]
+        return e
+
+
+def qubo_to_ising(q: Qubo) -> FieldIsing:
     """Exact change of variables x_i = (1 - z_i)/2; zero coefficients are pruned."""
     h = {i: 0.0 for i in range(q.n)}
     J: dict[tuple[int, int], float] = {}
@@ -251,7 +277,7 @@ def qubo_to_ising(q: Qubo) -> IsingModel:
             h[j] -= quarter
             J[(i, j)] = J.get((i, j), 0.0) + quarter
             offset += quarter
-    return IsingModel(
+    return FieldIsing(
         q.n,
         {i: v for i, v in h.items() if v != 0.0},
         {k: v for k, v in J.items() if v != 0.0},

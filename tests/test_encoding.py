@@ -57,7 +57,7 @@ class TestQuboToIsing:
         assert m.J == {(0, 1): 0.5}
         assert m.offset == -0.5
         for bits in all_bits(2):
-            assert ising_energy(m, bits) == qubo_energy(maxcut_to_qubo(SINGLE_EDGE), bits)
+            assert m.energy(bits) == qubo_energy(maxcut_to_qubo(SINGLE_EDGE), bits)
 
     def test_single_linear_term(self):
         c = 3.0
@@ -65,7 +65,7 @@ class TestQuboToIsing:
         assert m.h == {0: -c / 2}
         assert m.offset == c / 2
         for bits in all_bits(1):
-            assert ising_energy(m, bits) == qubo_energy(Qubo(1, {(0, 0): c}), bits)
+            assert m.energy(bits) == qubo_energy(Qubo(1, {(0, 0): c}), bits)
 
     def test_zero_qubo(self):
         m = qubo_to_ising(Qubo(2))
@@ -81,7 +81,7 @@ class TestQuboToIsing:
         q = Qubo(n, coeffs, offset=float(rng.normal()))
         m = qubo_to_ising(q)
         for bits in all_bits(n):
-            assert ising_energy(m, bits) == pytest.approx(qubo_energy(q, bits), abs=1e-12)
+            assert m.energy(bits) == pytest.approx(qubo_energy(q, bits), abs=1e-12)
 
     def test_rejects_bad_keys(self):
         with pytest.raises(ValueError):
@@ -92,7 +92,7 @@ class TestQuboToIsing:
 
 class TestIsingEnergy:
     def test_single_edge_values(self):
-        m = qubo_to_ising(maxcut_to_qubo(SINGLE_EDGE))
+        m = maxcut_problem(SINGLE_EDGE)
         assert ising_energy(m, "01") == -1.0
         assert ising_energy(m, "00") == 0.0
 
@@ -120,7 +120,7 @@ class TestRoundTrip:
             g = generate_random_graph(n, 0.5, seed=100 + seed)
             m = qubo_to_ising(maxcut_to_qubo(g))
             for bits in all_bits(n):
-                assert abs(ising_energy(m, bits) + cut_value(g, bits)) <= 1e-12
+                assert abs(m.energy(bits) + cut_value(g, bits)) <= 1e-12
 
     def test_unweighted_has_no_linear_terms(self):
         for seed in range(10):
@@ -131,7 +131,7 @@ class TestRoundTrip:
         for seed in range(5):
             g = generate_random_graph(6, 0.5, seed=seed)
             m = qubo_to_ising(maxcut_to_qubo(g))
-            energies = {bits: ising_energy(m, bits) for bits in all_bits(6)}
+            energies = {bits: m.energy(bits) for bits in all_bits(6)}
             cuts = {bits: cut_value(g, bits) for bits in all_bits(6)}
             best_e = min(energies.values())
             best_c = max(cuts.values())
@@ -143,12 +143,7 @@ class TestRoundTrip:
 class TestEnergyTable:
     def test_matches_scalar_energy(self):
         rng = np.random.default_rng(9)
-        m = IsingModel(
-            4,
-            h={0: 0.5, 2: -1.25},
-            J={(0, 1): 1.5, (1, 3): -0.75, (2, 3): 2.0},
-            offset=0.3,
-        )
+        m = IsingModel(4, J={(0, 1): 1.5, (1, 3): -0.75, (2, 3): 2.0}, offset=0.3)
         table = energy_table(m)
         for z in range(16):
             bits = [(z >> i) & 1 for i in range(4)]
@@ -156,18 +151,17 @@ class TestEnergyTable:
 
     def test_maxcut_table_is_negated_cut(self):
         g = generate_random_graph(7, 0.5, seed=3)
-        table = energy_table(qubo_to_ising(maxcut_to_qubo(g)))
+        table = energy_table(maxcut_problem(g))
         for z in range(1 << 7):
             bits = [(z >> i) & 1 for i in range(7)]
             assert table[z] == pytest.approx(-cut_value(g, bits), abs=1e-12)
 
 
 def random_ising(n: int, seed: int) -> IsingModel:
-    """Fields on about half the spins and real couplings on about half the pairs."""
+    """Signed real couplings on about half the pairs and a real offset."""
     rng = np.random.default_rng(seed)
-    h = {i: float(rng.normal()) for i in range(n) if rng.random() < 0.5}
     J = {(i, j): float(rng.normal()) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5}
-    return IsingModel(n, h, J, float(rng.normal()))
+    return IsingModel(n, J, float(rng.normal()))
 
 
 class TestBlockedEnergyTable:
@@ -178,7 +172,7 @@ class TestBlockedEnergyTable:
         np.testing.assert_array_equal(energy_table(model), strided_energy_table(model))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
-    def test_real_ising_with_fields_matches_strided_oracle(self, n):
+    def test_real_ising_matches_strided_oracle(self, n):
         model = random_ising(n, seed=n)
         np.testing.assert_allclose(energy_table(model), strided_energy_table(model), rtol=1e-12, atol=1e-12)
 
@@ -196,23 +190,18 @@ def dyadic_ising(n: int, seed: int) -> IsingModel:
     """`random_ising` with every coefficient rounded to eighths, so every
     energy is exact in any summation order."""
     m = random_ising(n, seed)
-    return IsingModel(
-        n,
-        {i: round(8 * v) / 8 for i, v in m.h.items()},
-        {ij: round(8 * v) / 8 for ij, v in m.J.items()},
-        round(8 * m.offset) / 8,
-    )
+    return IsingModel(n, {ij: round(8 * v) / 8 for ij, v in m.J.items()}, round(8 * m.offset) / 8)
 
 
 MODEL_SIZES = (1, 2, 5, 8, 11)
 EXACT_MODELS = {
     **{f"unit-{n}": maxcut_problem(generate_random_graph(n, 0.5, seed=80 + n)) for n in MODEL_SIZES[1:]},
     **{f"dyadic-weights-{n}": real_weighted_maxcut(n, seed=90 + n, dyadic=True) for n in MODEL_SIZES[1:]},
-    **{f"dyadic-fields-{n}": dyadic_ising(n, seed=100 + n) for n in MODEL_SIZES},
+    **{f"dyadic-couplings-{n}": dyadic_ising(n, seed=100 + n) for n in MODEL_SIZES},
 }
 ROUNDED_MODELS = {
     **{f"real-weights-{n}": real_weighted_maxcut(n, seed=90 + n) for n in MODEL_SIZES[1:]},
-    **{f"real-fields-{n}": random_ising(n, seed=100 + n) for n in MODEL_SIZES},
+    **{f"real-couplings-{n}": random_ising(n, seed=100 + n) for n in MODEL_SIZES},
 }
 
 
@@ -235,7 +224,7 @@ class TestEnergyBlocks:
     """`energy_blocks` in pieces against `energy_table`, which is one block.
 
     Where every energy is exact in any summation order (unit and dyadic
-    weights, dyadic fields) the pieces must equal the table bit for bit.
+    weights, dyadic couplings) the pieces must equal the table bit for bit.
     With arbitrary real coefficients a block of one or two rows may round
     differently in the last bits, because BLAS takes a matrix-vector or a
     thin product through other kernels than the table's.
