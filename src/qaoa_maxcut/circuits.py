@@ -97,7 +97,7 @@ def mixer_gates(num_qubits: int, beta: float) -> list[Gate]:
     return [Gate("RX", (q,), 2.0 * beta) for q in range(num_qubits)]
 
 
-def phase_separator_gates(m: IsingModel, gamma: float, strategy: str = "naive") -> list[Gate]:
+def phase_separator_gates(m: IsingModel, gamma: float, strategy: str) -> list[Gate]:
     """exp(-i gamma C) for the diagonal cost C, dropping the offset's global phase.
 
     One RZZ(2*gamma*J_ij) per nonzero coupling J_ij, ordered per
@@ -147,7 +147,7 @@ def build_qaoa_ansatz(
     m: IsingModel,
     gammas: Iterable[float],
     betas: Iterable[float],
-    strategy: str = "naive",
+    strategy: str,
 ) -> Circuit:
     """p-layer ansatz, p = len(gammas): H on all qubits, then p blocks of
     phase separator followed by mixer, with a barrier between

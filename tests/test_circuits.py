@@ -66,12 +66,12 @@ def test_barriers_make_depth_linear_in_layers(strategy):
 )
 def test_ansatz_needs_one_beta_per_gamma_and_at_least_one_layer(gammas, betas):
     with pytest.raises(ValueError):
-        build_qaoa_ansatz(maxcut_problem(generate_random_graph(4, 0.5, seed=1)), gammas, betas)
+        build_qaoa_ansatz(maxcut_problem(generate_random_graph(4, 0.5, seed=1)), gammas, betas, "naive")
 
 
 def test_ansatz_has_one_layer_per_gamma():
     model = maxcut_problem(generate_random_graph(5, 0.5, seed=2))
     for p in (1, 2, 4):
-        c = build_qaoa_ansatz(model, [0.3] * p, [0.7] * p)
+        c = build_qaoa_ansatz(model, [0.3] * p, [0.7] * p, "naive")
         assert sum(isinstance(g, Barrier) for g in c.gates) == p - 1
         assert sum(getattr(g, "kind", None) == "RX" for g in c.gates) == p * model.n

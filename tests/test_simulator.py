@@ -104,7 +104,7 @@ class TestQaoaState:
         levels, index = energy_levels(energy_table(model))
         for p in range(1, 6):
             gammas, betas = rng.uniform(-np.pi, np.pi, size=(2, p)).tolist()
-            want = simulate(build_qaoa_ansatz(model, gammas, betas))
+            want = simulate(build_qaoa_ansatz(model, gammas, betas, "naive"))
             # The circuit drops the cost offset, a global phase of
             # exp(-i gamma offset) per layer.
             got = qaoa_state(levels, index, gammas, betas) * np.exp(1j * sum(gammas) * model.offset)
