@@ -68,10 +68,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
+    try:
+        suite = [generate_random_graph(n, args.density, mix64(args.seed, n)) for n in sorted(set(args.sizes))]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     args.out.mkdir(parents=True, exist_ok=True)
-    for n in sorted(set(args.sizes)):
-        g = generate_random_graph(n, args.density, mix64(args.seed, n))
-        path = args.out / f"MC_{n}.txt"
+    for g in suite:
+        path = args.out / f"MC_{g.num_nodes}.txt"
         save_graph(g, path)
         print(f"wrote {path} ({g.num_nodes} nodes, {g.num_edges} edges)")
     return 0

@@ -46,6 +46,14 @@ def test_generate_with_empty_sizes_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [["--sizes", "1"], ["--sizes", "8", "--density", "1.5"]], ids=["sizes", "density"])
+def test_generate_refuses_bad_arguments_before_writing(bad, tmp_path, capsys):
+    out = tmp_path / "inst"
+    assert cli.main(["generate", *bad, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_verify_reports_a_malformed_file(tmp_path, capsys):
     path = tmp_path / "MC_BAD.txt"
     path.write_text("3 2\n0 1\n")
