@@ -27,8 +27,9 @@ Two evolution paths share that layout:
 Both work in place on the state, over slices or runs of at most
 `_SLICE` amplitudes, so their temporaries stay small and cache-resident:
 about 1 MiB at most, the parity-phase kernel's two complex patterns.
-`simulate` is bit-identical whatever the slicing; `qaoa_state`'s mixer
-products can differ in the last bit when a slice holds few blocks.
+`simulate` is bit-identical whatever the slicing. `qaoa_state` is for
+slices of 64 amplitudes or more (four of the mixer's 16-amplitude
+blocks); below that its products can differ in the last bit.
 Either path's working set is thus the state, 16 bytes per amplitude,
 plus that fixed part, and `sample` adds one float64 buffer of 8 bytes
 per amplitude. A QAOA run, which also holds its energy table and level

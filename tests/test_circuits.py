@@ -10,9 +10,10 @@ from qaoa_maxcut.circuits import (
     depth,
     export_circuit_text,
     parse_circuit_text,
+    phase_separator_gates,
     schedule_rounds,
 )
-from qaoa_maxcut.encoding import maxcut_problem
+from qaoa_maxcut.encoding import IsingModel, maxcut_problem
 from qaoa_maxcut.engine import build_ansatz
 from qaoa_maxcut.graphs import generate_random_graph
 
@@ -37,6 +38,16 @@ def test_schedule_rounds_are_disjoint_and_cover_each_pair_once(seed):
         assert len(qubits) == len(set(qubits))
     scheduled = [pair for rnd in rounds for pair in rnd]
     assert sorted(scheduled) == sorted(pairs) and len(scheduled) == len(set(scheduled))
+
+
+@pytest.mark.parametrize("strategy", ["naive", "scheduled"])
+def test_phase_separator_is_one_rzz_per_nonzero_coupling(strategy):
+    J = {(0, 1): 0.5, (0, 3): 0.0, (1, 2): -1.25, (2, 4): 2.0, (3, 4): 0.0, (0, 4): 0.75}
+    for model in (IsingModel(5, J, offset=-3.0), maxcut_problem(generate_random_graph(9, 0.5, seed=6))):
+        gates = phase_separator_gates(model, 0.3, strategy)
+        nonzero = {pair: jij for pair, jij in model.J.items() if jij != 0.0}
+        assert all(g.kind == "RZZ" for g in gates) and len(gates) == len(nonzero)
+        assert {g.qubits: g.angle for g in gates} == {pair: 2 * 0.3 * jij for pair, jij in nonzero.items()}
 
 
 @pytest.mark.parametrize("seed", range(5))

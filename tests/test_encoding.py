@@ -164,6 +164,20 @@ def random_ising(n: int, seed: int) -> IsingModel:
     return IsingModel(n, J, float(rng.normal()))
 
 
+@pytest.mark.parametrize("weights", ["unit", "real"])
+@pytest.mark.parametrize("n", range(1, 17))
+def test_maxcut_table_is_unchanged_when_every_spin_flips(n, weights):
+    # Entry 2^n - 1 - x is the complement of assignment x.
+    if n == 1:
+        model = maxcut_problem(Graph(1, ()))
+    elif weights == "unit":
+        model = maxcut_problem(generate_random_graph(n, 0.5, seed=20 + n))
+    else:
+        model = real_weighted_maxcut(n, seed=30 + n)
+    table = energy_table(model)
+    assert table.tobytes() == table[::-1].tobytes()
+
+
 class TestBlockedEnergyTable:
     @pytest.mark.parametrize("n", [*range(1, 13), 16])
     def test_unit_weight_maxcut_equals_strided_oracle_exactly(self, n):
