@@ -100,8 +100,8 @@ def mixer_gates(num_qubits: int, beta: float) -> list[Gate]:
 def phase_separator_gates(m: IsingModel, gamma: float, strategy: str) -> list[Gate]:
     """exp(-i gamma C) for the diagonal cost C, dropping the offset's global phase.
 
-    One RZZ(2*gamma*J_ij) per nonzero coupling J_ij, ordered per
-    `strategy`; the model has no fields, so there are no RZ gates.
+    One RZZ(2*gamma*J_ij) per nonzero coupling J_ij and no other gate,
+    ordered per `strategy`.
     """
     pairs = [p for p, jij in m.J.items() if jij != 0.0]
     if strategy == "naive":
