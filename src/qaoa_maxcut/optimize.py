@@ -1,6 +1,6 @@
 """Derivative-free minimization with an exact evaluation budget.
 
-The default backend is a self-contained Nelder-Mead simplex with fixed
+`minimize` runs a self-contained Nelder-Mead simplex with fixed
 coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
 The initial simplex is x0 plus a step of INITIAL_STEP (0.1) along each
 coordinate. Termination: the evaluation budget is exhausted, or the
@@ -9,16 +9,11 @@ best vertex <= TOLERANCE, 1e-6), or the objective values across the
 simplex are exactly degenerate (spread <= F_TOLERANCE, 0, which stops
 immediately on constant objectives).
 
-A COBYLA backend (scipy's linear-approximation trust-region method) is
-available behind the same interface via method="cobyla"; its trust
-region shrinks from INITIAL_STEP down to TOLERANCE. scipy is imported
-on the first COBYLA call, not with this module.
-
-Both backends run the objective through a counting wrapper, so the
-budget is respected exactly, the best point ever evaluated is what gets
-returned, every (evaluation, value) pair is kept in `OptResult.trace`,
-and a non-finite objective value aborts immediately with the offending
-point attached to the exception.
+The objective runs through a counting wrapper, so the budget is
+respected exactly, the best point ever evaluated is what gets returned,
+every (evaluation, value) pair is kept in `OptResult.trace`, and a
+non-finite objective value aborts immediately with the offending point
+attached to the exception.
 """
 
 from __future__ import annotations
@@ -43,13 +38,12 @@ class NonFiniteObjectiveError(RuntimeError):
 
 
 class _BudgetExhausted(Exception):
-    """Internal control flow: stop the backend once the budget is spent."""
+    """Internal control flow: stop the simplex once the budget is spent."""
 
 
 @dataclass
 class OptimizerConfig:
     max_evaluations: int
-    method: str = "nelder-mead"
 
 
 @dataclass
@@ -106,12 +100,7 @@ def minimize(
             f"budget {config.max_evaluations} below minimum {min_evaluations(dim)} for dimension {dim}"
         )
     counted = _CountingObjective(f, config.max_evaluations)
-    if config.method == "nelder-mead":
-        converged = _nelder_mead(counted, x0)
-    elif config.method == "cobyla":
-        converged = _cobyla(counted, x0, config)
-    else:
-        raise ValueError(f"unknown method {config.method!r}")
+    converged = _nelder_mead(counted, x0)
     assert counted.best_x is not None
     return OptResult(
         best_params=counted.best_x,
@@ -176,21 +165,3 @@ def _simplex_converged(simplex: list[np.ndarray], values: list[float]) -> bool:
     f_spread = values[-1] - values[0]
     return spread <= TOLERANCE or f_spread <= F_TOLERANCE
 
-
-def _cobyla(f: _CountingObjective, x0: np.ndarray, config: OptimizerConfig) -> bool:
-    import scipy.optimize  # most of the package's import time, so only this backend pays it
-
-    try:
-        res = scipy.optimize.minimize(
-            f,
-            x0,
-            method="COBYLA",
-            options={
-                "maxiter": config.max_evaluations,
-                "rhobeg": INITIAL_STEP,
-                "tol": TOLERANCE,
-            },
-        )
-    except _BudgetExhausted:
-        return False
-    return bool(res.success)

@@ -1,11 +1,9 @@
-"""Exact evaluation-budget accounting of both optimizer backends."""
+"""Exact evaluation-budget accounting of the Nelder-Mead optimizer."""
 
 import numpy as np
 import pytest
 
 from qaoa_maxcut.optimize import OptimizerConfig, minimize
-
-METHODS = ["nelder-mead", "cobyla"]
 
 
 class Recorded:
@@ -26,33 +24,30 @@ def bowl(x):
 
 
 def downhill(x):
-    # Unbounded below and linear, so neither backend ever converges.
+    # Unbounded below and linear, so the simplex never converges.
     return -float(np.sum(x))
 
 
-@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("budget", [4, 9, 500])
-def test_calls_equal_evaluations_and_trace(method, budget):
+def test_calls_equal_evaluations_and_trace(budget):
     f = Recorded(bowl)
-    result = minimize(f, [0.0, 0.0], OptimizerConfig(max_evaluations=budget, method=method))
+    result = minimize(f, [0.0, 0.0], OptimizerConfig(max_evaluations=budget))
     assert len(f.values) == result.evaluations <= budget
     assert result.trace == list(enumerate(f.values, start=1))
     assert result.best_value == min(f.values)
 
 
-@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("budget", [5, 37, 200])
-def test_never_converging_run_stops_at_the_budget(method, budget):
+def test_never_converging_run_stops_at_the_budget(budget):
     f = Recorded(downhill)
-    result = minimize(f, [0.0, 0.0, 0.0], OptimizerConfig(max_evaluations=budget, method=method))
+    result = minimize(f, [0.0, 0.0, 0.0], OptimizerConfig(max_evaluations=budget))
     assert result.evaluations == len(f.values) == len(result.trace) == budget
     assert not result.converged
 
 
-@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_budget_below_dim_plus_two_is_refused(method, dim):
+def test_budget_below_dim_plus_two_is_refused(dim):
     f = Recorded(bowl)
     with pytest.raises(ValueError, match="below minimum"):
-        minimize(f, [0.0] * dim, OptimizerConfig(max_evaluations=dim + 1, method=method))
+        minimize(f, [0.0] * dim, OptimizerConfig(max_evaluations=dim + 1))
     assert f.values == []
