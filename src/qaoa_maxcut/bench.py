@@ -7,16 +7,14 @@ mix64(master_seed, fnv1a64(instance_name), layers, run_index), so runs
 are reproducible and independent of execution order or worker count;
 `run_single` hands that config to `run_qaoa` and copies its layers,
 seed and strategy into the record. Records serialize as one JSON object
-per line, with the keys in `BenchRecord`'s field order; wall_time is
-tracked in memory for the summary but kept out of the records file so
-identical invocations produce identical files.
+per line, with the keys in `BenchRecord`'s field order; no record holds
+a timing, so identical invocations produce identical files.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -64,11 +62,10 @@ class BenchRecord:
     compiled_depth: int
     gate_counts: dict[str, int]
     strategy: str
-    wall_time: float = 0.0
 
 
-# The records file's keys, in declaration order; wall_time stays in memory.
-_RECORD_FIELDS = tuple(f.name for f in fields(BenchRecord) if f.name != "wall_time")
+# The records file's keys, in declaration order.
+_RECORD_FIELDS = tuple(f.name for f in fields(BenchRecord))
 
 
 def record_to_json(r: BenchRecord) -> str:
@@ -91,9 +88,7 @@ def run_seed(master_seed: int, instance: str, layers: int, run: int) -> int:
 
 
 def run_single(name: str, g: Graph, run: int, optimum: float, config: QaoaConfig) -> BenchRecord:
-    start = time.perf_counter()
     result = run_qaoa(maxcut_problem(g), config, optimum)
-    elapsed = time.perf_counter() - start
     return BenchRecord(
         instance=name,
         n=g.num_nodes,
@@ -108,7 +103,6 @@ def run_single(name: str, g: Graph, run: int, optimum: float, config: QaoaConfig
         compiled_depth=result.compiled_depth,
         gate_counts=result.gate_counts,
         strategy=config.strategy,
-        wall_time=elapsed,
     )
 
 
