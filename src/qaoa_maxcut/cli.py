@@ -92,9 +92,18 @@ def load_instances(paths: list[Path]) -> list[tuple[str, Graph]] | None:
         return None
 
 
+def missing_out_dir(path: Path | None) -> bool:
+    """True, after printing `error: ...`, when `path` is set and its
+    directory does not exist; nothing is created or opened."""
+    if path is None or path.parent.is_dir():
+        return False
+    print(f"error: output directory {path.parent} does not exist", file=sys.stderr)
+    return True
+
+
 def cmd_bench(args) -> int:
     instances = load_instances(args.instances)
-    if instances is None:
+    if instances is None or missing_out_dir(args.out):
         return 2
     start = time.perf_counter()
     try:
@@ -127,7 +136,7 @@ def cmd_bench(args) -> int:
 
 def cmd_depth(args) -> int:
     instances = load_instances(args.instances)
-    if instances is None:
+    if instances is None or missing_out_dir(args.out):
         return 2
     try:
         rows = bench.depth_table(instances, sorted(set(args.layers)))

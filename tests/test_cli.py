@@ -1,5 +1,5 @@
-"""Exit codes and outputs of the `generate` and `verify` subcommands, and
-what importing the CLI loads."""
+"""Exit codes and outputs of the subcommands, what importing the CLI
+loads, and that every subcommand runs without scipy."""
 
 import os
 import subprocess
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qaoa_maxcut import cli
+from qaoa_maxcut import bench, cli
 from qaoa_maxcut.graphs import generate_random_graph, save_graph
 from qaoa_maxcut.seeding import mix64
 
@@ -16,15 +16,68 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """`code` in a fresh interpreter that imports the package from src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+
+
+def write_instance(directory: Path, n: int) -> Path:
+    path = directory / f"MC_{n}.txt"
+    save_graph(generate_random_graph(n, 0.5, mix64(11, n)), path)
+    return path
+
+
 def test_cli_import_loads_neither_scipy_nor_process_pools():
     code = (
         "import sys, qaoa_maxcut, qaoa_maxcut.cli\n"
         "print(sorted(m for m in ('scipy', 'concurrent.futures.process') if m in sys.modules))"
     )
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, check=True, timeout=60)
+    done = run_python(code)
+    assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["bench", "--mode", "exact"],
+    ["bench", "--mode", "sampled", "--shots", "64"],
+    ["depth"],
+    ["verify"],
+], ids=["bench-exact", "bench-sampled", "depth", "verify"])
+def test_every_command_runs_without_scipy(command, tmp_path):
+    instance = write_instance(tmp_path, 8)
+    argv = [command[0], str(instance), *command[1:]]
+    if command[0] == "bench":
+        argv += ["--layers", "1", "3", "--runs", "2", "--budget", "12", "--out", str(tmp_path / "r.jsonl")]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from qaoa_maxcut import cli\n"
+        "raise SystemExit(cli.main(sys.argv[1:]))"
+    )
+    done = run_python(code, *argv)
+    assert done.returncode == 0, done.stderr
+
+
+def test_bench_refuses_a_missing_out_directory_before_any_run(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("run_benchmark was called")
+
+    monkeypatch.setattr(bench, "run_benchmark", never)
+    out = tmp_path / "nodir" / "r.jsonl"
+    assert cli.main(["bench", str(write_instance(tmp_path, 8)), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not out.parent.exists()
+
+
+def test_depth_refuses_a_missing_out_directory_before_printing(tmp_path, capsys):
+    out = tmp_path / "nodir" / "d.csv"
+    assert cli.main(["depth", str(write_instance(tmp_path, 8)), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not out.parent.exists()
 
 
 def test_generate_writes_the_seeded_instances(tmp_path):
@@ -63,11 +116,7 @@ def test_verify_reports_a_malformed_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("instance", ["MC_10", "W_9"])
 def test_verify_passes_on_good_instances(instance, tmp_path, capsys):
-    if instance == "W_9":
-        path = GOLDEN / "W_9.txt"
-    else:
-        path = tmp_path / "MC_10.txt"
-        save_graph(generate_random_graph(10, 0.5, mix64(11, 10)), path)
+    path = GOLDEN / "W_9.txt" if instance == "W_9" else write_instance(tmp_path, 10)
     assert cli.main(["verify", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4 and all(": ok (" in line for line in lines)
