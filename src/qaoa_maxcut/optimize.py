@@ -164,4 +164,3 @@ def _simplex_converged(simplex: list[np.ndarray], values: list[float]) -> bool:
     spread = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:])
     f_spread = values[-1] - values[0]
     return spread <= TOLERANCE or f_spread <= F_TOLERANCE
-
