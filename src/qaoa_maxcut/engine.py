@@ -10,8 +10,10 @@ those (`simulator.qaoa_state`: a phase multiply gathered from one
 exponential per level and a fused mixer per layer, no circuit); the
 exact objective is the probability-weighted sum over the table, and a
 sampled one scores the shot histogram's basis-state indices against it.
-The gate-level circuit is built once per run, for the final draw and
-the compiled depth and gate counts the record reports.
+The gate-level ansatz is built once per run: `simulator.simulate` runs
+it for the final draw, and its `decompose`d form, which is measured and
+never simulated, gives the compiled depth and gate counts the record
+reports.
 The cost convention is minimization throughout: for Max-Cut,
 cost(z) = -cut(z), and the reported approximation ratios re-invert the
 sign.
@@ -79,9 +81,7 @@ class QaoaConfig:
 @dataclass
 class QaoaResult:
     best_params: np.ndarray
-    final_counts: Counts
     expected_cost: float
-    best_sampled_cost: float
     ar_expectation: float
     ar_best: float
     evaluations: int
@@ -168,16 +168,13 @@ def run_qaoa(model: IsingModel, config: QaoaConfig, optimum: float) -> QaoaResul
     state = simulate(final_circuit)
     final_counts = sample(state, config.shots, mix64(config.seed, STREAM_FINAL))
     expected_cost = obj.mean_cost(final_counts)
-    best_sampled_cost = obj.min_cost(final_counts)
 
     compiled = decompose(final_circuit)
     return QaoaResult(
         best_params=opt.best_params,
-        final_counts=final_counts,
         expected_cost=expected_cost,
-        best_sampled_cost=best_sampled_cost,
         ar_expectation=-expected_cost / optimum,
-        ar_best=-best_sampled_cost / optimum,
+        ar_best=-obj.min_cost(final_counts) / optimum,
         evaluations=opt.evaluations,
         compiled_depth=depth(compiled),
         gate_counts=gate_counts(compiled),

@@ -8,12 +8,15 @@ indices, so it can be scored directly against `encoding.energy_table`.
 
 Two evolution paths share that layout:
 
-* `simulate` runs a gate-level `Circuit` and is the reference. Its
-  kernels never form operator matrices. H and RX mix amplitude pairs in
-  a (blocks, 2, stride) view, CX swaps them in a (blocks, 2, mid, 2,
-  stride) view. RZ and RZZ share a parity-phase kernel: each contiguous
-  run of `_SLICE` amplitudes is multiplied once by exp(-/+ i theta/2),
-  chosen per amplitude by the parity of its bits on the gate's qubits.
+* `simulate` runs the gate-level QAOA ansatz
+  (`circuits.build_qaoa_ansatz`: H, RX, RZZ and barriers) and is the
+  reference; any other gate kind, such as the CX and RZ of a
+  `circuits.decompose`d circuit, raises ValueError. Its kernels never
+  form operator matrices. H and RX mix amplitude pairs in a
+  (blocks, 2, stride) view. RZZ is a parity-phase kernel: each
+  contiguous run of `_SLICE` amplitudes is multiplied once by
+  exp(-/+ i theta/2), chosen per amplitude by the parity of its bits on
+  the gate's two qubits.
 * `qaoa_state` is the QAOA fast path (after Lykov et al., "Fast
   Simulation of High-Depth QAOA Circuits", arXiv:2309.04841). The whole
   phase separator is one elementwise multiply by exp(-i gamma E) over
@@ -112,7 +115,7 @@ def zero_state(num_qubits: int) -> np.ndarray:
 
 
 def simulate(c: Circuit) -> np.ndarray:
-    """Amplitudes of U_c |0...0>."""
+    """Amplitudes of U_c |0...0> for a circuit of H, RX, RZZ and barriers."""
     check_width(c.num_qubits)
     state = zero_state(c.num_qubits)
     for g in c.gates:
@@ -199,17 +202,10 @@ def apply_gate(state: np.ndarray, g: Gate) -> None:
             b = part[:, 1, :]
             part[:, 0, :] = cos * a + msin * b
             part[:, 1, :] = msin * a + cos * b
-    elif g.kind in ("RZ", "RZZ"):
+    elif g.kind == "RZZ":
         _apply_phase(state, g.qubits, np.exp([-0.5j * g.angle, 0.5j * g.angle]))
-    elif g.kind == "CX":
-        control, target = g.qubits
-        view, c_axis, t_axis = _pair(state, control, target)
-        for part in _slices(view):
-            lo = part[_idx(c_axis, 1, t_axis, 0)].copy()
-            part[_idx(c_axis, 1, t_axis, 0)] = part[_idx(c_axis, 1, t_axis, 1)]
-            part[_idx(c_axis, 1, t_axis, 1)] = lo
-    else:  # pragma: no cover - Gate validation forbids this
-        raise ValueError(f"unsupported gate {g.kind}")
+    else:
+        raise ValueError(f"cannot simulate a {g.kind} gate: simulate runs only the ansatz's H, RX and RZZ gates")
 
 
 def _apply_phase(state: np.ndarray, qubits: Sequence[int], phases: np.ndarray) -> None:
@@ -234,20 +230,6 @@ def _apply_phase(state: np.ndarray, qubits: Sequence[int], phases: np.ndarray) -
 
 def _single(state: np.ndarray, q: int) -> np.ndarray:
     return state.reshape(-1, 2, 1 << q)
-
-
-def _pair(state: np.ndarray, qa: int, qb: int) -> tuple[np.ndarray, int, int]:
-    """5-axis view exposing bits qa and qb; returns (view, axis_of_qa, axis_of_qb)."""
-    hi, lo = (qa, qb) if qa > qb else (qb, qa)
-    view = state.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    return (view, 1, 3) if qa == hi else (view, 3, 1)
-
-
-def _idx(axis_a: int, bit_a: int, axis_b: int, bit_b: int):
-    sl: list = [slice(None)] * 5
-    sl[axis_a] = bit_a
-    sl[axis_b] = bit_b
-    return tuple(sl)
 
 
 def probabilities(state: np.ndarray) -> np.ndarray:

@@ -100,10 +100,12 @@ def unitaries_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float) -> boo
     return abs(abs(phase) - 1.0) <= tol and bool(np.max(np.abs(a * phase - b)) <= tol)
 
 
-def random_circuit(num_qubits: int, num_gates: int, rng: np.random.Generator) -> Circuit:
-    """Random mix of all gate kinds with random angles; one-qubit circuits
-    draw only the one-qubit kinds."""
-    kinds = ["H", "RX", "RZ", "RZZ", "CX"] if num_qubits > 1 else ["H", "RX", "RZ"]
+def random_circuit(
+    num_qubits: int, num_gates: int, rng: np.random.Generator, kinds: Sequence[str] = ("H", "RX", "RZ", "RZZ", "CX")
+) -> Circuit:
+    """Random mix of `kinds` (default: every gate kind) with random
+    angles; one-qubit circuits draw only the one-qubit kinds."""
+    kinds = [k for k in kinds if num_qubits > 1 or k not in ("RZZ", "CX")]
     gates = []
     for _ in range(num_gates):
         kind = rng.choice(kinds)
