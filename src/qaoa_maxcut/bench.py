@@ -124,16 +124,22 @@ def run_benchmark(
 ) -> tuple[list[BenchRecord], list[str]]:
     """All (instance, layers, run) records plus skip warnings.
 
-    Out-of-range arguments and an unknown `mode` or `strategy` raise
-    BenchArgumentError. Any instance wider than the simulator's
-    DEFAULT_MAX_QUBITS raises CapacityError, and so do `workers` runs of
-    the widest instance at BYTES_PER_AMPLITUDE each that would not fit
-    in `available_memory()`; all before any optimum is computed or any
-    run starts. An instance whose optimum cut is 0 is skipped with a
-    warning. Results are sorted into a canonical order regardless of
-    worker scheduling.
+    Each distinct layer count runs once. Out-of-range arguments, an
+    unknown `mode` or `strategy` and an instance name given twice (names
+    key the run seeds and optima) raise BenchArgumentError. Any instance
+    wider than the simulator's DEFAULT_MAX_QUBITS raises CapacityError,
+    and so do `workers` runs of the widest instance at
+    BYTES_PER_AMPLITUDE each that would not fit in `available_memory()`;
+    all before any optimum is computed or any run starts. An instance
+    whose optimum cut is 0 is skipped with a warning. Results are sorted
+    into a canonical order regardless of worker scheduling.
     """
     _check_arguments(layer_counts, runs, shots, budget, mode, strategy, workers)
+    names = [name for name, _ in instances]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise BenchArgumentError(f"instance name given more than once: {', '.join(repeated)}")
+    layer_counts = sorted(set(layer_counts))
     too_wide = [f"{name} ({g.num_nodes} nodes)" for name, g in instances if g.num_nodes > DEFAULT_MAX_QUBITS]
     if too_wide:
         raise CapacityError(

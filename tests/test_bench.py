@@ -93,6 +93,30 @@ class TestBadArguments:
         assert not out.exists()
 
 
+class TestRepeatedInstanceName:
+    # Names key the run seeds and the optima, so a second MC_5 would be
+    # scored against the first one's optimum or the other way round.
+    OTHER = generate_random_graph(5, 0.6, seed=2)
+
+    def test_fails_before_any_optimum(self, monkeypatch):
+        monkeypatch.setattr(bench, "brute_force_optimum", no_optimum)
+        with pytest.raises(bench.BenchArgumentError, match="instance name given more than once: MC_5$"):
+            bench.run_benchmark([("MC_5", SMALL), ("MC_6", SMALL), ("MC_5", self.OTHER)], [1], 1, budget=4)
+
+    def test_cli_reports_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "brute_force_optimum", no_optimum)
+        files = []
+        for directory, g in (("a", SMALL), ("b", self.OTHER)):
+            (tmp_path / directory).mkdir()
+            save_graph(g, tmp_path / directory / "MC_5.txt")
+            files.append(str(tmp_path / directory / "MC_5.txt"))
+        out = tmp_path / "results.jsonl"
+        assert cli.main(["bench", *files, "--layers", "1", "--budget", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: instance name given more than once: MC_5\n"
+        assert not out.exists() and not out.with_suffix(".summary.csv").exists()
+
+
 class TestMemoryGate:
     INSTANCES = [("MC_8", generate_random_graph(8, 0.5, seed=4)), ("MC_10", generate_random_graph(10, 0.5, seed=5))]
     NEED = 2 * bench.BYTES_PER_AMPLITUDE << 10  # two workers at the widest, 10 qubits
@@ -208,6 +232,18 @@ def test_repeated_bench_writes_identical_records(mode, tmp_path, capsys):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == 2 * 2 * 2
+
+
+def test_repeated_layer_counts_run_once(tmp_path, capsys):
+    save_graph(generate_random_graph(6, 0.5, seed=1), tmp_path / "g6.txt")
+    outputs = []
+    for layers in (["1"], ["1", "1"]):
+        out = tmp_path / f"{len(layers)}.jsonl"
+        argv = ["bench", str(tmp_path / "g6.txt"), "--layers", *layers, "--runs", "2", "--budget", "12"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), out.with_suffix(".summary.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][0].splitlines()) == 2
 
 
 def test_library_and_cli_share_every_default(tmp_path, capsys):
