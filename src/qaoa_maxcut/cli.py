@@ -92,18 +92,27 @@ def load_instances(paths: list[Path]) -> list[tuple[str, Graph]] | None:
         return None
 
 
-def missing_out_dir(path: Path | None) -> bool:
-    """True, after printing `error: ...`, when `path` is set and its
-    directory does not exist; nothing is created or opened."""
-    if path is None or path.parent.is_dir():
+def unwritable_out(path: Path | None) -> bool:
+    """True, after printing `error: ...`, when `path` is set and cannot
+    be written as a file: its directory does not exist, or it names a
+    directory itself. Nothing is created or opened."""
+    if path is None:
         return False
-    print(f"error: output directory {path.parent} does not exist", file=sys.stderr)
+    if not path.parent.is_dir():
+        print(f"error: output directory {path.parent} does not exist", file=sys.stderr)
+    elif path.is_dir():
+        print(f"error: output file {path} is a directory", file=sys.stderr)
+    else:
+        return False
     return True
 
 
 def cmd_bench(args) -> int:
     instances = load_instances(args.instances)
-    if instances is None or missing_out_dir(args.out):
+    if instances is None or unwritable_out(args.out):
+        return 2
+    csv_path = args.out.with_suffix(".summary.csv")  # after the check: `--out .` has no name to suffix
+    if unwritable_out(csv_path):
         return 2
     start = time.perf_counter()
     try:
@@ -125,7 +134,6 @@ def cmd_bench(args) -> int:
     bench.write_records(records, args.out)
     rows = bench.summarize(records)
     table = bench.format_summary_table(rows, sorted(set(args.layers)))
-    csv_path = args.out.with_suffix(".summary.csv")
     csv_path.write_text(bench.summary_csv(rows))
     print(table, end="")
     for warning in warnings:
@@ -136,7 +144,7 @@ def cmd_bench(args) -> int:
 
 def cmd_depth(args) -> int:
     instances = load_instances(args.instances)
-    if instances is None or missing_out_dir(args.out):
+    if instances is None or unwritable_out(args.out):
         return 2
     try:
         rows = bench.depth_table(instances, sorted(set(args.layers)))

@@ -80,6 +80,32 @@ def test_depth_refuses_a_missing_out_directory_before_printing(tmp_path, capsys)
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("out, directory", [
+    ("r.jsonl", "r.jsonl"), ("r.jsonl", "r.summary.csv"), (".", "."),
+], ids=["records", "summary", "cwd"])
+def test_bench_refuses_an_out_file_that_is_a_directory_before_any_run(out, directory, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("run_benchmark was called")
+
+    monkeypatch.setattr(bench, "run_benchmark", never)
+    monkeypatch.chdir(tmp_path)
+    write_instance(tmp_path, 8)
+    Path(directory).mkdir(exist_ok=True)
+    assert cli.main(["bench", "MC_8.txt", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: output file {Path(directory)} is a directory\n" and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"MC_8.txt", directory} - {"."})
+
+
+def test_depth_refuses_an_out_file_that_is_a_directory_before_printing(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    out.mkdir()
+    assert cli.main(["depth", str(write_instance(tmp_path, 8)), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: output file {out} is a directory\n" and captured.out == ""
+    assert list(out.iterdir()) == []
+
+
 def test_generate_writes_the_seeded_instances(tmp_path):
     out = tmp_path / "inst"
     assert cli.main(["generate", "--sizes", "8", "10", "--seed", "11", "--out", str(out)]) == 0
