@@ -25,7 +25,6 @@ from .engine import (
     QaoaConfig,
     QaoaResult,
     build_ansatz,
-    objective,
     run_qaoa,
 )
 from .graphs import (
@@ -76,7 +75,6 @@ __all__ = [
     "load_graph",
     "maxcut_problem",
     "minimize",
-    "objective",
     "parse_circuit_text",
     "qaoa_state",
     "run_qaoa",

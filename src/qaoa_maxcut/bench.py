@@ -1,8 +1,10 @@
 """Benchmark harness: the instance-suite protocol behind the CLI.
 
 One benchmark record corresponds to one (instance, layer count, run)
-triple. `run_benchmark` builds one `QaoaConfig` per triple, with its
-seed pre-assigned as
+triple. `run_benchmark` and `depth_table` share one front end, `_plan`,
+which checks the instance set and layer list and puts both in canonical
+order. `QaoaConfig` judges every run parameter; each triple gets a copy
+of its layer count's config, seeded with
 mix64(master_seed, fnv1a64(instance_name), layers, run_index), so runs
 are reproducible and independent of execution order or worker count;
 `run_single` hands that config to `run_qaoa` and copies its layers,
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +26,9 @@ from . import encoding, graphs
 from .circuits import build_qaoa_ansatz, decompose, depth
 from .encoding import maxcut_problem
 from .engine import (
-    DEFAULT_BUDGET, DEFAULT_SHOTS, DEFAULT_STRATEGY, EXACT, MODES, SAMPLED, STRATEGIES, QaoaConfig, objective, run_qaoa,
+    DEFAULT_BUDGET, DEFAULT_SHOTS, DEFAULT_STRATEGY, EXACT, SAMPLED, STRATEGIES, QaoaConfig, QaoaObjective, run_qaoa,
 )
 from .graphs import Graph, brute_force_optimum
-from .optimize import min_evaluations
 from .seeding import fnv1a64, mix64
 from .simulator import DEFAULT_MAX_QUBITS, CapacityError
 
@@ -106,10 +107,6 @@ def run_single(name: str, g: Graph, run: int, optimum: float, config: QaoaConfig
     )
 
 
-def _task(args) -> BenchRecord:
-    return run_single(*args)
-
-
 def run_benchmark(
     instances: list[tuple[str, Graph]],
     layer_counts: list[int],
@@ -124,22 +121,26 @@ def run_benchmark(
 ) -> tuple[list[BenchRecord], list[str]]:
     """All (instance, layers, run) records plus skip warnings.
 
-    Each distinct layer count runs once. Out-of-range arguments, an
-    unknown `mode` or `strategy` and an instance name given twice (names
-    key the run seeds and optima) raise BenchArgumentError. Any instance
-    wider than the simulator's DEFAULT_MAX_QUBITS raises CapacityError,
-    and so do `workers` runs of the widest instance at
+    Each distinct layer count runs once. `_plan` refuses a bad layer list
+    and an instance name given twice (names key the run seeds and
+    optima), this function `runs` or `workers` below 1, and `QaoaConfig`
+    any other out-of-range run parameter; all raise BenchArgumentError. Any
+    instance wider than the simulator's DEFAULT_MAX_QUBITS raises
+    CapacityError, and so do `workers` runs of the widest instance at
     BYTES_PER_AMPLITUDE each that would not fit in `available_memory()`;
     all before any optimum is computed or any run starts. An instance
-    whose optimum cut is 0 is skipped with a warning. Results are sorted
-    into a canonical order regardless of worker scheduling.
+    whose optimum cut is 0 is skipped with a warning. Records come in
+    `_plan`'s canonical order whatever the worker scheduling.
     """
-    _check_arguments(layer_counts, runs, shots, budget, mode, strategy, workers)
-    names = [name for name, _ in instances]
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise BenchArgumentError(f"instance name given more than once: {', '.join(repeated)}")
-    layer_counts = sorted(set(layer_counts))
+    instances, layer_counts = _plan(instances, layer_counts)
+    for name, value in (("runs", runs), ("workers", workers)):
+        if value < 1:
+            raise BenchArgumentError(f"{name} must be >= 1, got {value}")
+    try:
+        configs = {p: QaoaConfig(p, shots=shots, max_evaluations=budget, objective_mode=mode, strategy=strategy)
+                   for p in layer_counts}
+    except ValueError as exc:
+        raise BenchArgumentError(str(exc)) from None
     too_wide = [f"{name} ({g.num_nodes} nodes)" for name, g in instances if g.num_nodes > DEFAULT_MAX_QUBITS]
     if too_wide:
         raise CapacityError(
@@ -165,10 +166,7 @@ def run_benchmark(
         usable.append((name, g))
 
     tasks = [
-        (name, g, run, optima[name], QaoaConfig(
-            layers, shots=shots, max_evaluations=budget, objective_mode=mode,
-            seed=run_seed(master_seed, name, layers, run), strategy=strategy,
-        ))
+        (name, g, run, optima[name], replace(configs[layers], seed=run_seed(master_seed, name, layers, run)))
         for name, g in usable
         for layers in layer_counts
         for run in range(runs)
@@ -177,10 +175,9 @@ def run_benchmark(
         from concurrent.futures import ProcessPoolExecutor  # kept off the import path of every CLI call
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_task, tasks))
+            records = list(pool.map(run_single, *zip(*tasks)))  # map keeps the tasks' order
     else:
-        records = [_task(t) for t in tasks]
-    records.sort(key=lambda r: (r.n, r.instance, r.layers, r.run))
+        records = [run_single(*t) for t in tasks]
     return records, warnings
 
 
@@ -201,29 +198,19 @@ def available_memory() -> int:
     return min(available, int(limit)) if limit.isdigit() else available
 
 
-def _check_layer_counts(layer_counts: list[int]) -> None:
+def _plan(instances: list[tuple[str, Graph]], layer_counts: list[int]) -> tuple[list[tuple[str, Graph]], list[int]]:
+    """The instances in canonical (num_nodes, name) order and the distinct
+    layer counts ascending; an empty layer list, a count below 1 or an
+    instance name given twice raises BenchArgumentError."""
     if not layer_counts:
         raise BenchArgumentError("need at least one layer count")
     if min(layer_counts) < 1:
         raise BenchArgumentError(f"layer count must be >= 1, got {min(layer_counts)}")
-
-
-def _check_arguments(
-    layer_counts: list[int], runs: int, shots: int, budget: int, mode: str, strategy: str, workers: int
-) -> None:
-    _check_layer_counts(layer_counts)
-    if mode not in MODES:
-        raise BenchArgumentError(f"unknown objective mode {mode!r}")
-    if strategy not in STRATEGIES:
-        raise BenchArgumentError(f"unknown strategy {strategy!r}")
-    for name, value in (("runs", runs), ("shots", shots), ("workers", workers)):
-        if value < 1:
-            raise BenchArgumentError(f"{name} must be >= 1, got {value}")
-    need = min_evaluations(2 * max(layer_counts))
-    if budget < need:
-        raise BenchArgumentError(
-            f"budget {budget} is below {need}, the least the optimizer accepts at {max(layer_counts)} layers"
-        )
+    names = [name for name, _ in instances]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise BenchArgumentError(f"instance name given more than once: {', '.join(repeated)}")
+    return sorted(instances, key=lambda ng: (ng[1].num_nodes, ng[0])), sorted(set(layer_counts))
 
 
 def write_records(records: list[BenchRecord], path) -> None:
@@ -260,6 +247,8 @@ def summarize(records: list[BenchRecord]) -> list[dict]:
 
 
 def format_summary_table(rows: list[dict], layer_counts: list[int]) -> str:
+    """One column pair per distinct layer count, ascending."""
+    _, layer_counts = _plan([], layer_counts)
     header = ["instance", "n"]
     for p in layer_counts:
         header += [f"{p}-layer mean", f"{p}-layer std"]
@@ -313,12 +302,13 @@ def depth_table(
 
     exactly. One p=1 circuit is built and decomposed per (instance,
     strategy), with placeholder angles, and every requested p derives
-    from it. An empty list or a layer count below 1 raises
-    BenchArgumentError before any circuit is built.
+    from it. Rows come in `_plan`'s canonical order, one per distinct
+    layer count; `_plan` refuses a bad layer list and a repeated
+    instance name with BenchArgumentError before any circuit is built.
     """
-    _check_layer_counts(layer_counts)
+    instances, layer_counts = _plan(instances, layer_counts)
     rows = []
-    for name, g in sorted(instances, key=lambda ng: (ng[1].num_nodes, ng[0])):
+    for name, g in instances:
         model = maxcut_problem(g)
         one_layer = {
             strategy: depth(decompose(build_qaoa_ansatz(model, [0.5], [0.5], strategy)))
@@ -398,7 +388,7 @@ def verify_instance(path) -> list[tuple[str, bool, str]]:
 
     if g.num_edges > 0 and g.num_nodes <= 20:
         config = QaoaConfig(layers=1, shots=1, objective_mode=EXACT, seed=0)
-        value = objective(model, config, [0.0, 0.0])
+        value = QaoaObjective(model, config)([0.0, 0.0])
         target = -g.total_weight() / 2.0
         checks.append(
             ("zero-angle-expectation", abs(value - target) <= 1e-9, f"{value:.12g} vs {target:.12g}")

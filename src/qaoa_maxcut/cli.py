@@ -74,7 +74,11 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    args.out.mkdir(parents=True, exist_ok=True)
+    try:  # an --out that is, or lies under, a file fails here, before anything is made
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot make output directory {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     for g in suite:
         path = args.out / f"MC_{g.num_nodes}.txt"
         save_graph(g, path)
@@ -133,7 +137,7 @@ def cmd_bench(args) -> int:
     elapsed = time.perf_counter() - start
     bench.write_records(records, args.out)
     rows = bench.summarize(records)
-    table = bench.format_summary_table(rows, sorted(set(args.layers)))
+    table = bench.format_summary_table(rows, args.layers)
     csv_path.write_text(bench.summary_csv(rows))
     print(table, end="")
     for warning in warnings:
@@ -147,7 +151,7 @@ def cmd_depth(args) -> int:
     if instances is None or unwritable_out(args.out):
         return 2
     try:
-        rows = bench.depth_table(instances, sorted(set(args.layers)))
+        rows = bench.depth_table(instances, args.layers)
     except bench.BenchArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,8 @@ The gate-level ansatz is built once per run: `simulator.simulate` runs
 it for the final draw, and its `decompose`d form, which is measured and
 never simulated, gives the compiled depth and gate counts the record
 reports.
+`QaoaConfig` alone judges a run's parameters, the budget floor included;
+`bench` re-raises its refusals and checks none of them itself.
 The cost convention is minimization throughout: for Max-Cut,
 cost(z) = -cut(z), and the reported approximation ratios re-invert the
 sign.
@@ -38,7 +40,7 @@ import numpy as np
 
 from .circuits import Circuit, build_qaoa_ansatz, decompose, depth, gate_counts
 from .encoding import IsingModel, energy_levels, energy_table
-from .optimize import OptimizerConfig, minimize
+from .optimize import OptimizerConfig, min_evaluations, minimize
 from .seeding import mix64
 from .simulator import Counts, check_width, probabilities, qaoa_state, sample, simulate
 
@@ -76,6 +78,11 @@ class QaoaConfig:
             raise ValueError(f"unknown objective mode {self.objective_mode!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        need = min_evaluations(2 * self.layers)
+        if self.max_evaluations < need:
+            raise ValueError(
+                f"budget {self.max_evaluations} is below {need}, the least the optimizer accepts at {self.layers} layers"
+            )
 
 
 @dataclass
@@ -142,11 +149,6 @@ class QaoaObjective:
 
     def min_cost(self, counts: Counts) -> float:
         return float(self._table[counts.indices].min())
-
-
-def objective(model: IsingModel, config: QaoaConfig, params: Sequence[float]) -> float:
-    """One-shot objective evaluation (evaluation counter starts at 1)."""
-    return QaoaObjective(model, config)(params)
 
 
 def run_qaoa(model: IsingModel, config: QaoaConfig, optimum: float) -> QaoaResult:

@@ -117,6 +117,29 @@ class TestRepeatedInstanceName:
         assert not out.exists() and not out.with_suffix(".summary.csv").exists()
 
 
+class TestDepthRepeatedInstanceName:
+    # Two depth rows named MC_8 with different depths could not be told apart.
+    GRAPHS = [generate_random_graph(8, 0.5, seed) for seed in (11, 23)]
+
+    def test_fails_before_any_circuit(self, monkeypatch):
+        monkeypatch.setattr(bench, "build_qaoa_ansatz", no_circuit)
+        with pytest.raises(bench.BenchArgumentError, match="instance name given more than once: MC_8$"):
+            bench.depth_table([("MC_8", self.GRAPHS[0]), ("MC_5", SMALL), ("MC_8", self.GRAPHS[1])], [1])
+
+    def test_cli_reports_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "build_qaoa_ansatz", no_circuit)
+        files = []
+        for directory, g in zip("ab", self.GRAPHS):
+            (tmp_path / directory).mkdir()
+            save_graph(g, tmp_path / directory / "MC_8.txt")
+            files.append(str(tmp_path / directory / "MC_8.txt"))
+        out = tmp_path / "depth.csv"
+        assert cli.main(["depth", *files, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: instance name given more than once: MC_8\n"
+        assert captured.out == "" and not out.exists()
+
+
 class TestMemoryGate:
     INSTANCES = [("MC_8", generate_random_graph(8, 0.5, seed=4)), ("MC_10", generate_random_graph(10, 0.5, seed=5))]
     NEED = 2 * bench.BYTES_PER_AMPLITUDE << 10  # two workers at the widest, 10 qubits
@@ -244,6 +267,24 @@ def test_repeated_layer_counts_run_once(tmp_path, capsys):
         outputs.append((out.read_bytes(), out.with_suffix(".summary.csv").read_bytes()))
     assert outputs[0] == outputs[1]
     assert len(outputs[0][0].splitlines()) == 2
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_argument_order_does_not_change_the_files(workers, tmp_path, capsys):
+    # Records come out in the order the tasks are built, so the canonical
+    # order must come from the front end, not from a sort of the records.
+    files = []
+    for n in (6, 7, 8):
+        save_graph(generate_random_graph(n, 0.5, mix64(11, n)), tmp_path / f"MC_{n}.txt")
+        files.append(str(tmp_path / f"MC_{n}.txt"))
+    outputs = []
+    for name, instances, layers in (("sorted", files, ["1", "3"]), ("reversed", files[::-1], ["3", "1", "3"])):
+        out = tmp_path / f"{name}-{workers}.jsonl"
+        argv = ["bench", *instances, "--layers", *layers, "--runs", "2", "--budget", "12", "--workers", workers]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), out.with_suffix(".summary.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][0].splitlines()) == 3 * 2 * 2
 
 
 def test_library_and_cli_share_every_default(tmp_path, capsys):

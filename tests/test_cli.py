@@ -133,6 +133,16 @@ def test_generate_refuses_bad_arguments_before_writing(bad, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["is-a-file", "under-a-file"])
+def test_generate_refuses_an_out_that_is_or_lies_under_a_file(out, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    assert cli.main(["generate", "--sizes", "8", "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot make output directory {tmp_path / out}: ") and captured.out == ""
+    assert afile.read_text() == "kept\n" and [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
 def test_verify_reports_a_malformed_file(tmp_path, capsys):
     path = tmp_path / "MC_BAD.txt"
     path.write_text("3 2\n0 1\n")

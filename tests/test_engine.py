@@ -15,9 +15,9 @@ from qaoa_maxcut.engine import (
     QaoaConfig,
     QaoaObjective,
     build_ansatz,
-    objective,
 )
 from qaoa_maxcut.graphs import Graph, cut_value, generate_random_graph, load_graph
+from qaoa_maxcut.optimize import min_evaluations
 from qaoa_maxcut.seeding import mix64
 from qaoa_maxcut.simulator import DEFAULT_MAX_QUBITS, CapacityError, sample, simulate
 
@@ -66,7 +66,7 @@ class TestClosedFormP1:
             g = Graph(n, ((0, 1, 1.0),))
         gamma, beta = rng.uniform(-math.pi, math.pi, size=2)
         config = QaoaConfig(layers=1, objective_mode=EXACT)
-        got = objective(maxcut_problem(g), config, [gamma, beta])
+        got = QaoaObjective(maxcut_problem(g), config)([gamma, beta])
         # The cost here is -cut, so exp(-i gamma cost) is the paper's
         # exp(-i gamma' C) with gamma' = -gamma; the mixer angles agree.
         want = -sum(maxcut_p1_edge_expectation(g, u, v, -gamma, beta) for u, v, _ in g.edges)
@@ -96,7 +96,7 @@ class TestScoring:
         config = QaoaConfig(layers=2, shots=2000, objective_mode=SAMPLED, seed=9)
         state = simulate(build_ansatz(model, params))
         want = loop_mean_cost(model, sample(state, 2000, mix64(9, STREAM_EVAL, 1)))
-        assert objective(model, config, params) == want
+        assert QaoaObjective(model, config)(params) == want
 
 
 class TestObjectivePath:
@@ -107,7 +107,7 @@ class TestObjectivePath:
 
         monkeypatch.setattr(engine, "build_ansatz", forbidden)
         monkeypatch.setattr(engine, "simulate", forbidden)
-        objective(maxcut_problem(UNIT), QaoaConfig(layers=2, objective_mode=mode), [0.4, 1.1, 0.2, 0.7])
+        QaoaObjective(maxcut_problem(UNIT), QaoaConfig(layers=2, objective_mode=mode))([0.4, 1.1, 0.2, 0.7])
 
     def test_refuses_too_wide_before_the_table(self, monkeypatch):
         def no_table(model):
@@ -120,7 +120,21 @@ class TestObjectivePath:
     @pytest.mark.parametrize("params", [[0.1, 0.2], [0.1, 0.2, 0.3], [0.1] * 6])
     def test_rejects_parameter_count_other_than_two_per_layer(self, params):
         with pytest.raises(ValueError, match="parameter"):
-            objective(maxcut_problem(UNIT), QaoaConfig(layers=2), params)
+            QaoaObjective(maxcut_problem(UNIT), QaoaConfig(layers=2))(params)
+
+
+class TestBudgetFloor:
+    # The optimizer's least budget at p layers is its 2p + 1 simplex points plus one step.
+    @pytest.mark.parametrize("p", [1, 3, 5])
+    def test_the_least_budget_is_accepted(self, p):
+        assert QaoaConfig(layers=p, max_evaluations=min_evaluations(2 * p)).max_evaluations == 2 * p + 2
+
+    @pytest.mark.parametrize("p", [1, 3, 5])
+    def test_one_less_is_refused(self, p):
+        budget = min_evaluations(2 * p) - 1
+        message = f"budget {budget} is below {budget + 1}, the least the optimizer accepts at {p} layers"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            QaoaConfig(layers=p, max_evaluations=budget)
 
 
 class TestBuildAnsatz:
