@@ -8,7 +8,8 @@ of its layer count's config, seeded with
 mix64(master_seed, fnv1a64(instance_name), layers, run_index), so runs
 are reproducible and independent of execution order or worker count;
 `run_single` hands that config to `run_qaoa` and copies its layers,
-seed and strategy into the record. Records serialize as one JSON object
+seed and strategy into the record; its compiled depth and gate counts
+come from `compiled_metrics`. Records serialize as one JSON object
 per line, with the keys in `BenchRecord`'s field order; no record holds
 a timing, so identical invocations produce identical files.
 """
@@ -23,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import encoding, graphs
-from .circuits import build_qaoa_ansatz, decompose, depth
-from .encoding import maxcut_problem
+from .circuits import build_qaoa_ansatz, decompose, depth, gate_counts
+from .encoding import IsingModel, maxcut_problem
 from .engine import (
     DEFAULT_BUDGET, DEFAULT_SHOTS, DEFAULT_STRATEGY, EXACT, SAMPLED, STRATEGIES, QaoaConfig, QaoaObjective, run_qaoa,
 )
@@ -89,7 +90,9 @@ def run_seed(master_seed: int, instance: str, layers: int, run: int) -> int:
 
 
 def run_single(name: str, g: Graph, run: int, optimum: float, config: QaoaConfig) -> BenchRecord:
-    result = run_qaoa(maxcut_problem(g), config, optimum)
+    model = maxcut_problem(g)
+    result = run_qaoa(model, config, optimum)
+    compiled_depth, counts = compiled_metrics(model, config.strategy, [config.layers])[config.layers]
     return BenchRecord(
         instance=name,
         n=g.num_nodes,
@@ -101,8 +104,8 @@ def run_single(name: str, g: Graph, run: int, optimum: float, config: QaoaConfig
         expected_cost=result.expected_cost,
         optimum=optimum,
         evaluations=result.evaluations,
-        compiled_depth=result.compiled_depth,
-        gate_counts=result.gate_counts,
+        compiled_depth=compiled_depth,
+        gate_counts=counts,
         strategy=config.strategy,
     )
 
@@ -136,6 +139,7 @@ def run_benchmark(
     for name, value in (("runs", runs), ("workers", workers)):
         if value < 1:
             raise BenchArgumentError(f"{name} must be >= 1, got {value}")
+    workers = min(workers, len(instances) * len(layer_counts) * runs)  # no idle worker is started or budgeted
     try:
         configs = {p: QaoaConfig(p, shots=shots, max_evaluations=budget, objective_mode=mode, strategy=strategy)
                    for p in layer_counts}
@@ -288,21 +292,25 @@ def summary_csv(rows: list[dict]) -> str:
 # Depth curves (Fig. 2-style measurement: no simulation involved)
 
 
+def compiled_metrics(model: IsingModel, strategy: str, layer_counts: list[int]) -> dict[int, tuple[int, dict[str, int]]]:
+    """{p: (depth, gate counts)} of the decomposed p-layer ansatz per p in
+    `layer_counts`, from one decomposed one-layer ansatz with placeholder
+    angles. Neither depends on the angles; the depth follows from the
+    one-layer depth d1 by the barrier identity in `circuits`, and every
+    gate kind but H occurs p times as often as in one layer."""
+    one_layer = decompose(build_qaoa_ansatz(model, [0.5], [0.5], strategy))
+    d1, counts = depth(one_layer), gate_counts(one_layer)
+    return {p: (1 + p * (d1 - 1), {kind: c if kind == "H" else p * c for kind, c in counts.items()})
+            for p in layer_counts}
+
+
 def depth_table(
     instances: list[tuple[str, Graph]],
     layer_counts: list[int],
 ) -> list[dict]:
-    """Compiled circuit depth per (instance, layers, strategy).
-
-    Depth does not depend on the angles, and every layer block sits
-    between barriers after an H layer of depth 1 on every qubit, so with
-    d1 the depth of the decomposed one-layer ansatz,
-
-        depth(p) = 1 + p * (d1 - 1)
-
-    exactly. One p=1 circuit is built and decomposed per (instance,
-    strategy), with placeholder angles, and every requested p derives
-    from it. Rows come in `_plan`'s canonical order, one per distinct
+    """Compiled circuit depth per (instance, layers, strategy), from one
+    `compiled_metrics` call, so one one-layer circuit, per (instance,
+    strategy). Rows come in `_plan`'s canonical order, one per distinct
     layer count; `_plan` refuses a bad layer list and a repeated
     instance name with BenchArgumentError before any circuit is built.
     """
@@ -310,15 +318,10 @@ def depth_table(
     rows = []
     for name, g in instances:
         model = maxcut_problem(g)
-        one_layer = {
-            strategy: depth(decompose(build_qaoa_ansatz(model, [0.5], [0.5], strategy)))
-            for strategy in STRATEGIES
-        }
+        metrics = {strategy: compiled_metrics(model, strategy, layer_counts) for strategy in STRATEGIES}
         for p in layer_counts:
-            row = {"instance": name, "n": g.num_nodes, "layers": p}
-            for strategy, d1 in one_layer.items():
-                row[strategy] = 1 + p * (d1 - 1)
-            rows.append(row)
+            rows.append({"instance": name, "n": g.num_nodes, "layers": p,
+                         **{strategy: metrics[strategy][p][0] for strategy in STRATEGIES}})
     return rows
 
 

@@ -13,7 +13,8 @@ layers so that each (phase separator, mixer) block occupies its own
 depth window and total depth grows exactly linearly in the layer count:
 the initial H layer has depth 1 on every qubit, so a p-layer ansatz
 whose one-layer form has depth d1 has depth 1 + p * (d1 - 1), before
-and after decomposition. Without the barrier, ASAP packing lets later
+and after decomposition; `bench.compiled_metrics` derives every p's
+compiled depth from that. Without the barrier, ASAP packing lets later
 layers slide into earlier layers' idle slots, which breaks the exact
 per-layer depth accounting on irregular graphs.
 

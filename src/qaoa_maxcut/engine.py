@@ -10,10 +10,9 @@ those (`simulator.qaoa_state`: a phase multiply gathered from one
 exponential per level and a fused mixer per layer, no circuit); the
 exact objective is the probability-weighted sum over the table, and a
 sampled one scores the shot histogram's basis-state indices against it.
-The gate-level ansatz is built once per run: `simulator.simulate` runs
-it for the final draw, and its `decompose`d form, which is measured and
-never simulated, gives the compiled depth and gate counts the record
-reports.
+The gate-level ansatz is built once per run, only for the final draw
+(`simulator.simulate`); no circuit is measured here, and a record's
+compiled depth and gate counts come from `bench.compiled_metrics`.
 `QaoaConfig` alone judges a run's parameters, the budget floor included;
 `bench` re-raises its refusals and checks none of them itself.
 The cost convention is minimization throughout: for Max-Cut,
@@ -33,12 +32,14 @@ mix64(seed, STREAM_FINAL). The optimizer therefore sees a deterministic
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, build_qaoa_ansatz, decompose, depth, gate_counts
+from .circuits import Circuit, build_qaoa_ansatz
+# Unused here, but perfbench/layers.py wraps engine:decompose, depth and gate_counts.
+from .circuits import decompose, depth, gate_counts
 from .encoding import IsingModel, energy_levels, energy_table
 from .optimize import OptimizerConfig, min_evaluations, minimize
 from .seeding import mix64
@@ -92,8 +93,6 @@ class QaoaResult:
     ar_expectation: float
     ar_best: float
     evaluations: int
-    compiled_depth: int
-    gate_counts: dict[str, int] = field(default_factory=dict)
 
 
 def split_params(params: Sequence[float]) -> tuple[list[float], list[float]]:
@@ -166,18 +165,13 @@ def run_qaoa(model: IsingModel, config: QaoaConfig, optimum: float) -> QaoaResul
     obj = QaoaObjective(model, config)
     opt = minimize(obj, x0, OptimizerConfig(max_evaluations=config.max_evaluations))
 
-    final_circuit = build_ansatz(model, opt.best_params, config.strategy)
-    state = simulate(final_circuit)
+    state = simulate(build_ansatz(model, opt.best_params, config.strategy))
     final_counts = sample(state, config.shots, mix64(config.seed, STREAM_FINAL))
     expected_cost = obj.mean_cost(final_counts)
-
-    compiled = decompose(final_circuit)
     return QaoaResult(
         best_params=opt.best_params,
         expected_cost=expected_cost,
         ar_expectation=-expected_cost / optimum,
         ar_best=-obj.min_cost(final_counts) / optimum,
         evaluations=opt.evaluations,
-        compiled_depth=depth(compiled),
-        gate_counts=gate_counts(compiled),
     )

@@ -1,10 +1,11 @@
+import concurrent.futures
 import json
 from pathlib import Path
 
 import pytest
 
-from qaoa_maxcut import bench, cli
-from qaoa_maxcut.circuits import build_qaoa_ansatz, decompose, depth
+from qaoa_maxcut import bench, cli, engine
+from qaoa_maxcut.circuits import Barrier, build_qaoa_ansatz, decompose, depth, gate_counts
 from qaoa_maxcut.encoding import maxcut_problem
 from qaoa_maxcut.engine import EXACT, SAMPLED
 from qaoa_maxcut.graphs import CutSolution, generate_random_graph, graph_from_pairs, load_graph, save_graph
@@ -155,6 +156,19 @@ class TestMemoryGate:
         monkeypatch.setattr(bench, "available_memory", lambda: self.NEED)
         records, warnings = bench.run_benchmark(self.INSTANCES, [1], 1, budget=4, workers=2)
         assert records == [] and len(warnings) == 2
+
+    def test_more_workers_than_runs_start_no_pool_and_budget_one_run(self, monkeypatch):
+        instances = self.INSTANCES[:1]
+        expected, _ = bench.run_benchmark(instances, [1], 1, budget=4)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started for a single run")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        # Exactly one run's memory at 8 qubits, whatever this machine has free.
+        monkeypatch.setattr(bench, "available_memory", lambda: bench.BYTES_PER_AMPLITUDE << 8)
+        records, warnings = bench.run_benchmark(instances, [1], 1, budget=4, workers=3)
+        assert records == expected and len(records) == 1 and warnings == []
 
     def test_cli_reports_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(bench, "brute_force_optimum", no_optimum)
@@ -381,13 +395,40 @@ DEPTH_GRAPHS = {
 
 @pytest.mark.parametrize("name", DEPTH_GRAPHS)
 def test_depth_table_matches_full_circuits(name):
-    """The one-layer identity against the depth of every full p-layer circuit."""
+    """The one-layer identities against the depth and gate counts of every
+    full p-layer circuit."""
     g = DEPTH_GRAPHS[name]
-    rows = bench.depth_table([(name, g)], list(range(1, 7)))
-    assert [row["layers"] for row in rows] == list(range(1, 7))
+    layer_counts = list(range(1, 7))
+    rows = bench.depth_table([(name, g)], layer_counts)
+    assert [row["layers"] for row in rows] == layer_counts
     model = maxcut_problem(g)
+    metrics = {strategy: bench.compiled_metrics(model, strategy, layer_counts) for strategy in ("naive", "scheduled")}
     for row in rows:
         p = row["layers"]
         gammas, betas = [0.1 * (k + 1) for k in range(p)], [0.9 - 0.1 * k for k in range(p)]
         for strategy in ("naive", "scheduled"):
-            assert row[strategy] == depth(decompose(build_qaoa_ansatz(model, gammas, betas, strategy))), (p, strategy)
+            full = decompose(build_qaoa_ansatz(model, gammas, betas, strategy))
+            assert row[strategy] == depth(full), (p, strategy)
+            assert metrics[strategy][p] == (depth(full), gate_counts(full)), (p, strategy)
+
+
+def test_no_run_decomposes_a_multi_layer_circuit(monkeypatch):
+    instances = [("MC_8", generate_random_graph(8, 0.5, mix64(11, 8)))]
+    expected, _ = bench.run_benchmark(instances, [3], 1, budget=12)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_qaoa measured a circuit")
+
+    for name in ("decompose", "depth", "gate_counts"):
+        monkeypatch.setattr(engine, name, refuse)
+    decomposed = []
+
+    def one_layer_only(c):
+        assert not any(isinstance(g, Barrier) for g in c.gates), "a circuit of more than one layer was decomposed"
+        decomposed.append(c)
+        return decompose(c)
+
+    monkeypatch.setattr(bench, "decompose", one_layer_only)
+    records, _ = bench.run_benchmark(instances, [3], 1, budget=12)
+    assert records == expected and records[0].layers == 3
+    assert len(decomposed) == 1
