@@ -39,12 +39,14 @@ DEFAULT_LAYERS = (1, 3, 5)
 DEFAULT_RUNS = 5
 DEFAULT_SEED = 11
 
-# Peak bytes per amplitude of one `run_qaoa` call, either objective mode:
-# the state (16), the energy table (8) and level index (1), one float64
-# buffer (8), and about 1 MiB of slice temporaries. Pinned by the
-# tracemalloc test of run_qaoa at n = 18, where that fixed part still
-# shows; the memory gate of `run_benchmark` budgets each worker by it.
-BYTES_PER_AMPLITUDE = 38
+# Peak bytes per amplitude of one `run_qaoa` call, either objective mode,
+# set by its final draw: the full gate-level state (16) and the float64
+# CDF of `sample` (8), beside the objective's half energy table (4) and
+# level index (at most 1), and about 1 MiB of slice temporaries. The
+# objective's own evaluations peak at about 12. Pinned by the tracemalloc
+# test of run_qaoa at n = 18 (30.3), where that fixed part still shows;
+# the memory gate of `run_benchmark` budgets each worker by it.
+BYTES_PER_AMPLITUDE = 34
 
 _MEMINFO = Path("/proc/meminfo")
 _CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")

@@ -8,9 +8,12 @@ Max-Cut's cost is ZZ couplings plus an offset, so `IsingModel` has no
 fields: every energy, and so every QAOA amplitude, is unchanged when all
 spins flip (the Z2 symmetry of Bravyi et al., arXiv:1910.08980).
 
-`energy_blocks` is the one kernel that scores all 2^n assignments, in
-blocks of a table split into a low and a high half of the spins: the
-simulator's cost vector is its table as one block (`energy_table`), and
+`energy_blocks` is the one kernel that scores the assignments, in
+blocks of a table split into a low and a high half of the spins. With
+`even_only` it scores only the 2^(n-1) assignments with spin 0 at +1
+(bit 0 clear); by the symmetry, each other assignment is the complement
+of one of them and has its energy. The simulator's cost vector is that
+half table as one block (`energy_table`: entry k is assignment 2k), and
 `graphs.brute_force_optimum` takes its argmin block by block.
 `energy_levels` reduces a table to ascending levels and a small
 unsigned index per entry, which is how the simulator's phase separator
@@ -74,10 +77,16 @@ def ising_energy(m: IsingModel, assignment: Sequence[int] | str) -> float:
 
 
 def energy_table(m: IsingModel) -> np.ndarray:
-    """Energies of all 2^n assignments, indexed little-endian (bit i of the
-    index = bit i of the assignment): `energy_blocks` as one block,
-    flattened row-major."""
-    ((_, table),) = energy_blocks(m, 1 << m.n)
+    """Energies of the 2^(n-1) assignments with bit 0 clear: entry k is
+    assignment 2k, little-endian (bit i of 2k = bit i of the assignment).
+
+    `energy_blocks` with `even_only` as one block, flattened row-major.
+    Every other assignment is the complement of one of these, with the
+    same energy. A one-spin table is the offset alone.
+    """
+    if m.n < 2:
+        return np.full(1, m.offset)
+    ((_, table),) = energy_blocks(m, 1 << (m.n - 1), even_only=True)
     return table.ravel()
 
 

@@ -2,17 +2,24 @@
 
 A Max-Cut instance enters as the Ising model of -cut
 (`encoding.maxcut_problem`).
-Its energy table (`encoding.energy_table`, one entry per basis state)
-is built once per objective and is the only cost representation; the
-objective also caches the table's levels and per-entry level
-index (`encoding.energy_levels`). Each evaluation evolves the state from
+Its half energy table (`encoding.energy_table`: entry k is assignment
+2k, the 2^(n-1) assignments with node 0 on side 0) is built once per
+objective and is the only cost representation; the objective also
+caches the table's levels and per-entry level index
+(`encoding.energy_levels`). Each evaluation evolves the half state from
 those (`simulator.qaoa_state`: a phase multiply gathered from one
-exponential per level and a fused mixer per layer, no circuit); the
-exact objective is the probability-weighted sum over the table, and a
-sampled one scores the shot histogram's basis-state indices against it.
+exponential per level, a fused mixer and the mirror step per layer, no
+circuit). The cost has no fields, so the state is unchanged when every
+spin flips, and each half entry stands for an assignment and its
+complement, of equal probability and energy: the exact objective is
+twice the probability-weighted sum over the half table, and a sampled
+one draws half indices from the half state and scores them against it
+directly.
 The gate-level ansatz is built once per run, only for the final draw
-(`simulator.simulate`); no circuit is measured here, and a record's
-compiled depth and gate counts come from `bench.compiled_metrics`.
+(`simulator.simulate`), which is over all 2^n basis states; each drawn
+index is folded onto the half before scoring, an odd one through its
+complement. No circuit is measured here, and a record's compiled depth
+and gate counts come from `bench.compiled_metrics`.
 `QaoaConfig` alone judges a run's parameters, the budget floor included;
 `bench` re-raises its refusals and checks none of them itself.
 The cost convention is minimization throughout: for Max-Cut,
@@ -115,13 +122,15 @@ class QaoaObjective:
 
     The objective mode is EXACT ("exact") or SAMPLED ("sampled"), the
     names `bench --mode` takes.
-    exact: probability-weighted mean of the energy table.
+    exact: probability-weighted mean of the energy table, over the half
+    state and half table, doubled.
     sampled: counts-weighted mean of the energy table over a fresh
-    `shots`-shot draw whose seed is mix64(seed, STREAM_EVAL, k) at
-    evaluation k.
+    `shots`-shot draw from the half state whose seed is
+    mix64(seed, STREAM_EVAL, k) at evaluation k.
 
-    The table and its `energy_levels` are built once, at construction;
-    the levels drive the state evolution and the table the scoring.
+    The half table and its `energy_levels` are built once, at
+    construction; the levels drive the state evolution and the table the
+    scoring.
     """
 
     def __init__(self, model: IsingModel, config: QaoaConfig):
@@ -137,17 +146,32 @@ class QaoaObjective:
         if len(gammas) != self.config.layers:
             raise ValueError(f"expected {2 * self.config.layers} parameters, got {2 * len(gammas)}")
         self.evaluations += 1
-        state = qaoa_state(self._levels, self._index, gammas, betas)
+        half = qaoa_state(self._levels, self._index, gammas, betas)
         if self.config.objective_mode == EXACT:
-            return float(probabilities(state) @ self._table)
+            return float(2.0 * (probabilities(half) @ self._table))
         seed = mix64(self.config.seed, STREAM_EVAL, self.evaluations)
-        return self.mean_cost(sample(state, self.config.shots, seed))
+        return self.mean_cost(sample(half, self.config.shots, seed))
 
     def mean_cost(self, counts: Counts) -> float:
-        return float(counts.counts @ self._table[counts.indices]) / counts.total
+        return float(counts.counts @ self._costs(counts)) / counts.total
 
     def min_cost(self, counts: Counts) -> float:
-        return float(self._table[counts.indices].min())
+        return float(self._costs(counts).min())
+
+    def _costs(self, counts: Counts) -> np.ndarray:
+        """Table entry of each sampled index, in the histogram's order.
+
+        A draw from the half state is keyed by half indices already. A
+        draw from the full state (n qubits) is folded onto them: an odd
+        index x has the energy of its complement x ^ (2^n - 1), which is
+        even, and even assignment 2k is half index k.
+        """
+        n, x = self.model.n, counts.indices
+        if counts.num_qubits == n:
+            x = np.where(x & 1, x ^ ((1 << n) - 1), x) >> 1
+        elif counts.num_qubits != n - 1:
+            raise ValueError(f"a {counts.num_qubits}-qubit histogram does not fit a {n}-node model")
+        return self._table[x]
 
 
 def run_qaoa(model: IsingModel, config: QaoaConfig, optimum: float) -> QaoaResult:

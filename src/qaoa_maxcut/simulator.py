@@ -1,45 +1,57 @@
 """Dense statevector simulation with seeded shot sampling.
 
-State layout is a flat complex128 array of 2^n amplitudes in
-little-endian order: bit i of the basis-state index is qubit i, so
-index = sum_i bit_i << i, matching the assignment encoding in
-`graphs`/`encoding`. A shot histogram (`Counts`) is keyed by those
-indices, so it can be scored directly against `encoding.energy_table`.
+State layout is a flat complex128 array in little-endian order: bit i
+of the basis-state index is qubit i, so index = sum_i bit_i << i,
+matching the assignment encoding in `graphs`/`encoding`. A shot
+histogram (`Counts`) is keyed by the indices of the array it was drawn
+from.
 
 Two evolution paths share that layout:
 
 * `simulate` runs the gate-level QAOA ansatz
-  (`circuits.build_qaoa_ansatz`: H, RX, RZZ and barriers) and is the
-  reference; any other gate kind, such as the CX and RZ of a
-  `circuits.decompose`d circuit, raises ValueError. Its kernels never
-  form operator matrices. H and RX mix amplitude pairs in a
-  (blocks, 2, stride) view. RZZ is a parity-phase kernel: each
+  (`circuits.build_qaoa_ansatz`: H, RX, RZZ and barriers) over all 2^n
+  amplitudes and is the reference; any other gate kind, such as the CX
+  and RZ of a `circuits.decompose`d circuit, raises ValueError. Its
+  kernels never form operator matrices. H and RX mix amplitude pairs in
+  a (blocks, 2, stride) view. RZZ is a parity-phase kernel: each
   contiguous run of `_SLICE` amplitudes is multiplied once by
   exp(-/+ i theta/2), chosen per amplitude by the parity of its bits on
   the gate's two qubits.
 * `qaoa_state` is the QAOA fast path (after Lykov et al., "Fast
-  Simulation of High-Depth QAOA Circuits", arXiv:2309.04841). The whole
-  phase separator is one elementwise multiply by exp(-i gamma E) over
-  the energy table E, given as its levels and a per-entry index into
-  them (`encoding.energy_levels`): the exponential is taken once per
-  level (a unit-weight Max-Cut graph has at most one more level than
-  edges) and gathered per entry with `np.take`. The mixer applies
-  RX(2 beta) to every qubit as fused blocks of up to 4 qubits: one
-  16x16 Kronecker-product matrix per block, applied with `np.matmul`.
+  Simulation of High-Depth QAOA Circuits", arXiv:2309.04841). It
+  evolves only the half phi[k] = psi[2k] of the state psi, the 2^(n-1)
+  amplitudes with qubit 0 at 0: Max-Cut's cost has no fields, so psi is
+  unchanged when every qubit flips (Bravyi et al., arXiv:1910.08980),
+  and psi[2k + 1] is phi[2^(n-1) - 1 - k], the half read backwards. The
+  whole phase separator is one elementwise multiply by exp(-i gamma E)
+  over the half energy table E (`encoding.energy_table`), given as its
+  levels and a per-entry index into them (`encoding.energy_levels`):
+  the exponential is taken once per level (a unit-weight Max-Cut graph
+  has at most one more level than edges) and gathered per entry with
+  `np.take`. The mixer applies RX(2 beta) to qubits 1..n-1, phi's own
+  bits, as fused blocks of up to 4 qubits: one 16x16 Kronecker-product
+  matrix per block, applied to the lowest block as one (rows, 16)
+  product per slice and to the others as batched `np.matmul`. RX on
+  qubit 0 pairs psi[2k] with psi[2k + 1], so it is the mirror step
+  phi <- cos(beta) phi - i sin(beta) phi[::-1], over a slice from the
+  front and its mirror slice from the back at a time.
 
 Both work in place on the state, over slices or runs of at most
 `_SLICE` amplitudes, so their temporaries stay small and cache-resident:
 about 1 MiB at most, the parity-phase kernel's two complex patterns.
-`simulate` is bit-identical whatever the slicing. `qaoa_state` is for
-slices of 64 amplitudes or more (four of the mixer's 16-amplitude
+`simulate` is bit-identical whatever the slicing. `qaoa_state` is too,
+for slices of 64 amplitudes or more (four of the mixer's 16-amplitude
 blocks); below that its products can differ in the last bit.
-Either path's working set is thus the state, 16 bytes per amplitude,
-plus that fixed part, and `sample` adds one float64 buffer of 8 bytes
-per amplitude. A QAOA run, which also holds its energy table and level
-index (9 bytes per amplitude), peaks at about 33 bytes per amplitude
-plus the fixed part; that is what `bench.BYTES_PER_AMPLITUDE` budgets.
-~26 qubits (1 GiB of amplitudes) is the practical ceiling; both paths
-refuse wider states up front.
+
+In bytes per amplitude of the 2^n-amplitude state psi: `simulate` holds
+psi, 16, and `qaoa_state` holds phi, 8, each plus that fixed part.
+`sample` adds one float64 buffer as long as the state it draws from: 8
+for psi, 4 for phi, as does the exact objective's `probabilities`. So
+one objective evaluation peaks at about 12, and a QAOA run, which also
+holds the half energy table (4) and level index (at most 1), at about
+30 in its final draw from `simulate` plus the fixed part; that is what
+`bench.BYTES_PER_AMPLITUDE` budgets. ~26 qubits (1 GiB of psi) is the
+practical ceiling; both paths refuse wider states up front.
 """
 
 from __future__ import annotations
@@ -127,20 +139,28 @@ def simulate(c: Circuit) -> np.ndarray:
 def qaoa_state(
     levels: np.ndarray, index: np.ndarray, gammas: Sequence[float], betas: Sequence[float]
 ) -> np.ndarray:
-    """Amplitudes of the QAOA state for the diagonal cost levels[index].
+    """Half phi of the QAOA state psi for the diagonal cost levels[index]:
+    phi[k] = psi[2k], the 2^(n-1) amplitudes with qubit 0 at 0.
 
-    `levels` and `index` are `encoding.energy_levels` of an energy table.
+    `levels` and `index` are `encoding.energy_levels` of a half
+    `encoding.energy_table`, so n = log2(index.size) + 1. The cost is
+    unchanged when every spin flips, and so are |+>^n and the mixer, so
+    psi[x] = psi[complement of x] and phi holds all of psi: psi[2k + 1]
+    is phi[2^(n-1) - 1 - k], the half read backwards.
+
     Starts from |+>^n; layer k multiplies by exp(-i gammas[k] table) and
-    then applies RX(2 betas[k]) to every qubit. The exponential is taken
-    once per level and gathered per entry, which gives every entry the
-    same value as exponentiating the table itself. Equals `simulate` of
-    `circuits.build_qaoa_ansatz` up to the global phase
-    exp(-i sum(gammas) offset), since the circuit drops the cost offset;
-    probabilities agree.
+    then applies RX(2 betas[k]) to every qubit: to qubits 1..n-1 as
+    blocks over phi's bits, and to qubit 0 as the mirror step
+    phi <- cos(beta) phi - i sin(beta) phi[::-1]. The exponential is
+    taken once per level and gathered per entry, which gives every entry
+    the same value as exponentiating the table itself. Equals the even
+    entries of `simulate` of `circuits.build_qaoa_ansatz` up to the
+    global phase exp(-i sum(gammas) offset), since the circuit drops the
+    cost offset; probabilities agree.
     """
     if len(gammas) != len(betas):
         raise ValueError(f"need as many gammas as betas, got {len(gammas)} and {len(betas)}")
-    n = num_qubits_of(index)
+    n = num_qubits_of(index) + 1
     check_width(n)
     state = np.full(index.size, 2.0 ** (-n / 2), dtype=np.complex128)
     gathered = np.empty(min(_SLICE, index.size), dtype=np.complex128)
@@ -148,19 +168,42 @@ def qaoa_state(
         phases = np.exp(-1j * gamma * levels)
         for part, index_part in zip(_slices(state), _slices(index)):
             part *= np.take(phases, index_part, out=gathered[: part.size])
-        for low in range(0, n, _MIXER_BLOCK):
-            _apply_block(state, low, min(_MIXER_BLOCK, n - low), beta)
+        for low in range(0, n - 1, _MIXER_BLOCK):
+            _apply_block(state, low, min(_MIXER_BLOCK, n - 1 - low), beta)
+        _apply_mirror(state, beta)
     return state
 
 
 def _apply_block(state: np.ndarray, low: int, width: int, beta: float) -> None:
-    """RX(2 beta) on qubits low..low+width-1 as one Kronecker-product matrix."""
+    """RX(2 beta) on bits low..low+width-1 as one Kronecker-product matrix:
+    on the lowest block one (rows, 2^width) @ block.T product per slice,
+    on a higher one a batch of 2^width-row products."""
     rx = np.array([[math.cos(beta), -1j * math.sin(beta)], [-1j * math.sin(beta), math.cos(beta)]])
     block = rx
     for _ in range(width - 1):
         block = np.kron(block, rx)
+    if low == 0:
+        for part in _slices(state.reshape(-1, 1 << width)):
+            part[...] = part @ block.T
+        return
     for part in _slices(state.reshape(-1, 1 << width, 1 << low)):
         part[...] = np.matmul(block, part)
+
+
+def _apply_mirror(state: np.ndarray, beta: float) -> None:
+    """RX(2 beta) on qubit 0 of the half state: phi[k] pairs with
+    phi[-1 - k], so each slice from the front is mixed with its mirror
+    slice from the back, reversed (the middle entry of a one-entry half
+    pairs with itself)."""
+    cos, msin = math.cos(beta), -1j * math.sin(beta)
+    size = state.size
+    for start in range(0, (size + 1) // 2, _SLICE):
+        stop = min(start + _SLICE, (size + 1) // 2)
+        front = state[start:stop]
+        back = state[size - stop : size - start][::-1]
+        mixed = cos * front + msin * back
+        back[...] = cos * back + msin * front
+        front[...] = mixed
 
 
 def _slices(view: np.ndarray) -> Iterator[np.ndarray]:

@@ -3,9 +3,9 @@
 Everything here is deliberately naive and kept separate from the
 package code paths it checks: dense operator matrices built entry by
 entry, diagonal phases read off the index bits, expectation values
-summed state by state, the QUBO route to an Ising model with fields,
-energy levels by sorting, and shot histograms counted over every basis
-state.
+summed state by state, a closed form for one layer, the QUBO route to
+an Ising model with fields, energy levels by sorting, and shot
+histograms counted over every basis state.
 """
 
 from __future__ import annotations
@@ -186,6 +186,37 @@ def maxcut_p1_edge_expectation(g: Graph, u: int, v: int, gamma: float, beta: flo
         0.5
         + 0.25 * math.sin(4 * beta) * math.sin(gamma) * (cos**d_u + cos**d_v)
         - 0.25 * math.sin(2 * beta) ** 2 * cos ** (d_u + d_v - 2 * f) * (1 - math.cos(2 * gamma) ** f)
+    )
+
+
+def p1_expected_cut(g: Graph, gamma: float, beta: float) -> np.ndarray:
+    """Expected cut of each edge of a unit-weight graph, in `g.edges`
+    order, after one layer of this package's QAOA.
+
+    The closed form of Wang, Hadfield, Jiang & Rieffel (PRA 97, 022304,
+    arXiv:1706.02998) with gamma -> -gamma, because the package's phase
+    separator exp(-i gamma cost) with cost = -cut is exp(+i gamma cut).
+    For edge (u, v) with d = deg u - 1, e = deg v - 1 and f common
+    neighbours it is
+    1/2 - 1/4 sin 4b sin g (cos^d g + cos^e g) - 1/4 sin^2 2b cos^(d+e-2f) g (1 - cos^f 2g).
+    Degrees and common neighbours come from the adjacency matrix, and the
+    edges are evaluated as one numpy expression: no energy table, level
+    or state enters.
+    """
+    if any(w != 1.0 for _, _, w in g.edges):
+        raise ValueError("the p = 1 closed form holds for unit weights only")
+    adjacency = np.zeros((g.num_nodes, g.num_nodes))
+    u = np.array([a for a, _, _ in g.edges], dtype=int)
+    v = np.array([b for _, b, _ in g.edges], dtype=int)
+    adjacency[u, v] = adjacency[v, u] = 1.0
+    degree = adjacency.sum(axis=1)
+    d, e = degree[u] - 1, degree[v] - 1
+    f = (adjacency[u] * adjacency[v]).sum(axis=1)
+    cos = math.cos(gamma)
+    return (
+        0.5
+        - 0.25 * math.sin(4 * beta) * math.sin(gamma) * (cos**d + cos**e)
+        - 0.25 * math.sin(2 * beta) ** 2 * cos ** (d + e - 2 * f) * (1 - math.cos(2 * gamma) ** f)
     )
 
 

@@ -147,14 +147,16 @@ class TestEnergyTable:
         table = energy_table(m)
         for z in range(16):
             bits = [(z >> i) & 1 for i in range(4)]
-            assert table[z] == pytest.approx(ising_energy(m, bits), abs=1e-12)
+            # Half entry k holds assignment 2k, and an odd z its complement's energy.
+            assert table[(z if z % 2 == 0 else z ^ 15) >> 1] == pytest.approx(ising_energy(m, bits), abs=1e-12)
 
     def test_maxcut_table_is_negated_cut(self):
         g = generate_random_graph(7, 0.5, seed=3)
         table = energy_table(maxcut_problem(g))
-        for z in range(1 << 7):
+        assert table.size == 1 << 6
+        for z in range(0, 1 << 7, 2):
             bits = [(z >> i) & 1 for i in range(7)]
-            assert table[z] == pytest.approx(-cut_value(g, bits), abs=1e-12)
+            assert table[z >> 1] == pytest.approx(-cut_value(g, bits), abs=1e-12)
 
 
 def random_ising(n: int, seed: int) -> IsingModel:
@@ -166,16 +168,21 @@ def random_ising(n: int, seed: int) -> IsingModel:
 
 @pytest.mark.parametrize("weights", ["unit", "real"])
 @pytest.mark.parametrize("n", range(1, 17))
-def test_maxcut_table_is_unchanged_when_every_spin_flips(n, weights):
-    # Entry 2^n - 1 - x is the complement of assignment x.
+def test_half_table_holds_every_assignment_and_its_complement(n, weights):
+    # `energy_blocks` as one block scores all 2^n assignments; entry
+    # 2^n - 1 - x is the complement of assignment x. The half table must
+    # equal both its even entries and their complements bit for bit, so
+    # that a full-state draw folded onto half indices scores as before.
     if n == 1:
         model = maxcut_problem(Graph(1, ()))
     elif weights == "unit":
         model = maxcut_problem(generate_random_graph(n, 0.5, seed=20 + n))
     else:
         model = real_weighted_maxcut(n, seed=30 + n)
-    table = energy_table(model)
-    assert table.tobytes() == table[::-1].tobytes()
+    ((_, full),) = energy_blocks(model, 1 << n)
+    full = full.ravel()
+    half = energy_table(model)
+    assert half.tobytes() == full[::2].tobytes() == full[::-1][::2].tobytes()
 
 
 class TestBlockedEnergyTable:
@@ -183,12 +190,12 @@ class TestBlockedEnergyTable:
     def test_unit_weight_maxcut_equals_strided_oracle_exactly(self, n):
         g = generate_random_graph(n, 0.5, seed=40 + n) if n > 1 else Graph(1, ())
         model = maxcut_problem(g)
-        np.testing.assert_array_equal(energy_table(model), strided_energy_table(model))
+        np.testing.assert_array_equal(energy_table(model), strided_energy_table(model)[::2])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
     def test_real_ising_matches_strided_oracle(self, n):
         model = random_ising(n, seed=n)
-        np.testing.assert_allclose(energy_table(model), strided_energy_table(model), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(energy_table(model), strided_energy_table(model)[::2], rtol=1e-12, atol=1e-12)
 
 
 def real_weighted_maxcut(n: int, seed: int, dyadic: bool = False) -> IsingModel:
@@ -230,12 +237,16 @@ def concatenated(model: IsingModel, entries: int, even_only: bool = False) -> np
 
 
 def table_columns(model: IsingModel, even_only: bool) -> np.ndarray:
-    table = energy_table(model).reshape(1 << (model.n - model.n // 2), -1)
-    return table[:, ::2] if even_only and model.n > 1 else table
+    """The table as one block: `energy_table` for the even columns, or
+    `energy_blocks` with room for all 2^n entries."""
+    if even_only and model.n > 1:
+        return energy_table(model).reshape(1 << (model.n - model.n // 2), -1)
+    ((_, table),) = energy_blocks(model, 1 << model.n)
+    return table
 
 
 class TestEnergyBlocks:
-    """`energy_blocks` in pieces against `energy_table`, which is one block.
+    """`energy_blocks` in pieces against the table as one block.
 
     Where every energy is exact in any summation order (unit and dyadic
     weights, dyadic couplings) the pieces must equal the table bit for bit.

@@ -3,11 +3,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import maxcut_p1_edge_expectation, maxcut_to_qubo, qubo_to_ising, random_state, strided_energy_table
+from oracles import (
+    maxcut_p1_edge_expectation,
+    maxcut_to_qubo,
+    p1_expected_cut,
+    qubo_to_ising,
+    random_state,
+    strided_energy_table,
+)
 
 from qaoa_maxcut import engine
 from qaoa_maxcut.circuits import build_qaoa_ansatz, decompose, gate_counts
-from qaoa_maxcut.encoding import IsingModel, energy_table, ising_energy, maxcut_problem
+from qaoa_maxcut.encoding import IsingModel, energy_levels, energy_table, ising_energy, maxcut_problem
 from qaoa_maxcut.engine import (
     EXACT,
     SAMPLED,
@@ -19,7 +26,7 @@ from qaoa_maxcut.engine import (
 from qaoa_maxcut.graphs import Graph, cut_value, generate_random_graph, load_graph
 from qaoa_maxcut.optimize import min_evaluations
 from qaoa_maxcut.seeding import mix64
-from qaoa_maxcut.simulator import DEFAULT_MAX_QUBITS, CapacityError, sample, simulate
+from qaoa_maxcut.simulator import DEFAULT_MAX_QUBITS, CapacityError, Counts, probabilities, qaoa_state, sample, simulate
 
 UNIT = generate_random_graph(8, 0.5, seed=5)
 WEIGHTED_GRAPH = load_graph(Path(__file__).resolve().parent / "golden" / "W_9.txt")
@@ -40,14 +47,16 @@ def loop_min_cost(model, counts):
 class TestMaxcutProblem:
     @pytest.mark.parametrize("g", [UNIT, WEIGHTED_GRAPH], ids=["unit", "weighted"])
     def test_energies_are_negated_cuts(self, g):
+        # The table holds the assignments with node 0 on side 0.
         table = energy_table(maxcut_problem(g))
-        cuts = [cut_value(g, [(z >> q) & 1 for q in range(g.num_nodes)]) for z in range(1 << g.num_nodes)]
+        cuts = [cut_value(g, [(z >> q) & 1 for q in range(g.num_nodes)]) for z in range(0, 1 << g.num_nodes, 2)]
         np.testing.assert_allclose(table, -np.array(cuts), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("g", [UNIT, WEIGHTED_GRAPH], ids=["unit", "weighted"])
     def test_energies_equal_the_qubo_route(self, g):
         via_qubo = qubo_to_ising(maxcut_to_qubo(g))
-        np.testing.assert_allclose(energy_table(maxcut_problem(g)), strided_energy_table(via_qubo), rtol=0, atol=1e-12)
+        want = strided_energy_table(via_qubo)[::2]
+        np.testing.assert_allclose(energy_table(maxcut_problem(g)), want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_weighted_graph_compiles_one_rz_per_edge_and_layer(self, p):
@@ -73,6 +82,82 @@ class TestClosedFormP1:
         assert got == pytest.approx(want, rel=0, abs=1e-12)
 
 
+    @pytest.mark.parametrize("n", [*range(2, 17), 20])
+    def test_exact_objective_matches_vectorized_closed_form(self, n):
+        # n = 20 is MC_20 as `generate` writes it, where a gate-level
+        # reference would be too slow; the others are random graphs.
+        rng = np.random.default_rng(200 + n)
+        seed = mix64(11, n) if n == 20 else 300 + n
+        g = generate_random_graph(n, 0.5 if n == 20 else float(rng.uniform(0.3, 0.9)), seed=seed)
+        if g.num_edges == 0:
+            g = Graph(n, ((0, n - 1, 1.0),))
+        obj = QaoaObjective(maxcut_problem(g), QaoaConfig(layers=1, objective_mode=EXACT))
+        for gamma, beta in rng.uniform(-math.pi, math.pi, size=(3, 2)):
+            want = -float(p1_expected_cut(g, gamma, beta).sum())
+            assert obj([gamma, beta]) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def random_unit_graph(n: int, seed: int) -> Graph:
+    g = generate_random_graph(n, 0.6, seed=seed)
+    return g if g.num_edges else Graph(n, ((0, n - 1, 1.0),))
+
+
+def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov D: the largest gap between the two
+    empirical distribution functions."""
+    grid = np.union1d(a, b)
+    fa = np.searchsorted(np.sort(a), grid, side="right") / a.size
+    fb = np.searchsorted(np.sort(b), grid, side="right") / b.size
+    return float(np.abs(fa - fb).max())
+
+
+class TestHalfState:
+    """The objective evolves, scores and samples half the state; each
+    check compares it with the full 2^n-amplitude state of the gate-level
+    reference and the full energy table of the strided oracle."""
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_exact_objective_equals_the_full_state_oracle(self, n):
+        rng = np.random.default_rng(500 + n)
+        model = maxcut_problem(random_unit_graph(n, 600 + n))
+        obj = QaoaObjective(model, QaoaConfig(layers=2, objective_mode=EXACT))
+        params = rng.uniform(-math.pi, math.pi, size=4)
+        gammas, betas = params[:2].tolist(), params[2:].tolist()
+        want = float(probabilities(simulate(build_qaoa_ansatz(model, gammas, betas, "naive"))) @ strided_energy_table(model))
+        assert obj(params) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_half_probabilities_fold_the_full_ones(self, n):
+        # Half index k stands for assignment 2k and its complement.
+        rng = np.random.default_rng(700 + n)
+        model = maxcut_problem(random_unit_graph(n, 800 + n) if n > 1 else Graph(1, ()))
+        gammas, betas = rng.uniform(-math.pi, math.pi, size=(2, 3)).tolist()
+        half = probabilities(qaoa_state(*energy_levels(energy_table(model)), gammas, betas))
+        full = probabilities(simulate(build_qaoa_ansatz(model, gammas, betas, "naive")))
+        even = np.arange(0, 1 << n, 2)
+        np.testing.assert_allclose(2 * half, full[even] + full[even ^ ((1 << n) - 1)], rtol=0, atol=1e-12)
+
+    def test_sampled_objective_matches_full_state_draws_in_distribution(self):
+        # 200 evaluations of the sampled objective at fixed parameters
+        # against 200 draws of the full gate-level state under other
+        # seeds, scored by the full oracle table. Two-sample
+        # Kolmogorov-Smirnov at alpha = 0.001: D must stay below
+        # sqrt(-ln(alpha / 2) / 2) * sqrt(2 / 200) = 0.195.
+        evaluations, shots = 200, 1000
+        model = maxcut_problem(random_unit_graph(10, 17))
+        params = [0.45, -0.8, 1.1, 0.35]
+        obj = QaoaObjective(model, QaoaConfig(layers=2, shots=shots, objective_mode=SAMPLED, seed=5))
+        half = np.array([obj(params) for _ in range(evaluations)])
+        table = strided_energy_table(model)
+        state = simulate(build_ansatz(model, params, "naive"))
+        full = []
+        for k in range(evaluations):
+            counts = sample(state, shots, mix64(6, STREAM_EVAL, k + 1))
+            full.append(float(counts.counts @ table[counts.indices]) / shots)
+        critical = math.sqrt(-math.log(0.001 / 2) / 2) * math.sqrt(2 / evaluations)
+        assert ks_statistic(half, np.array(full)) < critical
+
+
 class TestScoring:
     @pytest.mark.parametrize("seed", range(3))
     def test_unit_weight_scores_equal_reference_loop(self, seed):
@@ -90,12 +175,21 @@ class TestScoring:
         assert obj.mean_cost(counts) == pytest.approx(loop_mean_cost(model, counts), rel=1e-12, abs=0)
         assert obj.min_cost(counts) == pytest.approx(loop_min_cost(model, counts), rel=1e-12, abs=0)
 
+    def test_refuses_a_histogram_of_another_width(self):
+        model = maxcut_problem(UNIT)
+        obj = QaoaObjective(model, QaoaConfig(layers=1))
+        counts = Counts(np.array([0]), np.array([1]), 1, model.n - 2)
+        with pytest.raises(ValueError, match="6-qubit histogram does not fit a 8-node model"):
+            obj.mean_cost(counts)
+
     def test_sampled_objective_draws_with_the_evaluation_seed(self):
         model = maxcut_problem(UNIT)
         params = [0.4, 1.1, 0.2, 0.7]
         config = QaoaConfig(layers=2, shots=2000, objective_mode=SAMPLED, seed=9)
-        state = simulate(build_ansatz(model, params))
-        want = loop_mean_cost(model, sample(state, 2000, mix64(9, STREAM_EVAL, 1)))
+        # The objective draws from the half state, the gate-level state's
+        # even entries; half index k is assignment 2k.
+        half = sample(simulate(build_ansatz(model, params))[::2], 2000, mix64(9, STREAM_EVAL, 1))
+        want = loop_mean_cost(model, Counts(2 * half.indices, half.counts, half.total, model.n))
         assert QaoaObjective(model, config)(params) == want
 
 

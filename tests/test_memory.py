@@ -14,7 +14,7 @@ from oracles import random_state
 from qaoa_maxcut.bench import BYTES_PER_AMPLITUDE
 from qaoa_maxcut.encoding import energy_levels, energy_table
 from qaoa_maxcut.encoding import maxcut_problem
-from qaoa_maxcut.engine import EXACT, SAMPLED, QaoaConfig, build_ansatz, run_qaoa
+from qaoa_maxcut.engine import EXACT, SAMPLED, QaoaConfig, QaoaObjective, build_ansatz, run_qaoa
 from qaoa_maxcut.graphs import generate_random_graph
 from qaoa_maxcut.seeding import mix64
 from qaoa_maxcut.simulator import sample, simulate
@@ -44,6 +44,14 @@ def test_run_qaoa_stays_within_the_gate_figure(mode):
     # The fixed few MiB of slice temporaries still show at n = 18.
     config = QaoaConfig(layers=1, max_evaluations=4, objective_mode=mode, seed=3, strategy="scheduled")
     assert peak_per_amplitude(18, run_qaoa, mc(18), config, 1.0) <= BYTES_PER_AMPLITUDE
+
+
+@pytest.mark.parametrize("mode", [EXACT, SAMPLED], ids=["exact_expectation", "sampled_expectation"])
+def test_objective_evaluation_holds_half_a_state(mode):
+    # The half state is 8 bytes per amplitude of the 2^n-long state, and
+    # its probabilities or CDF another 4.
+    objective = QaoaObjective(mc(20), QaoaConfig(layers=1, objective_mode=mode, seed=3))
+    assert peak_per_amplitude(20, objective, [0.3, 0.7]) <= 13
 
 
 def test_energy_levels_adds_little_beyond_its_table():
