@@ -197,8 +197,9 @@ def _apply_mirror(state: np.ndarray, beta: float) -> None:
     pairs with itself)."""
     cos, msin = math.cos(beta), -1j * math.sin(beta)
     size = state.size
-    for start in range(0, (size + 1) // 2, _SLICE):
-        stop = min(start + _SLICE, (size + 1) // 2)
+    middle = (size + 1) // 2
+    for start in range(0, middle, _SLICE):
+        stop = min(start + _SLICE, middle)
         front = state[start:stop]
         back = state[size - stop : size - start][::-1]
         mixed = cos * front + msin * back

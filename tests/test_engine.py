@@ -44,6 +44,11 @@ def loop_min_cost(model, counts):
     return min(ising_energy(model, [(z >> q) & 1 for q in range(model.n)]) for z in counts.indices.tolist())
 
 
+def random_unit_graph(n: int, seed: int) -> Graph:
+    g = generate_random_graph(n, 0.6, seed=seed)
+    return g if g.num_edges else Graph(n, ((0, n - 1, 1.0),))
+
+
 class TestMaxcutProblem:
     @pytest.mark.parametrize("g", [UNIT, WEIGHTED_GRAPH], ids=["unit", "weighted"])
     def test_energies_are_negated_cuts(self, g):
@@ -81,25 +86,15 @@ class TestClosedFormP1:
         want = -sum(maxcut_p1_edge_expectation(g, u, v, -gamma, beta) for u, v, _ in g.edges)
         assert got == pytest.approx(want, rel=0, abs=1e-12)
 
-
     @pytest.mark.parametrize("n", [*range(2, 17), 20])
     def test_exact_objective_matches_vectorized_closed_form(self, n):
         # n = 20 is MC_20 as `generate` writes it, where a gate-level
-        # reference would be too slow; the others are random graphs.
-        rng = np.random.default_rng(200 + n)
-        seed = mix64(11, n) if n == 20 else 300 + n
-        g = generate_random_graph(n, 0.5 if n == 20 else float(rng.uniform(0.3, 0.9)), seed=seed)
-        if g.num_edges == 0:
-            g = Graph(n, ((0, n - 1, 1.0),))
+        # reference would be too slow.
+        g = generate_random_graph(n, 0.5, mix64(11, n)) if n == 20 else random_unit_graph(n, 300 + n)
         obj = QaoaObjective(maxcut_problem(g), QaoaConfig(layers=1, objective_mode=EXACT))
-        for gamma, beta in rng.uniform(-math.pi, math.pi, size=(3, 2)):
+        for gamma, beta in np.random.default_rng(200 + n).uniform(-math.pi, math.pi, size=(3, 2)):
             want = -float(p1_expected_cut(g, gamma, beta).sum())
             assert obj([gamma, beta]) == pytest.approx(want, rel=1e-12, abs=0)
-
-
-def random_unit_graph(n: int, seed: int) -> Graph:
-    g = generate_random_graph(n, 0.6, seed=seed)
-    return g if g.num_edges else Graph(n, ((0, n - 1, 1.0),))
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
@@ -123,7 +118,8 @@ class TestHalfState:
         obj = QaoaObjective(model, QaoaConfig(layers=2, objective_mode=EXACT))
         params = rng.uniform(-math.pi, math.pi, size=4)
         gammas, betas = params[:2].tolist(), params[2:].tolist()
-        want = float(probabilities(simulate(build_qaoa_ansatz(model, gammas, betas, "naive"))) @ strided_energy_table(model))
+        full = probabilities(simulate(build_qaoa_ansatz(model, gammas, betas, "naive")))
+        want = float(full @ strided_energy_table(model))
         assert obj(params) == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n", range(1, 13))
