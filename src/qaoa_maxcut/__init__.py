@@ -1,7 +1,7 @@
 """Max-Cut QAOA toolkit.
 
-Library layers, bottom to top: cost encodings and the all-assignment
-energy kernel (`encoding`), problem instances and their exact optimum
+Library layers, bottom to top: the cost -cut of a graph on every
+assignment (`encoding`), problem instances and their exact optimum
 (`graphs`), circuit IR and compilation (`circuits`),
 statevector execution (`simulator`), derivative-free parameter search
 (`optimize`), the variational loop (`engine`), and the benchmark
@@ -20,7 +20,7 @@ from .circuits import (
     parse_circuit_text,
     schedule_rounds,
 )
-from .encoding import IsingModel, energy_table, ising_energy, maxcut_problem
+from .encoding import energy_table
 from .engine import (
     QaoaConfig,
     QaoaResult,
@@ -53,7 +53,6 @@ __all__ = [
     "Gate",
     "Graph",
     "GraphFormatError",
-    "IsingModel",
     "NonFiniteObjectiveError",
     "OptResult",
     "OptimizerConfig",
@@ -71,9 +70,7 @@ __all__ = [
     "gate_counts",
     "generate_random_graph",
     "graph_from_pairs",
-    "ising_energy",
     "load_graph",
-    "maxcut_problem",
     "minimize",
     "parse_circuit_text",
     "qaoa_state",

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import encoding, graphs
 from .circuits import build_qaoa_ansatz, decompose, depth, gate_counts
-from .encoding import IsingModel, maxcut_problem
 from .engine import (
     DEFAULT_BUDGET, DEFAULT_SHOTS, DEFAULT_STRATEGY, EXACT, SAMPLED, STRATEGIES, QaoaConfig, QaoaObjective, run_qaoa,
 )
@@ -92,9 +91,8 @@ def run_seed(master_seed: int, instance: str, layers: int, run: int) -> int:
 
 
 def run_single(name: str, g: Graph, run: int, optimum: float, config: QaoaConfig) -> BenchRecord:
-    model = maxcut_problem(g)
-    result = run_qaoa(model, config, optimum)
-    compiled_depth, counts = compiled_metrics(model, config.strategy, [config.layers])[config.layers]
+    result = run_qaoa(g, config, optimum)
+    compiled_depth, counts = compiled_metrics(g, config.strategy, [config.layers])[config.layers]
     return BenchRecord(
         instance=name,
         n=g.num_nodes,
@@ -294,13 +292,13 @@ def summary_csv(rows: list[dict]) -> str:
 # Depth curves (Fig. 2-style measurement: no simulation involved)
 
 
-def compiled_metrics(model: IsingModel, strategy: str, layer_counts: list[int]) -> dict[int, tuple[int, dict[str, int]]]:
+def compiled_metrics(g: Graph, strategy: str, layer_counts: list[int]) -> dict[int, tuple[int, dict[str, int]]]:
     """{p: (depth, gate counts)} of the decomposed p-layer ansatz per p in
     `layer_counts`, from one decomposed one-layer ansatz with placeholder
     angles. Neither depends on the angles; the depth follows from the
     one-layer depth d1 by the barrier identity in `circuits`, and every
     gate kind but H occurs p times as often as in one layer."""
-    one_layer = decompose(build_qaoa_ansatz(model, [0.5], [0.5], strategy))
+    one_layer = decompose(build_qaoa_ansatz(g, [0.5], [0.5], strategy))
     d1, counts = depth(one_layer), gate_counts(one_layer)
     return {p: (1 + p * (d1 - 1), {kind: c if kind == "H" else p * c for kind, c in counts.items()})
             for p in layer_counts}
@@ -319,8 +317,7 @@ def depth_table(
     instances, layer_counts = _plan(instances, layer_counts)
     rows = []
     for name, g in instances:
-        model = maxcut_problem(g)
-        metrics = {strategy: compiled_metrics(model, strategy, layer_counts) for strategy in STRATEGIES}
+        metrics = {strategy: compiled_metrics(g, strategy, layer_counts) for strategy in STRATEGIES}
         for p in layer_counts:
             rows.append({"instance": name, "n": g.num_nodes, "layers": p,
                          **{strategy: metrics[strategy][p][0] for strategy in STRATEGIES}})
@@ -351,8 +348,10 @@ def verify_instance(path) -> list[tuple[str, bool, str]]:
     """Named consistency checks for one instance file.
 
     Returns (check name, passed, detail) triples: file parsing, the
-    Ising energy of `maxcut_problem` against minus the cut value (over
-    every assignment for n <= 12, else 512 random ones), agreement of
+    objective's half energy table (`encoding.energy_table`) against
+    minus the cut value of each entry's assignment (every entry for
+    n <= 12, else 512 random ones, skipped above the simulator's
+    DEFAULT_MAX_QUBITS, where no run could use the table), agreement of
     the chunked exact optimum with naive enumeration (n <= 12), and the
     zero-angle expectation identity (n <= 20).
     """
@@ -364,20 +363,18 @@ def verify_instance(path) -> list[tuple[str, bool, str]]:
         return checks
     checks.append(("parse", True, f"{g.num_nodes} nodes, {g.num_edges} edges"))
 
-    model = maxcut_problem(g)
-    if g.num_nodes <= 12:
-        assignments = (
-            tuple((z >> i) & 1 for i in range(g.num_nodes)) for z in range(1 << g.num_nodes)
-        )
-        scope = "all assignments"
+    n = g.num_nodes
+    if n <= DEFAULT_MAX_QUBITS:
+        table = encoding.energy_table(g)
+        if n <= 12:
+            entries, scope = range(table.size), "every half entry"
+        else:
+            rng = np.random.default_rng(mix64(fnv1a64(str(path)), 0xC0FFEE))
+            entries, scope = rng.integers(0, table.size, 512).tolist(), "512 random half entries"
+        worst = max(abs(table[k] + graphs.cut_value(g, [(2 * k >> i) & 1 for i in range(n)])) for k in entries)
+        checks.append(("encoding-roundtrip", worst <= 1e-12, f"max |E+cut| = {worst:.2e} over {scope}"))
     else:
-        rng = np.random.default_rng(mix64(fnv1a64(str(path)), 0xC0FFEE))
-        assignments = (tuple(rng.integers(0, 2, g.num_nodes).tolist()) for _ in range(512))
-        scope = "512 random assignments"
-    worst = max(
-        abs(encoding.ising_energy(model, a) + graphs.cut_value(g, a)) for a in assignments
-    )
-    checks.append(("encoding-roundtrip", worst <= 1e-12, f"max |E+cut| = {worst:.2e} over {scope}"))
+        checks.append(("encoding-roundtrip", True, f"skipped (n > {DEFAULT_MAX_QUBITS})"))
 
     if g.num_nodes <= 12:
         fast = graphs.brute_force_optimum(g)
@@ -393,7 +390,7 @@ def verify_instance(path) -> list[tuple[str, bool, str]]:
 
     if g.num_edges > 0 and g.num_nodes <= 20:
         config = QaoaConfig(layers=1, shots=1, objective_mode=EXACT, seed=0)
-        value = QaoaObjective(model, config)([0.0, 0.0])
+        value = QaoaObjective(g, config)([0.0, 0.0])
         target = -g.total_weight() / 2.0
         checks.append(
             ("zero-angle-expectation", abs(value - target) <= 1e-9, f"{value:.12g} vs {target:.12g}")

@@ -18,6 +18,10 @@ compiled depth from that. Without the barrier, ASAP packing lets later
 layers slide into earlier layers' idle slots, which breaks the exact
 per-layer depth accounting on irregular graphs.
 
+The ansatz is built from the Max-Cut graph itself: each layer's phase
+separator is one RZZ per edge, with the edge's coupling from
+`encoding`'s form of the cost -cut, and its mixer one RX per node.
+
 Two emission strategies for the commuting phase-separator terms:
 
 * naive      - RZZ gates in edge-list order (one long conflict chain).
@@ -33,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .encoding import IsingModel
+from .graphs import Graph
 
 GATE_KINDS = ("H", "RX", "RZ", "RZZ", "CX")
 _ROTATIONS = ("RX", "RZ", "RZZ")
@@ -98,20 +102,21 @@ def mixer_gates(num_qubits: int, beta: float) -> list[Gate]:
     return [Gate("RX", (q,), 2.0 * beta) for q in range(num_qubits)]
 
 
-def phase_separator_gates(m: IsingModel, gamma: float, strategy: str) -> list[Gate]:
-    """exp(-i gamma C) for the diagonal cost C, dropping the offset's global phase.
+def phase_separator_gates(g: Graph, gamma: float, strategy: str) -> list[Gate]:
+    """exp(-i gamma C) for the cost C = -cut, dropping the offset's global
+    phase.
 
-    One RZZ(2*gamma*J_ij) per nonzero coupling J_ij and no other gate,
-    ordered per `strategy`.
+    One RZZ(2 gamma J) per edge, J = w/2 its coupling in `encoding`, and no
+    other gate, ordered per `strategy`.
     """
-    pairs = [p for p, jij in m.J.items() if jij != 0.0]
+    weights = {(u, v): w for u, v, w in g.edges}
     if strategy == "naive":
-        ordered = pairs
+        ordered = list(weights)
     elif strategy == "scheduled":
-        ordered = [p for rnd in schedule_rounds(pairs) for p in rnd]
+        ordered = [p for rnd in schedule_rounds(weights) for p in rnd]
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return [Gate("RZZ", p, 2.0 * gamma * m.J[p]) for p in ordered]
+    return [Gate("RZZ", p, 2.0 * gamma * (weights[p] / 2.0)) for p in ordered]
 
 
 def schedule_rounds(pairs: Iterable[tuple[int, int]]) -> list[list[tuple[int, int]]]:
@@ -145,7 +150,7 @@ def schedule_rounds(pairs: Iterable[tuple[int, int]]) -> list[list[tuple[int, in
 
 
 def build_qaoa_ansatz(
-    m: IsingModel,
+    g: Graph,
     gammas: Iterable[float],
     betas: Iterable[float],
     strategy: str,
@@ -160,13 +165,14 @@ def build_qaoa_ansatz(
         raise ValueError("need at least one layer, got no gammas")
     if len(betas) != len(gammas):
         raise ValueError(f"need as many betas as gammas, got {len(gammas)} gammas and {len(betas)} betas")
-    gates: list[Instruction] = list(initial_state_gates(m.n))
+    n = g.num_nodes
+    gates: list[Instruction] = list(initial_state_gates(n))
     for k, (gamma, beta) in enumerate(zip(gammas, betas)):
         if k > 0:
             gates.append(Barrier())
-        gates.extend(phase_separator_gates(m, gamma, strategy))
-        gates.extend(mixer_gates(m.n, beta))
-    return Circuit(m.n, tuple(gates))
+        gates.extend(phase_separator_gates(g, gamma, strategy))
+        gates.extend(mixer_gates(n, beta))
+    return Circuit(n, tuple(gates))
 
 
 # ---------------------------------------------------------------------------

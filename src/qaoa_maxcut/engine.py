@@ -1,7 +1,6 @@
 """The variational run loop tying ansatz, simulator, and optimizer together.
 
-A Max-Cut instance enters as the Ising model of -cut
-(`encoding.maxcut_problem`).
+A Max-Cut instance enters as its `graphs.Graph`, and the cost is -cut.
 Its half energy table (`encoding.energy_table`: entry k is assignment
 2k, the 2^(n-1) assignments with node 0 on side 0) is built once per
 objective and is the only cost representation; the objective also
@@ -47,7 +46,8 @@ import numpy as np
 from .circuits import Circuit, build_qaoa_ansatz
 # Unused here, but perfbench/layers.py wraps engine:decompose, depth and gate_counts.
 from .circuits import decompose, depth, gate_counts
-from .encoding import IsingModel, energy_levels, energy_table
+from .encoding import energy_levels, energy_table
+from .graphs import Graph
 from .optimize import OptimizerConfig, min_evaluations, minimize
 from .seeding import mix64
 from .simulator import Counts, check_width, probabilities, qaoa_state, sample, simulate
@@ -111,10 +111,10 @@ def split_params(params: Sequence[float]) -> tuple[list[float], list[float]]:
     return params[:p].tolist(), params[p:].tolist()
 
 
-def build_ansatz(model: IsingModel, params: Sequence[float], strategy: str = DEFAULT_STRATEGY) -> Circuit:
+def build_ansatz(g: Graph, params: Sequence[float], strategy: str = DEFAULT_STRATEGY) -> Circuit:
     """Assemble the circuit for one parameter vector (gammas then betas)."""
     gammas, betas = split_params(params)
-    return build_qaoa_ansatz(model, gammas, betas, strategy)
+    return build_qaoa_ansatz(g, gammas, betas, strategy)
 
 
 class QaoaObjective:
@@ -133,12 +133,12 @@ class QaoaObjective:
     scoring.
     """
 
-    def __init__(self, model: IsingModel, config: QaoaConfig):
-        check_width(model.n)
-        self.model = model
+    def __init__(self, g: Graph, config: QaoaConfig):
+        check_width(g.num_nodes)
+        self.graph = g
         self.config = config
         self.evaluations = 0
-        self._table = energy_table(model)
+        self._table = energy_table(g)
         self._levels, self._index = energy_levels(self._table)
 
     def __call__(self, params: Sequence[float]) -> float:
@@ -166,15 +166,15 @@ class QaoaObjective:
         index x has the energy of its complement x ^ (2^n - 1), which is
         even, and even assignment 2k is half index k.
         """
-        n, x = self.model.n, counts.indices
+        n, x = self.graph.num_nodes, counts.indices
         if counts.num_qubits == n:
             x = np.where(x & 1, x ^ ((1 << n) - 1), x) >> 1
         elif counts.num_qubits != n - 1:
-            raise ValueError(f"a {counts.num_qubits}-qubit histogram does not fit a {n}-node model")
+            raise ValueError(f"a {counts.num_qubits}-qubit histogram does not fit a {n}-node graph")
         return self._table[x]
 
 
-def run_qaoa(model: IsingModel, config: QaoaConfig, optimum: float) -> QaoaResult:
+def run_qaoa(g: Graph, config: QaoaConfig, optimum: float) -> QaoaResult:
     """Full variational loop: random init, minimize, sample, and score.
 
     `optimum` is the exact maximum cut (must be positive); approximation
@@ -186,10 +186,10 @@ def run_qaoa(model: IsingModel, config: QaoaConfig, optimum: float) -> QaoaResul
     rng = np.random.default_rng(mix64(config.seed, STREAM_INIT))
     x0 = rng.uniform(0.0, np.pi, size=2 * p)
 
-    obj = QaoaObjective(model, config)
+    obj = QaoaObjective(g, config)
     opt = minimize(obj, x0, OptimizerConfig(max_evaluations=config.max_evaluations))
 
-    state = simulate(build_ansatz(model, opt.best_params, config.strategy))
+    state = simulate(build_ansatz(g, opt.best_params, config.strategy))
     final_counts = sample(state, config.shots, mix64(config.seed, STREAM_FINAL))
     expected_cost = obj.mean_cost(final_counts)
     return QaoaResult(

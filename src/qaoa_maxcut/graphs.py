@@ -8,8 +8,9 @@ sum(bit_i << i), i.e. node 0 is the least significant bit. The same
 little-endian convention is used for simulator basis states, so a
 sampled basis-state index is the assignment integer itself.
 
-The exact optimum, `brute_force_optimum`, scores every assignment with
-`encoding.energy_blocks`, the kernel behind the simulator's energy table.
+The exact optimum, `brute_force_optimum`, scores the assignments with
+`encoding.energy_blocks`, the kernel behind the simulator's energy
+table, which reads its couplings and offset off the graph.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .encoding import as_bits, energy_blocks, maxcut_problem
+from .encoding import energy_blocks
 from .seeding import SplitMix64
 
 MAX_BRUTE_FORCE_NODES = 28
@@ -111,6 +112,16 @@ def generate_random_graph(n: int, density: float, seed: int) -> Graph:
     return graph_from_pairs(n, pairs)
 
 
+def as_bits(assignment: Sequence[int] | str, n: int) -> tuple[int, ...]:
+    """An assignment as n bits; a wrong length or an entry other than 0
+    or 1 raises ValueError."""
+    if len(assignment) != n:
+        raise ValueError(f"assignment length {len(assignment)} != {n} nodes")
+    if any(b not in (0, 1, "0", "1") for b in assignment):
+        raise ValueError("assignment entries must be 0 or 1")
+    return tuple(int(b) for b in assignment)
+
+
 def cut_value(g: Graph, assignment: Sequence[int] | str) -> float:
     """Total weight of edges crossing the partition given by `assignment`."""
     bits = as_bits(assignment, g.num_nodes)
@@ -174,12 +185,11 @@ def load_graph(path) -> Graph:
 
 
 def brute_force_optimum(g: Graph) -> CutSolution:
-    """Exact maximum cut: the lowest energy of `maxcut_problem(g)`, the
-    Ising form of -cut, over every assignment.
+    """Exact maximum cut: the lowest -cut over every assignment.
 
     Node 0 is fixed to side 0 (cuts are complement-symmetric), so only
-    the 2^(n-1) even assignment integers are scored: `energy_blocks` with
-    `even_only`, in blocks of `_BLOCK` energies, so every temporary stays
+    the 2^(n-1) even assignment integers are scored: `energy_blocks`, in
+    blocks of `_BLOCK` energies, so every temporary stays
     near 64 KiB at any n up to MAX_BRUTE_FORCE_NODES.
 
     Ties break toward the lowest assignment integer: blocks come in
@@ -199,7 +209,7 @@ def brute_force_optimum(g: Graph) -> CutSolution:
             f"brute force capped at {MAX_BRUTE_FORCE_NODES} nodes, got {n}"
         )
     best_index, best_energy = 0, math.inf
-    for start, block in energy_blocks(maxcut_problem(g), _BLOCK, even_only=True):
+    for start, block in energy_blocks(g, _BLOCK):
         i = int(np.argmin(block))
         if block.flat[i] < best_energy:
             row, column = divmod(i, block.shape[1])

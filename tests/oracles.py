@@ -4,8 +4,8 @@ Everything here is deliberately naive and kept separate from the
 package code paths it checks: dense operator matrices built entry by
 entry, diagonal phases read off the index bits, expectation values
 summed state by state, a closed form for one layer, the QUBO route to
-an Ising model with fields, energy levels by sorting, and shot
-histograms counted over every basis state.
+an Ising model with fields (the tests' only Ising form of -cut), energy
+levels by sorting, and shot histograms counted over every basis state.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from qaoa_maxcut.circuits import Barrier, Circuit, Gate
-from qaoa_maxcut.encoding import IsingModel
 from qaoa_maxcut.graphs import Graph
 
 
@@ -127,15 +126,15 @@ def random_state(num_qubits: int, seed: int) -> np.ndarray:
     return state / np.linalg.norm(state)
 
 
-def strided_energy_table(m: IsingModel | FieldIsing) -> np.ndarray:
+def strided_energy_table(m: FieldIsing) -> np.ndarray:
     """Energies of all 2^n assignments, little-endian, by strided adds.
 
     One pass over reshaped views of the whole table per nonzero
-    coefficient, in the model's dict order: the reference for the
-    blocked `encoding.energy_table`.
+    coefficient, in the model's dict order: with `maxcut_ising`, the
+    reference for the blocked `encoding.energy_table`.
     """
     e = np.full(1 << m.n, m.offset, dtype=np.float64)
-    for i, hi in (m.h if isinstance(m, FieldIsing) else {}).items():
+    for i, hi in m.h.items():
         view = e.reshape(-1, 2, 1 << i)
         view[:, 0, :] += hi  # bit 0 -> z = +1
         view[:, 1, :] -= hi
@@ -271,8 +270,11 @@ def maxcut_to_qubo(g: Graph) -> Qubo:
 class FieldIsing:
     """E(z) = sum_i h[i] z_i + sum_{i<j} J[i,j] z_i z_j + offset over z in {-1,+1}^n.
 
-    The Ising form with fields, which `qubo_to_ising` produces and the
-    package's field-free `encoding.IsingModel` cannot hold.
+    The Ising form with fields, which `qubo_to_ising` produces. For a
+    Max-Cut graph (`maxcut_ising`) it is -cut derived by way of the QUBO,
+    independently of `encoding`, which reads the couplings w/2 and the
+    offset -W/2 off the graph itself; the fields of a graph cancel to at
+    most rounding residues.
     """
 
     n: int
@@ -316,6 +318,11 @@ def qubo_to_ising(q: Qubo) -> FieldIsing:
         {k: v for k, v in J.items() if v != 0.0},
         offset,
     )
+
+
+def maxcut_ising(g: Graph) -> FieldIsing:
+    """The Ising form of -cut of a graph, by way of its QUBO."""
+    return qubo_to_ising(maxcut_to_qubo(g))
 
 
 def qubo_energy(q: Qubo, assignment: Sequence[int] | str) -> float:

@@ -6,7 +6,6 @@ import pytest
 
 from qaoa_maxcut import bench, cli, engine
 from qaoa_maxcut.circuits import Barrier, build_qaoa_ansatz, decompose, depth, gate_counts
-from qaoa_maxcut.encoding import maxcut_problem
 from qaoa_maxcut.engine import EXACT, SAMPLED
 from qaoa_maxcut.graphs import CutSolution, generate_random_graph, graph_from_pairs, load_graph, save_graph
 from qaoa_maxcut.seeding import mix64
@@ -401,13 +400,12 @@ def test_depth_table_matches_full_circuits(name):
     layer_counts = list(range(1, 7))
     rows = bench.depth_table([(name, g)], layer_counts)
     assert [row["layers"] for row in rows] == layer_counts
-    model = maxcut_problem(g)
-    metrics = {strategy: bench.compiled_metrics(model, strategy, layer_counts) for strategy in ("naive", "scheduled")}
+    metrics = {strategy: bench.compiled_metrics(g, strategy, layer_counts) for strategy in ("naive", "scheduled")}
     for row in rows:
         p = row["layers"]
         gammas, betas = [0.1 * (k + 1) for k in range(p)], [0.9 - 0.1 * k for k in range(p)]
         for strategy in ("naive", "scheduled"):
-            full = decompose(build_qaoa_ansatz(model, gammas, betas, strategy))
+            full = decompose(build_qaoa_ansatz(g, gammas, betas, strategy))
             assert row[strategy] == depth(full), (p, strategy)
             assert metrics[strategy][p] == (depth(full), gate_counts(full)), (p, strategy)
 

@@ -13,9 +13,8 @@ from qaoa_maxcut.circuits import (
     phase_separator_gates,
     schedule_rounds,
 )
-from qaoa_maxcut.encoding import IsingModel, maxcut_problem
 from qaoa_maxcut.engine import build_ansatz
-from qaoa_maxcut.graphs import generate_random_graph
+from qaoa_maxcut.graphs import Graph, generate_random_graph
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -41,13 +40,16 @@ def test_schedule_rounds_are_disjoint_and_cover_each_pair_once(seed):
 
 
 @pytest.mark.parametrize("strategy", ["naive", "scheduled"])
-def test_phase_separator_is_one_rzz_per_nonzero_coupling(strategy):
-    J = {(0, 1): 0.5, (0, 3): 0.0, (1, 2): -1.25, (2, 4): 2.0, (3, 4): 0.0, (0, 4): 0.75}
-    for model in (IsingModel(5, J, offset=-3.0), maxcut_problem(generate_random_graph(9, 0.5, seed=6))):
-        gates = phase_separator_gates(model, 0.3, strategy)
-        nonzero = {pair: jij for pair, jij in model.J.items() if jij != 0.0}
-        assert all(g.kind == "RZZ" for g in gates) and len(gates) == len(nonzero)
-        assert {g.qubits: g.angle for g in gates} == {pair: 2 * 0.3 * jij for pair, jij in nonzero.items()}
+def test_phase_separator_is_one_rzz_per_edge(strategy):
+    # RZZ(t) = exp(-i t ZZ / 2) and the edge's term of -cut is (w/2) ZZ,
+    # so exp(-i gamma (w/2) ZZ) is RZZ(gamma w).
+    weighted = Graph(5, ((0, 1, 1.0), (1, 2, 2.5), (2, 4, 4.0), (0, 4, 1.5), (3, 4, 0.125)))
+    for graph in (weighted, generate_random_graph(9, 0.5, seed=6)):
+        gates = phase_separator_gates(graph, 0.3, strategy)
+        assert all(g.kind == "RZZ" for g in gates) and len(gates) == graph.num_edges
+        assert {g.qubits: g.angle for g in gates} == {(u, v): 0.3 * w for u, v, w in graph.edges}
+        if strategy == "naive":
+            assert [g.qubits for g in gates] == [(u, v) for u, v, _ in graph.edges]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -64,8 +66,8 @@ def test_text_round_trip_keeps_gates_angles_and_barriers(seed):
 
 @pytest.mark.parametrize("strategy", ["naive", "scheduled"])
 def test_barriers_make_depth_linear_in_layers(strategy):
-    model = maxcut_problem(generate_random_graph(9, 0.5, seed=4))
-    depths = [depth(decompose(build_ansatz(model, [0.3] * p + [0.7] * p, strategy))) for p in range(1, 5)]
+    g = generate_random_graph(9, 0.5, seed=4)
+    depths = [depth(decompose(build_ansatz(g, [0.3] * p + [0.7] * p, strategy))) for p in range(1, 5)]
     steps = np.diff(depths)
     assert np.all(steps == steps[0]) and steps[0] > 0
 
@@ -77,12 +79,12 @@ def test_barriers_make_depth_linear_in_layers(strategy):
 )
 def test_ansatz_needs_one_beta_per_gamma_and_at_least_one_layer(gammas, betas):
     with pytest.raises(ValueError):
-        build_qaoa_ansatz(maxcut_problem(generate_random_graph(4, 0.5, seed=1)), gammas, betas, "naive")
+        build_qaoa_ansatz(generate_random_graph(4, 0.5, seed=1), gammas, betas, "naive")
 
 
 def test_ansatz_has_one_layer_per_gamma():
-    model = maxcut_problem(generate_random_graph(5, 0.5, seed=2))
+    graph = generate_random_graph(5, 0.5, seed=2)
     for p in (1, 2, 4):
-        c = build_qaoa_ansatz(model, [0.3] * p, [0.7] * p, "naive")
+        c = build_qaoa_ansatz(graph, [0.3] * p, [0.7] * p, "naive")
         assert sum(isinstance(g, Barrier) for g in c.gates) == p - 1
-        assert sum(getattr(g, "kind", None) == "RX" for g in c.gates) == p * model.n
+        assert sum(getattr(g, "kind", None) == "RX" for g in c.gates) == p * graph.num_nodes

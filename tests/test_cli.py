@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from qaoa_maxcut import bench, cli
-from qaoa_maxcut.graphs import generate_random_graph, save_graph
+from qaoa_maxcut import bench, cli, encoding
+from qaoa_maxcut.graphs import Graph, generate_random_graph, save_graph
 from qaoa_maxcut.seeding import mix64
+from qaoa_maxcut.simulator import DEFAULT_MAX_QUBITS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -150,9 +151,40 @@ def test_verify_reports_a_malformed_file(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("check parse: FAIL")
 
 
-@pytest.mark.parametrize("instance", ["MC_10", "W_9"])
+@pytest.mark.parametrize("instance", ["MC_10", "MC_14", "W_9"])
 def test_verify_passes_on_good_instances(instance, tmp_path, capsys):
-    path = GOLDEN / "W_9.txt" if instance == "W_9" else write_instance(tmp_path, 10)
+    # MC_14 takes the n > 12 branches: random half entries, no optimum oracle.
+    path = GOLDEN / "W_9.txt" if instance == "W_9" else write_instance(tmp_path, int(instance[3:]))
     assert cli.main(["verify", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4 and all(": ok (" in line for line in lines)
+    wide = instance == "MC_14"
+    assert lines[1].endswith("512 random half entries)" if wide else "every half entry)")
+    assert (lines[2] == "check optimum-oracle: ok (skipped (n > 12))") == wide
+
+
+def test_verify_reads_the_objectives_own_table(tmp_path, capsys, monkeypatch):
+    real_table = encoding.energy_table
+
+    def off_by_half(g):
+        table = real_table(g)
+        table[5] += 0.5
+        return table
+
+    monkeypatch.setattr(encoding, "energy_table", off_by_half)
+    assert cli.main(["verify", str(write_instance(tmp_path, 8))]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "check encoding-roundtrip: FAIL (max |E+cut| = 5.00e-01 over every half entry)"
+    assert all(": ok (" in line for line in lines[:1] + lines[2:])
+
+
+def test_verify_skips_the_table_above_the_simulator_width(tmp_path, capsys, monkeypatch):
+    def no_table(g):
+        raise AssertionError("energy table built for an instance no run could use")
+
+    monkeypatch.setattr(encoding, "energy_table", no_table)
+    path = tmp_path / "E_27.txt"
+    save_graph(Graph(DEFAULT_MAX_QUBITS + 1), path)
+    assert cli.main(["verify", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"check encoding-roundtrip: ok (skipped (n > {DEFAULT_MAX_QUBITS}))"

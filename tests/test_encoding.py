@@ -2,9 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import Qubo, maxcut_to_qubo, qubo_energy, qubo_to_ising, strided_energy_table, unique_energy_levels
+from oracles import (
+    Qubo,
+    maxcut_ising,
+    maxcut_to_qubo,
+    qubo_energy,
+    qubo_to_ising,
+    strided_energy_table,
+    unique_energy_levels,
+)
 
-from qaoa_maxcut.encoding import IsingModel, energy_blocks, energy_levels, energy_table, ising_energy, maxcut_problem
+from qaoa_maxcut.encoding import energy_blocks, energy_levels, energy_table
 from qaoa_maxcut.graphs import (
     Graph,
     cut_value,
@@ -86,31 +94,6 @@ class TestQuboToIsing:
     def test_rejects_bad_keys(self):
         with pytest.raises(ValueError):
             Qubo(2, {(1, 0): 1.0})
-        with pytest.raises(ValueError):
-            IsingModel(2, J={(1, 1): 1.0})
-
-
-class TestIsingEnergy:
-    def test_single_edge_values(self):
-        m = maxcut_problem(SINGLE_EDGE)
-        assert ising_energy(m, "01") == -1.0
-        assert ising_energy(m, "00") == 0.0
-
-    def test_zero_model(self):
-        m = IsingModel(3)
-        assert ising_energy(m, "101") == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            ising_energy(IsingModel(3), "01")
-
-    @pytest.mark.parametrize("assignment", [(2, 0), (0, -1), "20", (0.5, 1)])
-    def test_rejects_entries_other_than_0_and_1(self, assignment):
-        # One edge has energies 0 and -1 only; a spin of 1 - 2*2 would read -2.
-        with pytest.raises(ValueError, match="0 or 1"):
-            ising_energy(maxcut_problem(SINGLE_EDGE), assignment)
-        with pytest.raises(ValueError, match="0 or 1"):
-            cut_value(SINGLE_EDGE, assignment)
 
 
 class TestRoundTrip:
@@ -142,152 +125,130 @@ class TestRoundTrip:
 
 class TestEnergyTable:
     def test_matches_scalar_energy(self):
-        rng = np.random.default_rng(9)
-        m = IsingModel(4, J={(0, 1): 1.5, (1, 3): -0.75, (2, 3): 2.0}, offset=0.3)
-        table = energy_table(m)
+        g = Graph(4, ((0, 1, 1.5), (1, 3, 0.75), (2, 3, 2.0), (0, 2, 0.3)))
+        m = maxcut_ising(g)
+        table = energy_table(g)
         for z in range(16):
             bits = [(z >> i) & 1 for i in range(4)]
             # Half entry k holds assignment 2k, and an odd z its complement's energy.
-            assert table[(z if z % 2 == 0 else z ^ 15) >> 1] == pytest.approx(ising_energy(m, bits), abs=1e-12)
+            assert table[(z if z % 2 == 0 else z ^ 15) >> 1] == pytest.approx(m.energy(bits), abs=1e-12)
 
     def test_maxcut_table_is_negated_cut(self):
         g = generate_random_graph(7, 0.5, seed=3)
-        table = energy_table(maxcut_problem(g))
+        table = energy_table(g)
         assert table.size == 1 << 6
         for z in range(0, 1 << 7, 2):
             bits = [(z >> i) & 1 for i in range(7)]
             assert table[z >> 1] == pytest.approx(-cut_value(g, bits), abs=1e-12)
 
 
-def random_ising(n: int, seed: int) -> IsingModel:
-    """Signed real couplings on about half the pairs and a real offset."""
+def real_weighted_maxcut(n: int, seed: int, dyadic: bool = False) -> Graph:
+    """G(n, 0.5) with weights uniform in [0.05, 3), or, with `dyadic`, in
+    sixteenths from 1/16 to 3, whose sums are exact in any order."""
     rng = np.random.default_rng(seed)
-    J = {(i, j): float(rng.normal()) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5}
-    return IsingModel(n, J, float(rng.normal()))
+    edges = generate_random_graph(n, 0.5, seed).edges if n > 1 else ()
+    weights = rng.integers(1, 49, len(edges)) / 16 if dyadic else rng.uniform(0.05, 3.0, len(edges))
+    return Graph(n, tuple((u, v, float(w)) for (u, v, _), w in zip(edges, weights)))
 
 
 @pytest.mark.parametrize("weights", ["unit", "real"])
 @pytest.mark.parametrize("n", range(1, 17))
 def test_half_table_holds_every_assignment_and_its_complement(n, weights):
-    # `energy_blocks` as one block scores all 2^n assignments; entry
-    # 2^n - 1 - x is the complement of assignment x. The half table must
-    # equal both its even entries and their complements bit for bit, so
-    # that a full-state draw folded onto half indices scores as before.
+    # Entry 2^n - 1 - x of the strided oracle's full table is the
+    # complement of assignment x. The half table must equal both its even
+    # entries and their complements, bit for bit where every energy is
+    # exact, so that a full-state draw folded onto half indices scores as
+    # the full table would.
     if n == 1:
-        model = maxcut_problem(Graph(1, ()))
+        g = Graph(1, ())
     elif weights == "unit":
-        model = maxcut_problem(generate_random_graph(n, 0.5, seed=20 + n))
+        g = generate_random_graph(n, 0.5, seed=20 + n)
     else:
-        model = real_weighted_maxcut(n, seed=30 + n)
-    ((_, full),) = energy_blocks(model, 1 << n)
-    full = full.ravel()
-    half = energy_table(model)
-    assert half.tobytes() == full[::2].tobytes() == full[::-1][::2].tobytes()
+        g = real_weighted_maxcut(n, seed=30 + n)
+    full = strided_energy_table(maxcut_ising(g))
+    half = energy_table(g)
+    if weights == "unit":
+        assert half.tobytes() == full[::2].tobytes() == full[::-1][::2].tobytes()
+    else:
+        np.testing.assert_allclose(half, full[::2], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(half, full[::-1][::2], rtol=0, atol=1e-12)
 
 
 class TestBlockedEnergyTable:
     @pytest.mark.parametrize("n", [*range(1, 13), 16])
     def test_unit_weight_maxcut_equals_strided_oracle_exactly(self, n):
         g = generate_random_graph(n, 0.5, seed=40 + n) if n > 1 else Graph(1, ())
-        model = maxcut_problem(g)
-        np.testing.assert_array_equal(energy_table(model), strided_energy_table(model)[::2])
+        np.testing.assert_array_equal(energy_table(g), strided_energy_table(maxcut_ising(g))[::2])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
-    def test_real_ising_matches_strided_oracle(self, n):
-        model = random_ising(n, seed=n)
-        np.testing.assert_allclose(energy_table(model), strided_energy_table(model)[::2], rtol=1e-12, atol=1e-12)
+    def test_real_weights_match_strided_oracle(self, n):
+        g = real_weighted_maxcut(n, seed=n)
+        np.testing.assert_allclose(energy_table(g), strided_energy_table(maxcut_ising(g))[::2], rtol=1e-12, atol=1e-12)
 
 
-def real_weighted_maxcut(n: int, seed: int, dyadic: bool = False) -> IsingModel:
-    """Max-Cut of G(n, 0.5) with weights uniform in [0.05, 3), or, with
-    `dyadic`, in sixteenths from 1/16 to 3, whose sums are exact in any order."""
-    rng = np.random.default_rng(seed)
-    edges = generate_random_graph(n, 0.5, seed).edges
-    weights = rng.integers(1, 49, len(edges)) / 16 if dyadic else rng.uniform(0.05, 3.0, len(edges))
-    return maxcut_problem(Graph(n, tuple((u, v, float(w)) for (u, v, _), w in zip(edges, weights))))
-
-
-def dyadic_ising(n: int, seed: int) -> IsingModel:
-    """`random_ising` with every coefficient rounded to eighths, so every
-    energy is exact in any summation order."""
-    m = random_ising(n, seed)
-    return IsingModel(n, {ij: round(8 * v) / 8 for ij, v in m.J.items()}, round(8 * m.offset) / 8)
-
-
-MODEL_SIZES = (1, 2, 5, 8, 11)
-EXACT_MODELS = {
-    **{f"unit-{n}": maxcut_problem(generate_random_graph(n, 0.5, seed=80 + n)) for n in MODEL_SIZES[1:]},
-    **{f"dyadic-weights-{n}": real_weighted_maxcut(n, seed=90 + n, dyadic=True) for n in MODEL_SIZES[1:]},
-    **{f"dyadic-couplings-{n}": dyadic_ising(n, seed=100 + n) for n in MODEL_SIZES},
+GRAPH_SIZES = (2, 5, 8, 11)
+EXACT_GRAPHS = {
+    **{f"unit-{n}": generate_random_graph(n, 0.5, seed=80 + n) for n in GRAPH_SIZES},
+    **{f"dyadic-weights-{n}": real_weighted_maxcut(n, seed=90 + n, dyadic=True) for n in GRAPH_SIZES},
 }
-ROUNDED_MODELS = {
-    **{f"real-weights-{n}": real_weighted_maxcut(n, seed=90 + n) for n in MODEL_SIZES[1:]},
-    **{f"real-couplings-{n}": random_ising(n, seed=100 + n) for n in MODEL_SIZES},
-}
+ROUNDED_GRAPHS = {f"real-weights-{n}": real_weighted_maxcut(n, seed=90 + n) for n in GRAPH_SIZES}
 
 
-def concatenated(model: IsingModel, entries: int, even_only: bool = False) -> np.ndarray:
+def concatenated(g: Graph, entries: int) -> np.ndarray:
     """The blocks of `energy_blocks` stacked, after checking that they come
     in ascending row order, each of at most `entries` or one row."""
-    blocks = list(energy_blocks(model, entries, even_only))
+    blocks = list(energy_blocks(g, entries))
     rows, columns = blocks[0][1].shape
-    assert [start for start, _ in blocks] == list(range(0, 1 << (model.n - model.n // 2), rows))
+    assert [start for start, _ in blocks] == list(range(0, 1 << (g.num_nodes - g.num_nodes // 2), rows))
     assert all(block.size <= max(entries, columns) for _, block in blocks)
     return np.concatenate([block for _, block in blocks])
 
 
-def table_columns(model: IsingModel, even_only: bool) -> np.ndarray:
-    """The table as one block: `energy_table` for the even columns, or
-    `energy_blocks` with room for all 2^n entries."""
-    if even_only and model.n > 1:
-        return energy_table(model).reshape(1 << (model.n - model.n // 2), -1)
-    ((_, table),) = energy_blocks(model, 1 << model.n)
-    return table
+def table_rows(g: Graph) -> np.ndarray:
+    """`energy_table` in the shape of the blocks' table."""
+    return energy_table(g).reshape(1 << (g.num_nodes - g.num_nodes // 2), -1)
 
 
 class TestEnergyBlocks:
-    """`energy_blocks` in pieces against the table as one block.
+    """`energy_blocks` in pieces against `energy_table`, the blocks' table
+    as one block.
 
     Where every energy is exact in any summation order (unit and dyadic
-    weights, dyadic couplings) the pieces must equal the table bit for bit.
-    With arbitrary real coefficients a block of one or two rows may round
-    differently in the last bits, because BLAS takes a matrix-vector or a
-    thin product through other kernels than the table's.
+    weights) the pieces must equal the table bit for bit. With arbitrary
+    real weights a block of one or two rows may round differently in the
+    last bits, because BLAS takes a matrix-vector or a thin product
+    through other kernels than the table's.
     """
 
-    @pytest.mark.parametrize("name", sorted(EXACT_MODELS))
+    @pytest.mark.parametrize("name", sorted(EXACT_GRAPHS))
     @pytest.mark.parametrize("entries", ["1", "4", "2^n"])
-    @pytest.mark.parametrize("even_only", [False, True], ids=["all", "even"])
-    def test_exact_energies_tile_the_table_bit_for_bit(self, name, entries, even_only):
-        model = EXACT_MODELS[name]
-        entries = 1 << model.n if entries == "2^n" else int(entries)
-        np.testing.assert_array_equal(concatenated(model, entries, even_only), table_columns(model, even_only))
+    def test_exact_energies_tile_the_table_bit_for_bit(self, name, entries):
+        g = EXACT_GRAPHS[name]
+        entries = 1 << g.num_nodes if entries == "2^n" else int(entries)
+        np.testing.assert_array_equal(concatenated(g, entries), table_rows(g))
 
-    @pytest.mark.parametrize("name", sorted(ROUNDED_MODELS))
+    @pytest.mark.parametrize("name", sorted(ROUNDED_GRAPHS))
     @pytest.mark.parametrize("entries", [1, 4, 64])
-    @pytest.mark.parametrize("even_only", [False, True], ids=["all", "even"])
-    def test_real_energies_tile_the_table_to_rounding(self, name, entries, even_only):
-        model = ROUNDED_MODELS[name]
-        np.testing.assert_allclose(
-            concatenated(model, entries, even_only), table_columns(model, even_only), rtol=0, atol=1e-12
-        )
+    def test_real_energies_tile_the_table_to_rounding(self, name, entries):
+        g = ROUNDED_GRAPHS[name]
+        np.testing.assert_allclose(concatenated(g, entries), table_rows(g), rtol=0, atol=1e-12)
 
 
 class TestEnergyLevels:
-    @pytest.mark.parametrize("model", [
-        maxcut_problem(generate_random_graph(12, 0.5, seed=7)),
-        random_ising(7, seed=70),
-        IsingModel(1, offset=0.5),
+    @pytest.mark.parametrize("g", [
+        generate_random_graph(12, 0.5, seed=7),
+        real_weighted_maxcut(7, seed=70),
+        Graph(1, ()),
     ], ids=["unit-12", "real-7", "constant-1"])
-    def test_levels_gather_back_to_the_table(self, model):
-        table = energy_table(model)
+    def test_levels_gather_back_to_the_table(self, g):
+        table = energy_table(g)
         levels, index = energy_levels(table)
         np.testing.assert_array_equal(levels[index], table)
         assert np.all(np.diff(levels) > 0)
         assert index.shape == table.shape
 
     def test_index_dtype_is_the_smallest_unsigned_that_fits(self):
-        table = energy_table(maxcut_problem(generate_random_graph(12, 0.5, seed=7)))
+        table = energy_table(generate_random_graph(12, 0.5, seed=7))
         levels, index = energy_levels(table)
         assert index.dtype.kind == "u" and index.dtype.itemsize <= 2
         assert index.dtype == np.min_scalar_type(levels.size - 1)
@@ -311,7 +272,7 @@ class TestArithmeticLevels:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_unit_weight_tables(self, n):
         g = generate_random_graph(n, 0.5, seed=60 + n) if n > 1 else Graph(1, ())
-        table = energy_table(maxcut_problem(g))
+        table = energy_table(g)
         levels, index = energy_levels(table)
         np.testing.assert_array_equal(levels, table.min() + np.arange(levels.size))
         assert levels[-1] == table.max()
@@ -320,15 +281,15 @@ class TestArithmeticLevels:
     def test_table_with_gaps(self):
         # A triangle cuts 0 or 2 edges, never 1; K4 cuts 0, 3 or 4.
         for g in (K3, graph_from_pairs(4, list(itertools.combinations(range(4), 2)))):
-            table = energy_table(maxcut_problem(g))
+            table = energy_table(g)
             levels, index = energy_levels(table)
             want_levels, _ = unique_energy_levels(table)
             assert levels.size > want_levels.size
             assert_same_phases((levels, index), unique_energy_levels(table))
 
     @pytest.mark.parametrize("table", [
-        energy_table(random_ising(7, seed=71)),
-        energy_table(IsingModel(1, offset=0.5)),
+        energy_table(real_weighted_maxcut(7, seed=71)),
+        np.array([0.5]),
         np.array([0.0, 1.0, 0.5, 2.0]),
         np.concatenate([np.arange(1 << 16) % 7, [3.5]]),
         np.array([3.0, 0.0, float(1 << 16), 5.0, 3.0, 0.0, 1.0, 2.0]),

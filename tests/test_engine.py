@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import (
+    maxcut_ising,
     maxcut_p1_edge_expectation,
     maxcut_to_qubo,
     p1_expected_cut,
@@ -14,7 +15,7 @@ from oracles import (
 
 from qaoa_maxcut import engine
 from qaoa_maxcut.circuits import build_qaoa_ansatz, decompose, gate_counts
-from qaoa_maxcut.encoding import IsingModel, energy_levels, energy_table, ising_energy, maxcut_problem
+from qaoa_maxcut.encoding import energy_levels, energy_table
 from qaoa_maxcut.engine import (
     EXACT,
     SAMPLED,
@@ -32,16 +33,18 @@ UNIT = generate_random_graph(8, 0.5, seed=5)
 WEIGHTED_GRAPH = load_graph(Path(__file__).resolve().parent / "golden" / "W_9.txt")
 
 
-def loop_mean_cost(model, counts):
-    """Reference scorer: re-derive each sampled index's bits and energy."""
-    total = 0.0
+def loop_mean_cost(g, counts):
+    """Reference scorer: re-derive each sampled index's bits and its
+    energy under the QUBO route's Ising form of -cut."""
+    m, total = maxcut_ising(g), 0.0
     for z, c in zip(counts.indices.tolist(), counts.counts.tolist()):
-        total += c * ising_energy(model, [(z >> q) & 1 for q in range(model.n)])
+        total += c * m.energy([(z >> q) & 1 for q in range(m.n)])
     return total / counts.total
 
 
-def loop_min_cost(model, counts):
-    return min(ising_energy(model, [(z >> q) & 1 for q in range(model.n)]) for z in counts.indices.tolist())
+def loop_min_cost(g, counts):
+    m = maxcut_ising(g)
+    return min(m.energy([(z >> q) & 1 for q in range(m.n)]) for z in counts.indices.tolist())
 
 
 def random_unit_graph(n: int, seed: int) -> Graph:
@@ -53,7 +56,7 @@ class TestMaxcutProblem:
     @pytest.mark.parametrize("g", [UNIT, WEIGHTED_GRAPH], ids=["unit", "weighted"])
     def test_energies_are_negated_cuts(self, g):
         # The table holds the assignments with node 0 on side 0.
-        table = energy_table(maxcut_problem(g))
+        table = energy_table(g)
         cuts = [cut_value(g, [(z >> q) & 1 for q in range(g.num_nodes)]) for z in range(0, 1 << g.num_nodes, 2)]
         np.testing.assert_allclose(table, -np.array(cuts), rtol=0, atol=1e-12)
 
@@ -61,12 +64,11 @@ class TestMaxcutProblem:
     def test_energies_equal_the_qubo_route(self, g):
         via_qubo = qubo_to_ising(maxcut_to_qubo(g))
         want = strided_energy_table(via_qubo)[::2]
-        np.testing.assert_allclose(energy_table(maxcut_problem(g)), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(energy_table(g), want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_weighted_graph_compiles_one_rz_per_edge_and_layer(self, p):
-        model = maxcut_problem(WEIGHTED_GRAPH)
-        counts = gate_counts(decompose(build_ansatz(model, [0.3] * p + [0.7] * p)))
+        counts = gate_counts(decompose(build_ansatz(WEIGHTED_GRAPH, [0.3] * p + [0.7] * p)))
         assert counts["RZ"] == WEIGHTED_GRAPH.num_edges * p
 
 
@@ -80,7 +82,7 @@ class TestClosedFormP1:
             g = Graph(n, ((0, 1, 1.0),))
         gamma, beta = rng.uniform(-math.pi, math.pi, size=2)
         config = QaoaConfig(layers=1, objective_mode=EXACT)
-        got = QaoaObjective(maxcut_problem(g), config)([gamma, beta])
+        got = QaoaObjective(g, config)([gamma, beta])
         # The cost here is -cut, so exp(-i gamma cost) is the paper's
         # exp(-i gamma' C) with gamma' = -gamma; the mixer angles agree.
         want = -sum(maxcut_p1_edge_expectation(g, u, v, -gamma, beta) for u, v, _ in g.edges)
@@ -91,7 +93,7 @@ class TestClosedFormP1:
         # n = 20 is MC_20 as `generate` writes it, where a gate-level
         # reference would be too slow.
         g = generate_random_graph(n, 0.5, mix64(11, n)) if n == 20 else random_unit_graph(n, 300 + n)
-        obj = QaoaObjective(maxcut_problem(g), QaoaConfig(layers=1, objective_mode=EXACT))
+        obj = QaoaObjective(g, QaoaConfig(layers=1, objective_mode=EXACT))
         for gamma, beta in np.random.default_rng(200 + n).uniform(-math.pi, math.pi, size=(3, 2)):
             want = -float(p1_expected_cut(g, gamma, beta).sum())
             assert obj([gamma, beta]) == pytest.approx(want, rel=1e-12, abs=0)
@@ -114,22 +116,22 @@ class TestHalfState:
     @pytest.mark.parametrize("n", range(2, 17))
     def test_exact_objective_equals_the_full_state_oracle(self, n):
         rng = np.random.default_rng(500 + n)
-        model = maxcut_problem(random_unit_graph(n, 600 + n))
-        obj = QaoaObjective(model, QaoaConfig(layers=2, objective_mode=EXACT))
+        g = random_unit_graph(n, 600 + n)
+        obj = QaoaObjective(g, QaoaConfig(layers=2, objective_mode=EXACT))
         params = rng.uniform(-math.pi, math.pi, size=4)
         gammas, betas = params[:2].tolist(), params[2:].tolist()
-        full = probabilities(simulate(build_qaoa_ansatz(model, gammas, betas, "naive")))
-        want = float(full @ strided_energy_table(model))
+        full = probabilities(simulate(build_qaoa_ansatz(g, gammas, betas, "naive")))
+        want = float(full @ strided_energy_table(maxcut_ising(g)))
         assert obj(params) == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_half_probabilities_fold_the_full_ones(self, n):
         # Half index k stands for assignment 2k and its complement.
         rng = np.random.default_rng(700 + n)
-        model = maxcut_problem(random_unit_graph(n, 800 + n) if n > 1 else Graph(1, ()))
+        g = random_unit_graph(n, 800 + n) if n > 1 else Graph(1, ())
         gammas, betas = rng.uniform(-math.pi, math.pi, size=(2, 3)).tolist()
-        half = probabilities(qaoa_state(*energy_levels(energy_table(model)), gammas, betas))
-        full = probabilities(simulate(build_qaoa_ansatz(model, gammas, betas, "naive")))
+        half = probabilities(qaoa_state(*energy_levels(energy_table(g)), gammas, betas))
+        full = probabilities(simulate(build_qaoa_ansatz(g, gammas, betas, "naive")))
         even = np.arange(0, 1 << n, 2)
         np.testing.assert_allclose(2 * half, full[even] + full[even ^ ((1 << n) - 1)], rtol=0, atol=1e-12)
 
@@ -140,12 +142,12 @@ class TestHalfState:
         # Kolmogorov-Smirnov at alpha = 0.001: D must stay below
         # sqrt(-ln(alpha / 2) / 2) * sqrt(2 / 200) = 0.195.
         evaluations, shots = 200, 1000
-        model = maxcut_problem(random_unit_graph(10, 17))
+        g = random_unit_graph(10, 17)
         params = [0.45, -0.8, 1.1, 0.35]
-        obj = QaoaObjective(model, QaoaConfig(layers=2, shots=shots, objective_mode=SAMPLED, seed=5))
+        obj = QaoaObjective(g, QaoaConfig(layers=2, shots=shots, objective_mode=SAMPLED, seed=5))
         half = np.array([obj(params) for _ in range(evaluations)])
-        table = strided_energy_table(model)
-        state = simulate(build_ansatz(model, params, "naive"))
+        table = strided_energy_table(maxcut_ising(g))
+        state = simulate(build_ansatz(g, params, "naive"))
         full = []
         for k in range(evaluations):
             counts = sample(state, shots, mix64(6, STREAM_EVAL, k + 1))
@@ -157,36 +159,32 @@ class TestHalfState:
 class TestScoring:
     @pytest.mark.parametrize("seed", range(3))
     def test_unit_weight_scores_equal_reference_loop(self, seed):
-        model = maxcut_problem(UNIT)
-        obj = QaoaObjective(model, QaoaConfig(layers=1))
-        counts = sample(random_state(model.n, seed), 10_000, seed)
-        assert obj.mean_cost(counts) == loop_mean_cost(model, counts)
-        assert obj.min_cost(counts) == loop_min_cost(model, counts)
+        obj = QaoaObjective(UNIT, QaoaConfig(layers=1))
+        counts = sample(random_state(UNIT.num_nodes, seed), 10_000, seed)
+        assert obj.mean_cost(counts) == loop_mean_cost(UNIT, counts)
+        assert obj.min_cost(counts) == loop_min_cost(UNIT, counts)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_weighted_scores_match_reference_loop(self, seed):
-        model = maxcut_problem(WEIGHTED_GRAPH)
-        obj = QaoaObjective(model, QaoaConfig(layers=1))
-        counts = sample(random_state(model.n, seed), 10_000, seed)
-        assert obj.mean_cost(counts) == pytest.approx(loop_mean_cost(model, counts), rel=1e-12, abs=0)
-        assert obj.min_cost(counts) == pytest.approx(loop_min_cost(model, counts), rel=1e-12, abs=0)
+        obj = QaoaObjective(WEIGHTED_GRAPH, QaoaConfig(layers=1))
+        counts = sample(random_state(WEIGHTED_GRAPH.num_nodes, seed), 10_000, seed)
+        assert obj.mean_cost(counts) == pytest.approx(loop_mean_cost(WEIGHTED_GRAPH, counts), rel=1e-12, abs=0)
+        assert obj.min_cost(counts) == pytest.approx(loop_min_cost(WEIGHTED_GRAPH, counts), rel=1e-12, abs=0)
 
     def test_refuses_a_histogram_of_another_width(self):
-        model = maxcut_problem(UNIT)
-        obj = QaoaObjective(model, QaoaConfig(layers=1))
-        counts = Counts(np.array([0]), np.array([1]), 1, model.n - 2)
-        with pytest.raises(ValueError, match="6-qubit histogram does not fit a 8-node model"):
+        obj = QaoaObjective(UNIT, QaoaConfig(layers=1))
+        counts = Counts(np.array([0]), np.array([1]), 1, UNIT.num_nodes - 2)
+        with pytest.raises(ValueError, match="6-qubit histogram does not fit a 8-node graph"):
             obj.mean_cost(counts)
 
     def test_sampled_objective_draws_with_the_evaluation_seed(self):
-        model = maxcut_problem(UNIT)
         params = [0.4, 1.1, 0.2, 0.7]
         config = QaoaConfig(layers=2, shots=2000, objective_mode=SAMPLED, seed=9)
         # The objective draws from the half state, the gate-level state's
         # even entries; half index k is assignment 2k.
-        half = sample(simulate(build_ansatz(model, params))[::2], 2000, mix64(9, STREAM_EVAL, 1))
-        want = loop_mean_cost(model, Counts(2 * half.indices, half.counts, half.total, model.n))
-        assert QaoaObjective(model, config)(params) == want
+        half = sample(simulate(build_ansatz(UNIT, params))[::2], 2000, mix64(9, STREAM_EVAL, 1))
+        want = loop_mean_cost(UNIT, Counts(2 * half.indices, half.counts, half.total, UNIT.num_nodes))
+        assert QaoaObjective(UNIT, config)(params) == want
 
 
 class TestObjectivePath:
@@ -197,20 +195,20 @@ class TestObjectivePath:
 
         monkeypatch.setattr(engine, "build_ansatz", forbidden)
         monkeypatch.setattr(engine, "simulate", forbidden)
-        QaoaObjective(maxcut_problem(UNIT), QaoaConfig(layers=2, objective_mode=mode))([0.4, 1.1, 0.2, 0.7])
+        QaoaObjective(UNIT, QaoaConfig(layers=2, objective_mode=mode))([0.4, 1.1, 0.2, 0.7])
 
     def test_refuses_too_wide_before_the_table(self, monkeypatch):
-        def no_table(model):
+        def no_table(g):
             raise AssertionError("energy table built before the width check")
 
         monkeypatch.setattr(engine, "energy_table", no_table)
         with pytest.raises(CapacityError, match=f"{DEFAULT_MAX_QUBITS}-qubit limit"):
-            QaoaObjective(IsingModel(DEFAULT_MAX_QUBITS + 1), QaoaConfig(layers=1))
+            QaoaObjective(Graph(DEFAULT_MAX_QUBITS + 1), QaoaConfig(layers=1))
 
     @pytest.mark.parametrize("params", [[0.1, 0.2], [0.1, 0.2, 0.3], [0.1] * 6])
     def test_rejects_parameter_count_other_than_two_per_layer(self, params):
         with pytest.raises(ValueError, match="parameter"):
-            QaoaObjective(maxcut_problem(UNIT), QaoaConfig(layers=2))(params)
+            QaoaObjective(UNIT, QaoaConfig(layers=2))(params)
 
 
 class TestBudgetFloor:
@@ -229,12 +227,11 @@ class TestBudgetFloor:
 
 class TestBuildAnsatz:
     def test_splits_gammas_then_betas(self):
-        model = maxcut_problem(UNIT)
         params = [0.1, 0.2, 0.3, 1.0, 2.0, 3.0]
-        want = build_qaoa_ansatz(model, [0.1, 0.2, 0.3], [1.0, 2.0, 3.0], "scheduled")
-        assert build_ansatz(model, params, "scheduled") == want
+        want = build_qaoa_ansatz(UNIT, [0.1, 0.2, 0.3], [1.0, 2.0, 3.0], "scheduled")
+        assert build_ansatz(UNIT, params, "scheduled") == want
 
     @pytest.mark.parametrize("params", [[], [0.1, 0.2, 0.3]])
     def test_rejects_bad_lengths(self, params):
         with pytest.raises(ValueError):
-            build_ansatz(maxcut_problem(UNIT), params)
+            build_ansatz(UNIT, params)

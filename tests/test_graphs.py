@@ -5,7 +5,7 @@ import pytest
 from oracles import naive_max_cut
 
 from qaoa_maxcut import graphs
-from qaoa_maxcut.encoding import energy_blocks, maxcut_problem
+from qaoa_maxcut.encoding import energy_blocks
 from qaoa_maxcut.graphs import (
     CutSolution,
     Graph,
@@ -109,6 +109,12 @@ class TestCutValue:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             cut_value(K3, "01")
+
+    @pytest.mark.parametrize("assignment", [(2, 0), (0, -1), "20", (0.5, 1)])
+    def test_rejects_entries_other_than_0_and_1(self, assignment):
+        # Each of these would read as a cut of the one edge if taken as unequal sides.
+        with pytest.raises(ValueError, match="0 or 1"):
+            cut_value(graph_from_pairs(2, [(0, 1)]), assignment)
 
     def test_complement_symmetry(self):
         for seed in range(5):
@@ -252,8 +258,8 @@ class TestChunkedOptimum:
 
     @pytest.mark.parametrize("n, blocks", [(12, 1), (14, 1), (15, 2), (16, 4)])
     def test_sizes_span_one_and_several_blocks(self, n, blocks):
-        model = maxcut_problem(generate_random_graph(n, 0.5, seed=100 + n))
-        assert len(list(energy_blocks(model, graphs._BLOCK, even_only=True))) == blocks
+        g = generate_random_graph(n, 0.5, seed=100 + n)
+        assert len(list(energy_blocks(g, graphs._BLOCK))) == blocks
 
     @pytest.mark.parametrize("n", [2, 3, 6, 11, 12, 14, 15, 16])
     @pytest.mark.parametrize("weights", ["unit", "real"])

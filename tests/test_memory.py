@@ -13,7 +13,6 @@ from oracles import random_state
 
 from qaoa_maxcut.bench import BYTES_PER_AMPLITUDE
 from qaoa_maxcut.encoding import energy_levels, energy_table
-from qaoa_maxcut.encoding import maxcut_problem
 from qaoa_maxcut.engine import EXACT, SAMPLED, QaoaConfig, QaoaObjective, build_ansatz, run_qaoa
 from qaoa_maxcut.graphs import generate_random_graph
 from qaoa_maxcut.seeding import mix64
@@ -21,7 +20,7 @@ from qaoa_maxcut.simulator import sample, simulate
 
 
 def mc(n):
-    return maxcut_problem(generate_random_graph(n, 0.5, mix64(11, n)))
+    return generate_random_graph(n, 0.5, mix64(11, n))
 
 
 def peak_per_amplitude(n, call, *args):

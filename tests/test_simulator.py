@@ -3,7 +3,7 @@ import pytest
 from oracles import circuit_unitary, diagonal_after_h_layer, random_circuit, random_state, sample_index_counts
 
 from qaoa_maxcut.circuits import Barrier, Circuit, Gate, build_qaoa_ansatz, decompose
-from qaoa_maxcut.encoding import energy_levels, energy_table, maxcut_problem
+from qaoa_maxcut.encoding import energy_levels, energy_table
 from qaoa_maxcut import simulator
 from qaoa_maxcut.graphs import Graph
 from qaoa_maxcut.simulator import (
@@ -67,7 +67,7 @@ class TestSimulate:
         (Circuit(2, (Gate("H", (0,)), Gate("CX", (0, 1)))), "CX"),
         (Circuit(2, (Gate("RX", (1,), 0.3), Gate("RZ", (0,), 0.5))), "RZ"),
         # The compiled circuit is H on every qubit, then CX, RZ, CX per edge.
-        (decompose(build_qaoa_ansatz(maxcut_problem(Graph(3, ((0, 1, 1.0), (1, 2, 1.0)))), [0.4], [0.2], "naive")),
+        (decompose(build_qaoa_ansatz(Graph(3, ((0, 1, 1.0), (1, 2, 1.0))), [0.4], [0.2], "naive")),
          "CX"),
     ], ids=["CX", "RZ", "decomposed_ansatz"])
     def test_refuses_gates_outside_the_ansatz(self, circuit, kind):
@@ -111,14 +111,14 @@ class TestQaoaState:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_gate_level_ansatz(self, n, weighted):
         rng = np.random.default_rng(10 * n + weighted)
-        model = maxcut_problem(random_graph(n, weighted, rng))
-        levels, index = energy_levels(energy_table(model))
+        g = random_graph(n, weighted, rng)
+        levels, index = energy_levels(energy_table(g))
         for p in range(1, 6):
             gammas, betas = rng.uniform(-np.pi, np.pi, size=(2, p)).tolist()
-            want = simulate(build_qaoa_ansatz(model, gammas, betas, "naive"))
-            # The circuit drops the cost offset, a global phase of
+            want = simulate(build_qaoa_ansatz(g, gammas, betas, "naive"))
+            # The circuit drops the cost offset -W/2, a global phase of
             # exp(-i gamma offset) per layer.
-            got = qaoa_state(levels, index, gammas, betas) * np.exp(1j * sum(gammas) * model.offset)
+            got = qaoa_state(levels, index, gammas, betas) * np.exp(-0.5j * sum(gammas) * g.total_weight())
             # The half holds the even entries; read backwards, the odd ones.
             np.testing.assert_allclose(got, want[::2], rtol=0, atol=1e-12)
             np.testing.assert_allclose(got[::-1], want[1::2], rtol=0, atol=1e-12)
@@ -127,7 +127,7 @@ class TestQaoaState:
     @pytest.mark.parametrize("n", [9, 17, 18])
     def test_small_slices_give_the_same_state(self, n, slice_size, monkeypatch):
         rng = np.random.default_rng(slice_size + n)
-        levels, index = energy_levels(energy_table(maxcut_problem(random_graph(n, False, rng))))
+        levels, index = energy_levels(energy_table(random_graph(n, False, rng)))
         gammas, betas = rng.uniform(-np.pi, np.pi, size=(2, 3)).tolist()
         want = qaoa_state(levels, index, gammas, betas)
         monkeypatch.setattr(simulator, "_SLICE", slice_size)
