@@ -189,8 +189,8 @@ def brute_force_optimum(g: Graph) -> CutSolution:
 
     Node 0 is fixed to side 0 (cuts are complement-symmetric), so only
     the 2^(n-1) even assignment integers are scored: `energy_blocks`, in
-    blocks of `_BLOCK` energies, so every temporary stays
-    near 64 KiB at any n up to MAX_BRUTE_FORCE_NODES.
+    blocks of `_BLOCK` energies, so every temporary stays near 64 KiB at
+    any n up to MAX_BRUTE_FORCE_NODES.
 
     Ties break toward the lowest assignment integer: blocks come in
     ascending order, `np.argmin` returns the first minimum of a block,
