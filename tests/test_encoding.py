@@ -142,11 +142,11 @@ class TestEnergyTable:
             assert table[z >> 1] == pytest.approx(-cut_value(g, bits), abs=1e-12)
 
 
-def real_weighted_maxcut(n: int, seed: int, dyadic: bool = False) -> Graph:
-    """G(n, 0.5) with weights uniform in [0.05, 3), or, with `dyadic`, in
-    sixteenths from 1/16 to 3, whose sums are exact in any order."""
+def real_weighted_maxcut(n: int, seed: int, dyadic: bool = False, density: float = 0.5) -> Graph:
+    """G(n, density) with weights uniform in [0.05, 3), or, with `dyadic`,
+    in sixteenths from 1/16 to 3, whose sums are exact in any order."""
     rng = np.random.default_rng(seed)
-    edges = generate_random_graph(n, 0.5, seed).edges if n > 1 else ()
+    edges = generate_random_graph(n, density, seed).edges if n > 1 else ()
     weights = rng.integers(1, 49, len(edges)) / 16 if dyadic else rng.uniform(0.05, 3.0, len(edges))
     return Graph(n, tuple((u, v, float(w)) for (u, v, _), w in zip(edges, weights)))
 
@@ -186,12 +186,19 @@ class TestBlockedEnergyTable:
         np.testing.assert_allclose(energy_table(g), strided_energy_table(maxcut_ising(g))[::2], rtol=1e-12, atol=1e-12)
 
 
-GRAPH_SIZES = (2, 5, 8, 11)
+# Every width from 2 to 11 splits into its own low and high halves; the
+# complete graphs set every coupling of both halves and of the cross block.
+GRAPH_SIZES = range(2, 12)
 EXACT_GRAPHS = {
+    "one-node": Graph(1, ()),
     **{f"unit-{n}": generate_random_graph(n, 0.5, seed=80 + n) for n in GRAPH_SIZES},
+    **{f"complete-{n}": generate_random_graph(n, 1.0, seed=0) for n in GRAPH_SIZES},
     **{f"dyadic-weights-{n}": real_weighted_maxcut(n, seed=90 + n, dyadic=True) for n in GRAPH_SIZES},
 }
-ROUNDED_GRAPHS = {f"real-weights-{n}": real_weighted_maxcut(n, seed=90 + n) for n in GRAPH_SIZES}
+ROUNDED_GRAPHS = {
+    **{f"real-weights-{n}": real_weighted_maxcut(n, seed=90 + n) for n in GRAPH_SIZES},
+    **{f"real-complete-{n}": real_weighted_maxcut(n, seed=110 + n, density=1.0) for n in GRAPH_SIZES},
+}
 
 
 def concatenated(g: Graph, entries: int) -> np.ndarray:
@@ -205,7 +212,10 @@ def concatenated(g: Graph, entries: int) -> np.ndarray:
 
 
 def table_rows(g: Graph) -> np.ndarray:
-    """`energy_table` in the shape of the blocks' table."""
+    """`energy_table` in the shape of the blocks' table. A one-node
+    graph's blocks hold both assignments, each at its table's one entry."""
+    if g.num_nodes == 1:
+        return np.full((2, 1), energy_table(g)[0])
     return energy_table(g).reshape(1 << (g.num_nodes - g.num_nodes // 2), -1)
 
 
