@@ -15,9 +15,7 @@ from .circuits import (
     build_qaoa_ansatz,
     decompose,
     depth,
-    export_circuit_text,
     gate_counts,
-    parse_circuit_text,
     schedule_rounds,
 )
 from .encoding import energy_table
@@ -66,13 +64,11 @@ __all__ = [
     "depth",
     "energy_table",
     "exhaustive_optimum",
-    "export_circuit_text",
     "gate_counts",
     "generate_random_graph",
     "graph_from_pairs",
     "load_graph",
     "minimize",
-    "parse_circuit_text",
     "qaoa_state",
     "run_qaoa",
     "sample",

@@ -220,53 +220,3 @@ def gate_counts(c: Circuit) -> dict[str, int]:
     """Tally of gate kinds (scheduling directives excluded); zero counts omitted."""
     counts: Counter[str] = Counter(g.kind for g in c.gates if isinstance(g, Gate))
     return dict(counts)
-
-
-# ---------------------------------------------------------------------------
-# Portable text format
-
-
-def export_circuit_text(c: Circuit) -> str:
-    """One instruction per line: "KIND q..." plus the angle (17 significant
-    digits) for rotations; barriers as "BARRIER". Round-trips through
-    parse_circuit_text.
-    """
-    lines = []
-    for g in c.gates:
-        if isinstance(g, Barrier):
-            lines.append("BARRIER")
-        else:
-            parts = [g.kind, *map(str, g.qubits)]
-            if g.angle is not None:
-                parts.append(format(g.angle, ".17g"))
-            lines.append(" ".join(parts))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_circuit_text(text: str, num_qubits: int | None = None) -> Circuit:
-    """Inverse of export_circuit_text; width is inferred from the highest
-    qubit index unless given explicitly."""
-    gates: list[Instruction] = []
-    widest = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
-        kind = fields[0].upper()
-        if kind == "BARRIER":
-            gates.append(Barrier())
-            continue
-        if kind not in GATE_KINDS:
-            raise ValueError(f"line {lineno}: unknown instruction {kind!r}")
-        n_qubits = 2 if kind in _TWO_QUBIT else 1
-        has_angle = kind in _ROTATIONS
-        if len(fields) != 1 + n_qubits + (1 if has_angle else 0):
-            raise ValueError(f"line {lineno}: malformed {kind} line {line!r}")
-        qubits = tuple(int(f) for f in fields[1 : 1 + n_qubits])
-        angle = float(fields[-1]) if has_angle else None
-        gates.append(Gate(kind, qubits, angle))
-        widest = max(widest, *qubits)
-    if num_qubits is None:
-        num_qubits = widest + 1
-    return Circuit(num_qubits, tuple(gates))

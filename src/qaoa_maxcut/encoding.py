@@ -42,10 +42,10 @@ def energy_table(g: Graph) -> np.ndarray:
 
     `energy_blocks` as one block, flattened row-major. Every other
     assignment is the complement of one of these, with the same energy.
-    A one-node table is the offset alone.
+    A one-node graph has no edges, so its table is [0.0].
     """
     if g.num_nodes < 2:
-        return np.full(1, -g.total_weight() / 2.0)
+        return np.zeros(1)
     ((_, table),) = energy_blocks(g, 1 << (g.num_nodes - 1))
     return table.ravel()
 

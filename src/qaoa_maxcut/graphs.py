@@ -75,7 +75,7 @@ class Graph:
         return len(self.edges)
 
     def total_weight(self) -> float:
-        return sum(w for _, _, w in self.edges)
+        return sum((w for _, _, w in self.edges), 0.0)
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def as_bits(assignment: Sequence[int] | str, n: int) -> tuple[int, ...]:
 def cut_value(g: Graph, assignment: Sequence[int] | str) -> float:
     """Total weight of edges crossing the partition given by `assignment`."""
     bits = as_bits(assignment, g.num_nodes)
-    return sum(w for u, v, w in g.edges if bits[u] != bits[v])
+    return sum((w for u, v, w in g.edges if bits[u] != bits[v]), 0.0)
 
 
 def save_graph(g: Graph, path) -> None:

@@ -84,21 +84,6 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     return u
 
 
-def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    k = int(np.argmax(np.abs(a)))
-    if abs(a[k]) < 1e-12:
-        return bool(np.max(np.abs(a - b)) <= tol)
-    phase = b[k] / a[k]
-    return abs(abs(phase) - 1.0) <= tol and bool(np.max(np.abs(a * phase - b)) <= tol)
-
-
-def unitaries_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    flat_a, flat_b = a.ravel(), b.ravel()
-    k = int(np.argmax(np.abs(flat_a)))
-    phase = flat_b[k] / flat_a[k]
-    return abs(abs(phase) - 1.0) <= tol and bool(np.max(np.abs(a * phase - b)) <= tol)
-
-
 def random_circuit(
     num_qubits: int, num_gates: int, rng: np.random.Generator, kinds: Sequence[str] = ("H", "RX", "RZ", "RZZ", "CX")
 ) -> Circuit:

@@ -4,12 +4,9 @@ from oracles import circuit_unitary, random_circuit
 
 from qaoa_maxcut.circuits import (
     Barrier,
-    Circuit,
     build_qaoa_ansatz,
     decompose,
     depth,
-    export_circuit_text,
-    parse_circuit_text,
     phase_separator_gates,
     schedule_rounds,
 )
@@ -50,18 +47,6 @@ def test_phase_separator_is_one_rzz_per_edge(strategy):
         assert {g.qubits: g.angle for g in gates} == {(u, v): 0.3 * w for u, v, w in graph.edges}
         if strategy == "naive":
             assert [g.qubits for g in gates] == [(u, v) for u, v, _ in graph.edges]
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_text_round_trip_keeps_gates_angles_and_barriers(seed):
-    rng = np.random.default_rng(seed)
-    gates = list(random_circuit(5, 30, rng).gates)
-    for k in sorted(rng.choice(len(gates), size=4, replace=False), reverse=True):
-        gates.insert(int(k), Barrier())
-    c = Circuit(5, tuple([Barrier(), *gates, Barrier()]))
-    text = export_circuit_text(c)
-    assert text.count("BARRIER") == 6
-    assert parse_circuit_text(text, num_qubits=5) == c
 
 
 @pytest.mark.parametrize("strategy", ["naive", "scheduled"])
