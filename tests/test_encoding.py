@@ -141,6 +141,12 @@ class TestEnergyTable:
             bits = [(z >> i) & 1 for i in range(7)]
             assert table[z >> 1] == pytest.approx(-cut_value(g, bits), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    def test_edgeless_table_is_positive_zero(self, n):
+        # The offset of an edgeless graph is -0.0 / 2; no entry may keep its sign.
+        table = energy_table(Graph(n))
+        assert table.tobytes() == np.zeros(1 << max(n - 1, 0)).tobytes()
+
 
 def real_weighted_maxcut(n: int, seed: int, dyadic: bool = False, density: float = 0.5) -> Graph:
     """G(n, density) with weights uniform in [0.05, 3), or, with `dyadic`,

@@ -100,9 +100,8 @@ class TestCutValue:
         assert cut_value(K3, "010") == 2.0
 
     def test_all_zeros(self):
-        # A sum over no edges is the float 0.0, as the annotations say.
+        # A sum over no edges is the float 0.0, as the annotation says.
         assert repr(cut_value(PETERSEN, [0] * 10)) == "0.0"
-        assert repr(Graph(3).total_weight()) == "0.0"
 
     def test_single_edge(self):
         g = graph_from_pairs(2, [(0, 1)])
@@ -125,6 +124,16 @@ class TestCutValue:
                 bits = [(mask >> i) & 1 for i in range(9)]
                 flipped = [1 - b for b in bits]
                 assert cut_value(g, bits) == cut_value(g, flipped)
+
+
+class TestTotalWeight:
+    def test_sums_edge_weights(self):
+        assert PETERSEN.total_weight() == 15.0
+        assert Graph(3, ((0, 1, 1.5), (1, 2, 0.25))).total_weight() == 1.75
+
+    def test_edgeless_graph_is_float_zero(self):
+        # A sum over no edges is the float 0.0, as the annotation says.
+        assert repr(Graph(3).total_weight()) == "0.0"
 
 
 class TestFileFormat:
