@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import encoding, graphs
-from .circuits import build_qaoa_ansatz, decompose, depth, gate_counts
+from .circuits import STRATEGIES, build_qaoa_ansatz, decompose, depth, gate_counts
 from .engine import (
-    DEFAULT_BUDGET, DEFAULT_SHOTS, DEFAULT_STRATEGY, EXACT, SAMPLED, STRATEGIES, QaoaConfig, QaoaObjective, run_qaoa,
+    DEFAULT_BUDGET, DEFAULT_SHOTS, DEFAULT_STRATEGY, EXACT, SAMPLED, QaoaConfig, QaoaObjective, run_qaoa,
 )
 from .graphs import Graph, brute_force_optimum
 from .seeding import fnv1a64, mix64
@@ -46,6 +46,11 @@ DEFAULT_SEED = 11
 # test of run_qaoa at n = 18 (30.3), where that fixed part still shows;
 # the memory gate of `run_benchmark` budgets each worker by it.
 BYTES_PER_AMPLITUDE = 34
+# Peak bytes per shot of `sample` beside its CDF when nearly every shot
+# is a distinct outcome, as at the study's widths (about 26 when few
+# outcomes repeat). Pinned by the tracemalloc test of `sample`; the
+# memory gate adds it per shot to each worker's budget.
+BYTES_PER_SHOT = 50
 
 _MEMINFO = Path("/proc/meminfo")
 _CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
@@ -67,19 +72,14 @@ class BenchRecord:
     strategy: str
 
 
-# The records file's keys, in declaration order.
-_RECORD_FIELDS = tuple(f.name for f in fields(BenchRecord))
-
-
 def record_to_json(r: BenchRecord) -> str:
-    payload = {name: getattr(r, name) for name in _RECORD_FIELDS}
+    payload = asdict(r)
     payload["gate_counts"] = dict(sorted(r.gate_counts.items()))
     return json.dumps(payload)
 
 
 def record_from_json(line: str) -> BenchRecord:
-    data = json.loads(line)
-    return BenchRecord(**{name: data[name] for name in _RECORD_FIELDS})
+    return BenchRecord(**json.loads(line))
 
 
 class BenchArgumentError(ValueError):
@@ -130,8 +130,9 @@ def run_benchmark(
     any other out-of-range run parameter; all raise BenchArgumentError. Any
     instance wider than the simulator's DEFAULT_MAX_QUBITS raises
     CapacityError, and so do `workers` runs of the widest instance at
-    BYTES_PER_AMPLITUDE each that would not fit in `available_memory()`;
-    all before any optimum is computed or any run starts. An instance
+    BYTES_PER_AMPLITUDE and `shots` draws at BYTES_PER_SHOT each that
+    would not fit in `available_memory()`; all before any optimum is
+    computed or any run starts. An instance
     whose optimum cut is 0 is skipped with a warning. Records come in
     `_plan`'s canonical order whatever the worker scheduling.
     """
@@ -151,13 +152,13 @@ def run_benchmark(
             f"wider than the simulator's {DEFAULT_MAX_QUBITS}-qubit limit: {', '.join(too_wide)}"
         )
     widest = max((g.num_nodes for _, g in instances), default=0)
-    need = workers * BYTES_PER_AMPLITUDE << widest
+    need = workers * ((BYTES_PER_AMPLITUDE << widest) + BYTES_PER_SHOT * shots)
     available = available_memory()
     if need > available:
         raise CapacityError(
             f"{workers} worker(s) at {widest} qubits need {need / 2**20:.0f} MiB "
-            f"({BYTES_PER_AMPLITUDE} B per amplitude each), but only {available / 2**20:.0f} MiB "
-            "is available; use fewer --workers or smaller instances"
+            f"({BYTES_PER_AMPLITUDE} B per amplitude and {BYTES_PER_SHOT} B per shot of {shots} each), "
+            f"but only {available / 2**20:.0f} MiB is available; use fewer --workers or --shots, or smaller instances"
         )
     warnings: list[str] = []
     optima: dict[str, float] = {}
@@ -325,19 +326,15 @@ def depth_table(
 
 
 def format_depth_table(rows: list[dict]) -> str:
-    table = [["instance", "n", "layers", "naive depth", "scheduled depth"]]
-    for row in rows:
-        table.append(
-            [row["instance"], str(row["n"]), str(row["layers"]), str(row["naive"]), str(row["scheduled"])]
-        )
+    table = [["instance", "n", "layers", *(f"{s} depth" for s in STRATEGIES)]]
+    table += [[str(row[key]) for key in ("instance", "n", "layers", *STRATEGIES)] for row in rows]
     return _text_table(table)
 
 
 def depth_csv(rows: list[dict]) -> str:
-    lines = ["instance,n,layers,naive_depth,scheduled_depth"]
-    for row in rows:
-        lines.append(f"{row['instance']},{row['n']},{row['layers']},{row['naive']},{row['scheduled']}")
-    return "\n".join(lines) + "\n"
+    lines = [["instance", "n", "layers", *(f"{s}_depth" for s in STRATEGIES)]]
+    lines += [[str(row[key]) for key in ("instance", "n", "layers", *STRATEGIES)] for row in rows]
+    return "".join(",".join(cells) + "\n" for cells in lines)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,11 @@ layers slide into earlier layers' idle slots, which breaks the exact
 per-layer depth accounting on irregular graphs.
 
 The ansatz is built from the Max-Cut graph itself: each layer's phase
-separator is one RZZ per edge, with the edge's coupling from
-`encoding`'s form of the cost -cut, and its mixer one RX per node.
+separator is one RZZ per edge, and its mixer one RX per node.
 
-Two emission strategies for the commuting phase-separator terms:
+`STRATEGIES` names the emission strategies for the commuting
+phase-separator terms; the engine, the CLI and the depth table take
+theirs from it:
 
 * naive      - RZZ gates in edge-list order (one long conflict chain).
 * scheduled  - RZZ gates grouped into non-overlapping rounds by greedy
@@ -42,6 +43,7 @@ from .graphs import Graph
 GATE_KINDS = ("H", "RX", "RZ", "RZZ", "CX")
 _ROTATIONS = ("RX", "RZ", "RZZ")
 _TWO_QUBIT = ("RZZ", "CX")
+STRATEGIES = ("naive", "scheduled")
 
 
 @dataclass(frozen=True)
@@ -92,22 +94,14 @@ class Circuit:
 # Ansatz construction
 
 
-def initial_state_gates(num_qubits: int) -> list[Gate]:
-    """Uniform superposition: H on every qubit."""
-    return [Gate("H", (q,)) for q in range(num_qubits)]
-
-
-def mixer_gates(num_qubits: int, beta: float) -> list[Gate]:
-    """Transverse-field mixer exp(-i beta sum_i X_i) as RX(2*beta) per qubit."""
-    return [Gate("RX", (q,), 2.0 * beta) for q in range(num_qubits)]
-
-
 def phase_separator_gates(g: Graph, gamma: float, strategy: str) -> list[Gate]:
     """exp(-i gamma C) for the cost C = -cut, dropping the offset's global
     phase.
 
-    One RZZ(2 gamma J) per edge, J = w/2 its coupling in `encoding`, and no
-    other gate, ordered per `strategy`.
+    One RZZ(gamma w) per edge of weight w, ordered per `strategy`, and no
+    other gate: RZZ(2 gamma J) for the coupling J = w/2 of `encoding`.
+    Halving and doubling are exact, so gamma * w has the bits of
+    2 gamma (w/2) unless w/2 is subnormal or 2 gamma overflows.
     """
     weights = {(u, v): w for u, v, w in g.edges}
     if strategy == "naive":
@@ -116,7 +110,7 @@ def phase_separator_gates(g: Graph, gamma: float, strategy: str) -> list[Gate]:
         ordered = [p for rnd in schedule_rounds(weights) for p in rnd]
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return [Gate("RZZ", p, 2.0 * gamma * (weights[p] / 2.0)) for p in ordered]
+    return [Gate("RZZ", p, gamma * weights[p]) for p in ordered]
 
 
 def schedule_rounds(pairs: Iterable[tuple[int, int]]) -> list[list[tuple[int, int]]]:
@@ -156,8 +150,8 @@ def build_qaoa_ansatz(
     strategy: str,
 ) -> Circuit:
     """p-layer ansatz, p = len(gammas): H on all qubits, then p blocks of
-    phase separator followed by mixer, with a barrier between
-    consecutive blocks.
+    phase separator followed by mixer exp(-i beta sum_i X_i), RX(2 beta)
+    per qubit, with a barrier between consecutive blocks.
     """
     gammas = list(gammas)
     betas = list(betas)
@@ -166,12 +160,12 @@ def build_qaoa_ansatz(
     if len(betas) != len(gammas):
         raise ValueError(f"need as many betas as gammas, got {len(gammas)} gammas and {len(betas)} betas")
     n = g.num_nodes
-    gates: list[Instruction] = list(initial_state_gates(n))
+    gates: list[Instruction] = [Gate("H", (q,)) for q in range(n)]
     for k, (gamma, beta) in enumerate(zip(gammas, betas)):
         if k > 0:
             gates.append(Barrier())
         gates.extend(phase_separator_gates(g, gamma, strategy))
-        gates.extend(mixer_gates(n, beta))
+        gates.extend(Gate("RX", (q,), 2.0 * beta) for q in range(n))
     return Circuit(n, tuple(gates))
 
 

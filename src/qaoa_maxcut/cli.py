@@ -2,8 +2,8 @@
 
 `generate` writes the canonical MC_<n> instance suite, `bench` runs the
 full benchmark protocol and emits line-delimited records plus a summary
-table, `depth` reports compiled circuit depths for both scheduling
-strategies, and `verify` cross-checks one instance against the in-repo
+table, `depth` reports compiled circuit depths for every scheduling
+strategy, and `verify` cross-checks one instance against the in-repo
 oracles. "Budget" counts objective evaluations, which is the only
 iteration notion a derivative-free optimizer can honor exactly.
 """
@@ -16,7 +16,8 @@ import time
 from pathlib import Path
 
 from . import bench
-from .engine import MODES, SAMPLED, STRATEGIES
+from .circuits import STRATEGIES
+from .engine import MODES, SAMPLED
 from .graphs import Graph, GraphFormatError, generate_random_graph, load_graph, save_graph
 from .seeding import mix64
 from .simulator import CapacityError
@@ -56,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--workers", type=int, default=1)
     b.set_defaults(func=cmd_bench)
 
-    d = sub.add_parser("depth", help="compiled-depth table, naive vs scheduled")
+    d = sub.add_parser("depth", help=f"compiled-depth table, {' vs '.join(STRATEGIES)}")
     d.add_argument("instances", type=Path, nargs="+")
     d.add_argument("--layers", type=int, nargs="+", default=list(bench.DEFAULT_LAYERS))
     d.add_argument("--out", type=Path, default=None, help="also write CSV here")

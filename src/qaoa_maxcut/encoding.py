@@ -11,7 +11,8 @@ unchanged when all spins flip (the Z2 symmetry of Bravyi et al.,
 arXiv:1910.08980).
 
 `energy_blocks` is the one kernel that scores the assignments, in
-blocks of a table split into a low and a high half of the spins. It
+blocks of a table split into a low and a high half of the spins that
+only it reads: each block comes with its first entry's half index. It
 scores only the 2^(n-1) assignments with spin 0 at +1 (bit 0 clear); by
 the symmetry, each other assignment is the complement of one of them
 and has its energy. The simulator's cost vector is that half table as
@@ -42,31 +43,28 @@ def energy_table(g: Graph) -> np.ndarray:
 
     `energy_blocks` as one block, flattened row-major. Every other
     assignment is the complement of one of these, with the same energy.
-    A one-node graph has no edges, so its table is [0.0].
     """
-    if g.num_nodes < 2:
-        return np.zeros(1)
     ((_, table),) = energy_blocks(g, 1 << (g.num_nodes - 1))
     return table.ravel()
 
 
 def energy_blocks(g: Graph, entries: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(first row, block) pairs that tile the (2^(n-L), 2^(L-1)) table of
-    -cut over the assignments with bit 0 clear, in ascending row order,
-    each block of as many whole rows as fit in `entries` (at least one).
+    """(first, block) pairs that tile the half table in ascending order:
+    block.flat[i] is -cut of assignment 2 * (first + i). Each block is as
+    many whole rows of the (2^(n-L), 2^(L-1)) table as fit in `entries`
+    (at least one).
 
-    The spins split into a low half of L = n // 2 and a high half. Row r
-    and column c of the table hold assignment r * 2^L + 2c: with Z_L the
-    +-1 spin rows of the even low half assignments and Z_H those of the
-    high half, a block is the cross-half couplings as one product
-    (Z_H @ J_LH^T) @ Z_L^T, plus each half's own energy z^T J z as a row
-    and as a column, plus the offset. A one-node graph has no low half:
-    its table is one column of both assignments. Integer and half-integer
+    The spins split into a low half of L = max(1, n // 2) and a high
+    half; row r and column c of the table hold assignment r * 2^L + 2c.
+    With Z_L the +-1 spin rows of the even low half assignments and Z_H
+    those of the high half, a block is the cross-half couplings as one
+    product (Z_H @ J_LH^T) @ Z_L^T, plus each half's own energy z^T J z
+    as a row and as a column, plus the offset. Integer and half-integer
     energies are exact in any summation order, so the tables of
     unit-weight graphs equal the edge-by-edge sum bit for bit.
     """
     n = g.num_nodes
-    low = n // 2
+    low = max(1, n // 2)
     J = np.zeros((n, n))
     for u, v, w in g.edges:
         J[u, v] = w / 2.0
@@ -82,7 +80,7 @@ def energy_blocks(g: Graph, entries: int) -> Iterator[tuple[int, np.ndarray]]:
         block += low_energy
         block += _half_energies(z_high, J[low:, low:])[:, None]
         block += offset
-        yield start, block
+        yield start * len(z_low), block
 
 
 def _spin_rows(indices: np.ndarray, width: int) -> np.ndarray:

@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, build_qaoa_ansatz
+from .circuits import STRATEGIES, Circuit, build_qaoa_ansatz
 # Unused here, but perfbench/layers.py wraps engine:decompose, depth and gate_counts.
 from .circuits import decompose, depth, gate_counts
 from .encoding import energy_levels, energy_table
@@ -59,7 +59,6 @@ STREAM_FINAL = 0x03
 EXACT = "exact"
 SAMPLED = "sampled"
 MODES = (EXACT, SAMPLED)
-STRATEGIES = ("naive", "scheduled")
 
 # The one default of each run parameter, for QaoaConfig, run_benchmark
 # and the `bench` command alike.
@@ -111,7 +110,7 @@ def split_params(params: Sequence[float]) -> tuple[list[float], list[float]]:
     return params[:p].tolist(), params[p:].tolist()
 
 
-def build_ansatz(g: Graph, params: Sequence[float], strategy: str = DEFAULT_STRATEGY) -> Circuit:
+def build_ansatz(g: Graph, params: Sequence[float], strategy: str) -> Circuit:
     """Assemble the circuit for one parameter vector (gammas then betas)."""
     gammas, betas = split_params(params)
     return build_qaoa_ansatz(g, gammas, betas, strategy)

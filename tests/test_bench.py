@@ -45,8 +45,9 @@ class TestTooWide:
     def test_widest_simulable_instance_is_accepted(self, monkeypatch):
         # A zero optimum makes run_benchmark skip the instance, so no run starts.
         monkeypatch.setattr(bench, "brute_force_optimum", lambda g: CutSolution((0,) * g.num_nodes, 0.0))
-        # Exactly one run's memory at this width, whatever this machine has free.
-        monkeypatch.setattr(bench, "available_memory", lambda: bench.BYTES_PER_AMPLITUDE << DEFAULT_MAX_QUBITS)
+        # Exactly one run's memory at this width and the default shots, whatever this machine has free.
+        one_run = (bench.BYTES_PER_AMPLITUDE << DEFAULT_MAX_QUBITS) + bench.BYTES_PER_SHOT * bench.DEFAULT_SHOTS
+        monkeypatch.setattr(bench, "available_memory", lambda: one_run)
         widest = generate_random_graph(DEFAULT_MAX_QUBITS, 0.5, seed=3)
         records, warnings = bench.run_benchmark([("MC_MAX", widest)], [1], 1)
         assert records == [] and warnings == ["skipped MC_MAX: optimum cut is 0 (edgeless graph?)"]
@@ -142,7 +143,8 @@ class TestDepthRepeatedInstanceName:
 
 class TestMemoryGate:
     INSTANCES = [("MC_8", generate_random_graph(8, 0.5, seed=4)), ("MC_10", generate_random_graph(10, 0.5, seed=5))]
-    NEED = 2 * bench.BYTES_PER_AMPLITUDE << 10  # two workers at the widest, 10 qubits
+    # Two workers at the widest, 10 qubits, and the default shots.
+    NEED = 2 * ((bench.BYTES_PER_AMPLITUDE << 10) + bench.BYTES_PER_SHOT * bench.DEFAULT_SHOTS)
 
     def test_fails_before_any_optimum(self, monkeypatch):
         monkeypatch.setattr(bench, "brute_force_optimum", no_optimum)
@@ -156,6 +158,14 @@ class TestMemoryGate:
         records, warnings = bench.run_benchmark(self.INSTANCES, [1], 1, budget=4, workers=2)
         assert records == [] and len(warnings) == 2
 
+    @pytest.mark.parametrize("shots", [bench.DEFAULT_SHOTS + 1, 10**9])
+    def test_shots_alone_fail_before_any_optimum(self, shots, monkeypatch):
+        # Exactly enough for both workers at the default shots, so one more shot is refused.
+        monkeypatch.setattr(bench, "brute_force_optimum", no_optimum)
+        monkeypatch.setattr(bench, "available_memory", lambda: self.NEED)
+        with pytest.raises(CapacityError, match=rf"2 worker\(s\) at 10 qubits need .* per shot of {shots} each"):
+            bench.run_benchmark(self.INSTANCES, [1], 1, shots=shots, budget=4, workers=2)
+
     def test_more_workers_than_runs_start_no_pool_and_budget_one_run(self, monkeypatch):
         instances = self.INSTANCES[:1]
         expected, _ = bench.run_benchmark(instances, [1], 1, budget=4)
@@ -164,8 +174,9 @@ class TestMemoryGate:
             raise AssertionError("a worker pool was started for a single run")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        # Exactly one run's memory at 8 qubits, whatever this machine has free.
-        monkeypatch.setattr(bench, "available_memory", lambda: bench.BYTES_PER_AMPLITUDE << 8)
+        # Exactly one run's memory at 8 qubits and the default shots, whatever this machine has free.
+        one_run = (bench.BYTES_PER_AMPLITUDE << 8) + bench.BYTES_PER_SHOT * bench.DEFAULT_SHOTS
+        monkeypatch.setattr(bench, "available_memory", lambda: one_run)
         records, warnings = bench.run_benchmark(instances, [1], 1, budget=4, workers=3)
         assert records == expected and len(records) == 1 and warnings == []
 
@@ -181,6 +192,20 @@ class TestMemoryGate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "use fewer --workers" in err
         assert not out.exists()
+
+    def test_cli_refuses_too_many_shots_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # 1 GiB holds one run's amplitudes at 10 qubits many times over, but not 10^9 shots.
+        monkeypatch.setattr(bench, "brute_force_optimum", no_optimum)
+        monkeypatch.setattr(bench, "available_memory", lambda: 1 << 30)
+        files = []
+        for name, g in self.INSTANCES:
+            save_graph(g, tmp_path / f"{name}.txt")
+            files.append(str(tmp_path / f"{name}.txt"))
+        out = tmp_path / "results.jsonl"
+        assert cli.main(["bench", *files, "--layers", "1", "--budget", "4", "--shots", str(10**9), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "per shot of 1000000000 each" in err and "--shots" in err
+        assert not out.exists() and not out.with_suffix(".summary.csv").exists()
 
 
 class TestAvailableMemory:
@@ -265,9 +290,9 @@ def test_repeated_bench_writes_identical_records(mode, tmp_path, capsys):
         out = tmp_path / f"{attempt}.jsonl"
         argv = ["bench", *files, "--layers", "1", "3", "--runs", "2", "--budget", "12", "--mode", mode]
         assert cli.main([*argv, "--out", str(out)]) == 0
-        outputs.append(out.read_bytes())
+        outputs.append((out.read_bytes(), out.with_suffix(".summary.csv").read_bytes()))
     assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == 2 * 2 * 2
+    assert len(outputs[0][0].splitlines()) == 2 * 2 * 2
 
 
 def test_repeated_layer_counts_run_once(tmp_path, capsys):

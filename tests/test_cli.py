@@ -2,6 +2,7 @@
 loads, and that every subcommand runs without scipy."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from qaoa_maxcut import bench, cli, encoding
+from qaoa_maxcut.circuits import STRATEGIES
 from qaoa_maxcut.graphs import Graph, generate_random_graph, save_graph
 from qaoa_maxcut.seeding import mix64
 from qaoa_maxcut.simulator import DEFAULT_MAX_QUBITS
@@ -188,3 +190,18 @@ def test_verify_skips_the_table_above_the_simulator_width(tmp_path, capsys, monk
     assert cli.main(["verify", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == f"check encoding-roundtrip: ok (skipped (n > {DEFAULT_MAX_QUBITS}))"
+
+
+def test_printed_depth_table_has_one_column_per_strategy_with_the_csv_numbers(tmp_path, capsys):
+    files = [str(write_instance(tmp_path, n)) for n in (8, 10)] + [str(GOLDEN / "W_9.txt")]
+    out = tmp_path / "depth.csv"
+    assert cli.main(["depth", *files, "--layers", "1", "3", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == f"wrote {out}"
+    # The dashed rule under the header marks each column's span.
+    spans = [m.span() for m in re.finditer(r"-+", printed[1])]
+    cells = [[line[start:end].strip() for start, end in spans] for line in printed[:-1]]
+    assert cells[0] == ["instance", "n", "layers", *(f"{s} depth" for s in STRATEGIES)]
+    rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert rows[0] == ["instance", "n", "layers", *(f"{s}_depth" for s in STRATEGIES)]
+    assert cells[2:] == rows[1:] and len(rows) == 1 + 3 * 2

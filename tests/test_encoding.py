@@ -208,26 +208,20 @@ ROUNDED_GRAPHS = {
 
 
 def concatenated(g: Graph, entries: int) -> np.ndarray:
-    """The blocks of `energy_blocks` stacked, after checking that they come
-    in ascending row order, each of at most `entries` or one row."""
+    """The blocks of `energy_blocks` flattened and joined, after checking
+    that each starts at the half index after its predecessor's last and
+    holds whole rows, at most `entries` or one row."""
     blocks = list(energy_blocks(g, entries))
-    rows, columns = blocks[0][1].shape
-    assert [start for start, _ in blocks] == list(range(0, 1 << (g.num_nodes - g.num_nodes // 2), rows))
-    assert all(block.size <= max(entries, columns) for _, block in blocks)
-    return np.concatenate([block for _, block in blocks])
-
-
-def table_rows(g: Graph) -> np.ndarray:
-    """`energy_table` in the shape of the blocks' table. A one-node
-    graph's blocks hold both assignments, each at its table's one entry."""
-    if g.num_nodes == 1:
-        return np.full((2, 1), energy_table(g)[0])
-    return energy_table(g).reshape(1 << (g.num_nodes - g.num_nodes // 2), -1)
+    sizes = [block.size for _, block in blocks]
+    assert [first for first, _ in blocks] == np.cumsum([0, *sizes[:-1]]).tolist()
+    columns = blocks[0][1].shape[1]
+    assert all(block.shape[1] == columns and block.size <= max(entries, columns) for _, block in blocks)
+    return np.concatenate([block.ravel() for _, block in blocks])
 
 
 class TestEnergyBlocks:
-    """`energy_blocks` in pieces against `energy_table`, the blocks' table
-    as one block.
+    """`energy_blocks` in pieces against `energy_table`, the half table as
+    one block.
 
     Where every energy is exact in any summation order (unit and dyadic
     weights) the pieces must equal the table bit for bit. With arbitrary
@@ -241,13 +235,13 @@ class TestEnergyBlocks:
     def test_exact_energies_tile_the_table_bit_for_bit(self, name, entries):
         g = EXACT_GRAPHS[name]
         entries = 1 << g.num_nodes if entries == "2^n" else int(entries)
-        np.testing.assert_array_equal(concatenated(g, entries), table_rows(g))
+        np.testing.assert_array_equal(concatenated(g, entries), energy_table(g))
 
     @pytest.mark.parametrize("name", sorted(ROUNDED_GRAPHS))
     @pytest.mark.parametrize("entries", [1, 4, 64])
     def test_real_energies_tile_the_table_to_rounding(self, name, entries):
         g = ROUNDED_GRAPHS[name]
-        np.testing.assert_allclose(concatenated(g, entries), table_rows(g), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(concatenated(g, entries), energy_table(g), rtol=0, atol=1e-12)
 
 
 class TestEnergyLevels:

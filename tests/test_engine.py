@@ -68,7 +68,7 @@ class TestMaxcutProblem:
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_weighted_graph_compiles_one_rz_per_edge_and_layer(self, p):
-        counts = gate_counts(decompose(build_ansatz(WEIGHTED_GRAPH, [0.3] * p + [0.7] * p)))
+        counts = gate_counts(decompose(build_ansatz(WEIGHTED_GRAPH, [0.3] * p + [0.7] * p, "scheduled")))
         assert counts["RZ"] == WEIGHTED_GRAPH.num_edges * p
 
 
@@ -182,7 +182,7 @@ class TestScoring:
         config = QaoaConfig(layers=2, shots=2000, objective_mode=SAMPLED, seed=9)
         # The objective draws from the half state, the gate-level state's
         # even entries; half index k is assignment 2k.
-        half = sample(simulate(build_ansatz(UNIT, params))[::2], 2000, mix64(9, STREAM_EVAL, 1))
+        half = sample(simulate(build_ansatz(UNIT, params, "scheduled"))[::2], 2000, mix64(9, STREAM_EVAL, 1))
         want = loop_mean_cost(UNIT, Counts(2 * half.indices, half.counts, half.total, UNIT.num_nodes))
         assert QaoaObjective(UNIT, config)(params) == want
 
@@ -234,4 +234,4 @@ class TestBuildAnsatz:
     @pytest.mark.parametrize("params", [[], [0.1, 0.2, 0.3]])
     def test_rejects_bad_lengths(self, params):
         with pytest.raises(ValueError):
-            build_ansatz(UNIT, params)
+            build_ansatz(UNIT, params, "scheduled")

@@ -1,17 +1,20 @@
-"""Per-amplitude working set of a QAOA run, pinned with tracemalloc.
+"""Per-amplitude and per-shot working set of a QAOA run, pinned with
+tracemalloc.
 
 Every figure counts what a call allocates while it runs, in bytes per
-amplitude of its 2^n-long arrays. `bench.BYTES_PER_AMPLITUDE`, which
-the memory gate of `run_benchmark` budgets each worker by, is the
-bound of the `run_qaoa` test.
+amplitude of its 2^n-long arrays or per shot. The memory gate of
+`run_benchmark` budgets each worker by `bench.BYTES_PER_AMPLITUDE`, the
+bound of the `run_qaoa` test, and `bench.BYTES_PER_SHOT`, the bound of
+the per-shot `sample` test.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from oracles import random_state
 
-from qaoa_maxcut.bench import BYTES_PER_AMPLITUDE
+from qaoa_maxcut.bench import BYTES_PER_AMPLITUDE, BYTES_PER_SHOT
 from qaoa_maxcut.encoding import energy_levels, energy_table
 from qaoa_maxcut.engine import EXACT, SAMPLED, QaoaConfig, QaoaObjective, build_ansatz, run_qaoa
 from qaoa_maxcut.graphs import generate_random_graph
@@ -61,6 +64,16 @@ def test_energy_levels_adds_little_beyond_its_table():
 def test_sample_adds_little_beyond_its_state():
     state = random_state(20, 5)
     assert peak_per_amplitude(20, sample, state, 10_000, 7) <= 10
+
+
+def test_sample_holds_the_gate_figure_per_shot():
+    # Beside its CDF of 8 bytes per amplitude. 10k shots from a uniform
+    # state of 2^20 amplitudes are nearly all distinct, as at the study's
+    # widths, and a distinct outcome costs more than a repeated one.
+    n, shots = 20, 10_000
+    state = np.full(1 << n, 2 ** (-n / 2), dtype=complex)
+    peak = peak_per_amplitude(n, sample, state, shots, 7) * (1 << n)
+    assert (peak - (8 << n)) / shots <= BYTES_PER_SHOT
 
 
 def test_simulate_holds_little_beyond_its_state():
