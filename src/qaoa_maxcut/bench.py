@@ -369,7 +369,7 @@ def verify_instance(path) -> list[tuple[str, bool, str]]:
             rng = np.random.default_rng(mix64(fnv1a64(str(path)), 0xC0FFEE))
             entries, scope = rng.integers(0, table.size, 512).tolist(), "512 random half entries"
         worst = max(abs(table[k] + graphs.cut_value(g, [(2 * k >> i) & 1 for i in range(n)])) for k in entries)
-        checks.append(("encoding-roundtrip", worst <= 1e-12, f"max |E+cut| = {worst:.2e} over {scope}"))
+        checks.append(("encoding-roundtrip", worst == 0, f"max |E+cut| = {worst:.2e} over {scope}"))
     else:
         checks.append(("encoding-roundtrip", True, f"skipped (n > {DEFAULT_MAX_QUBITS})"))
 

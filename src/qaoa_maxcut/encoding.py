@@ -32,10 +32,6 @@ import numpy as np
 if TYPE_CHECKING:
     from .graphs import Graph
 
-# Tables whose integer levels span less than this take arithmetic levels
-# in `energy_levels`, with an index of at most 2 bytes per entry.
-_ARITHMETIC_SPAN = 1 << 16
-
 
 def energy_table(g: Graph) -> np.ndarray:
     """-cut of the 2^(n-1) assignments with bit 0 clear: entry k is
@@ -61,7 +57,7 @@ def energy_blocks(g: Graph, entries: int) -> Iterator[tuple[int, np.ndarray]]:
     product (Z_H @ J_LH^T) @ Z_L^T, plus each half's own energy z^T J z
     as a row and as a column, plus the offset. Integer and half-integer
     energies are exact in any summation order, so the tables of
-    unit-weight graphs equal the edge-by-edge sum bit for bit.
+    integer-weight graphs equal the edge-by-edge sum bit for bit.
     """
     n = g.num_nodes
     low = max(1, n // 2)
@@ -100,22 +96,14 @@ def energy_levels(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     holds it, so a phase separator can exponentiate the levels once and
     gather per entry.
 
-    An integer-valued table whose span max - min is below 2^16, as every
-    unit-weight Max-Cut table is, takes the arithmetic levels
+    The table must be an energy table of a `Graph`: its entries are
+    integers spanning at most the total weight, which is below
+    `graphs.MAX_TOTAL_WEIGHT` = 2^16, so the levels are
     min, min + 1, ..., max, some of which may not occur, and the index
-    table - min. Beside its output the call then holds one float64
-    temporary, 8 bytes per entry. Any other table takes its distinct
-    values from `np.unique`, which sorts a copy of the table and peaks at
-    about 40 bytes per entry.
+    table - min is at most uint16. Beside its output the call holds one
+    float64 temporary, 8 bytes per entry.
     """
-    low, high = table.min(), table.max()
-    span = high - low
-    if span < _ARITHMETIC_SPAN and low == np.floor(low):
-        shifted = table - low
-        index = shifted.astype(np.min_scalar_type(int(span)))
-        shifted -= index
-        if not shifted.any():
-            return low + np.arange(int(span) + 1), index
-    levels, index = np.unique(table, return_inverse=True)
-    return levels, index.astype(np.min_scalar_type(levels.size - 1))
+    low = table.min()
+    span = int(table.max() - low)
+    return low + np.arange(span + 1), (table - low).astype(np.min_scalar_type(span))
 

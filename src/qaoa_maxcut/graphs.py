@@ -1,9 +1,11 @@
 """Max-Cut problem instances: generation, file I/O, and exact solving.
 
-A graph is a weighted undirected simple graph with nodes 0..n-1. A cut
-assignment is a bit vector where bit i gives the side of node i; its
-value is the total weight of edges whose endpoints land on opposite
-sides. Assignments are also referred to by their integer encoding
+A graph is an undirected simple graph with nodes 0..n-1 and positive
+integer edge weights whose total is below `MAX_TOTAL_WEIGHT` = 2^16, so
+every cut, and every energy a kernel sums in any order, is an exact
+integer in float64. A cut assignment is a bit vector where bit i gives
+the side of node i; its value is the total weight of edges whose
+endpoints land on opposite sides. Assignments are also referred to by their integer encoding
 sum(bit_i << i), i.e. node 0 is the least significant bit. The same
 little-endian convention is used for simulator basis states, so a
 sampled basis-state index is the assignment integer itself.
@@ -26,6 +28,9 @@ from .seeding import SplitMix64
 
 MAX_BRUTE_FORCE_NODES = 28
 
+# Total edge weight a Graph stays below, so that energy levels index as uint16.
+MAX_TOTAL_WEIGHT = 1 << 16
+
 # Energies brute_force_optimum asks `energy_blocks` for at once (64 KiB).
 _BLOCK = 1 << 13
 
@@ -38,11 +43,12 @@ class GraphFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Weighted undirected graph; edges stored canonically as (u, v, w) with u < v.
+    """Undirected graph; edges stored canonically as (u, v, w) with u < v.
 
     Edge list order is preserved (it defines the naive gate-emission
-    order downstream). Self-loops, duplicate pairs, and non-finite or
-    non-positive weights are rejected.
+    order downstream). Weights are stored as floats. Self-loops,
+    duplicate pairs, weights other than integers >= 1, and a total
+    weight of `MAX_TOTAL_WEIGHT` or more are rejected.
     """
 
     num_nodes: int
@@ -53,6 +59,7 @@ class Graph:
             raise ValueError(f"num_nodes must be >= 1, got {self.num_nodes}")
         canonical: list[Edge] = []
         seen: set[tuple[int, int]] = set()
+        total = 0.0
         for u, v, w in self.edges:
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
@@ -62,12 +69,16 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for {self.num_nodes} nodes")
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
-            if not math.isfinite(w):
-                raise ValueError(f"edge ({u},{v}) has non-finite weight {w}")
-            if not w > 0.0:
-                raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
+            w = float(w)
+            if not (w >= 1.0 and w.is_integer()):
+                raise ValueError(f"edge ({u},{v}) has weight {w}, not a positive integer")
+            total += w
+            if total >= MAX_TOTAL_WEIGHT:
+                raise ValueError(
+                    f"edge ({u},{v}) brings the total weight to {total:.0f}, not below {MAX_TOTAL_WEIGHT}"
+                )
             seen.add((u, v))
-            canonical.append((u, v, float(w)))
+            canonical.append((u, v, w))
         object.__setattr__(self, "edges", tuple(canonical))
 
     @property
@@ -132,7 +143,7 @@ def save_graph(g: Graph, path) -> None:
     """Write in the instance file format (see load_graph)."""
     lines = [f"{g.num_nodes} {g.num_edges}"]
     for u, v, w in g.edges:
-        lines.append(f"{u} {v}" if w == 1.0 else f"{u} {v} {w:.17g}")
+        lines.append(f"{u} {v}" if w == 1.0 else f"{u} {v} {w:.0f}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -141,9 +152,9 @@ def load_graph(path) -> Graph:
     """Read an instance file.
 
     Format: first data line "<num_nodes> <num_edges>", then one edge per
-    line as "u v" or "u v w" (0-indexed, whitespace separated). '#'
-    starts a comment; blank lines are ignored. Parse errors report the
-    offending 1-based line number.
+    line as "u v" or "u v w", w a positive integer weight (0-indexed,
+    whitespace separated). '#' starts a comment; blank lines are
+    ignored. Parse errors report the offending 1-based line number.
     """
     header: tuple[int, int] | None = None
     edges: list[Edge] = []
@@ -197,14 +208,10 @@ def brute_force_optimum(g: Graph) -> CutSolution:
 
     Ties break toward the lowest assignment integer: blocks come in
     ascending order, `np.argmin` returns the first minimum of a block,
-    and a later block wins only with a strictly lower energy. The
-    kernel sums weights in its own order, so the reported value is
-    recomputed by `cut_value`, the edge-order sum. Integer weights make
-    every sum exact. With real weights, the kernel may round two
-    assignments that cut the same edges (a component flipped as a
-    whole) differently, so the winner is moved to the lowest assignment
-    with its cut edges; two different cuts equal in exact arithmetic may
-    still differ in the last bit here, and either may be returned.
+    and a later block wins only with a strictly lower energy. Integer
+    weights make every energy exact in the kernel's summation order, so
+    equal cuts tie exactly. The reported value is `cut_value`, the
+    edge-order sum.
     """
     n = g.num_nodes
     if n > MAX_BRUTE_FORCE_NODES:
@@ -216,33 +223,8 @@ def brute_force_optimum(g: Graph) -> CutSolution:
         i = int(np.argmin(block))
         if block.flat[i] < best_energy:
             best_index, best_energy = 2 * (first + i), block.flat[i]
-    assignment = _lowest_with_same_cut(g, tuple((best_index >> i) & 1 for i in range(n)))
-    return CutSolution(assignment, float(cut_value(g, assignment)))
-
-
-def _lowest_with_same_cut(g: Graph, assignment: tuple[int, ...]) -> tuple[int, ...]:
-    """The lowest assignment integer that cuts the same edges as `assignment`.
-
-    Flipping every node of a connected component cuts the same edges, so
-    the lowest such integer puts the highest node of each component
-    other than node 0's on side 0.
-    """
-    root = list(range(g.num_nodes))  # union-find; a component's root is its lowest node
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            i = root[i]
-        return i
-
-    for u, v, _ in g.edges:
-        a, b = find(u), find(v)
-        root[max(a, b)] = min(a, b)
-    bits = list(assignment)
-    flips = {0: 0}
-    for i in reversed(range(g.num_nodes)):
-        flip = flips.setdefault(find(i), bits[i])  # set at the component's highest node
-        bits[i] ^= flip
-    return tuple(bits)
+    assignment = tuple((best_index >> i) & 1 for i in range(n))
+    return CutSolution(assignment, cut_value(g, assignment))
 
 
 def exhaustive_optimum(g: Graph) -> CutSolution:

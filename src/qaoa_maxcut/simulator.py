@@ -26,8 +26,8 @@ Two evolution paths share that layout:
   whole phase separator is one elementwise multiply by exp(-i gamma E)
   over the half energy table E (`encoding.energy_table`), given as its
   levels and a per-entry index into them (`encoding.energy_levels`):
-  the exponential is taken once per level (a unit-weight Max-Cut graph
-  has at most one more level than edges) and gathered per entry with
+  the exponential is taken once per level (a Max-Cut graph has at most
+  one more level than its total weight) and gathered per entry with
   `np.take`. The mixer applies RX(2 beta) to qubits 1..n-1, phi's own
   bits, as fused blocks of up to 4 qubits: one 16x16 Kronecker-product
   matrix per block, applied to the lowest block as one (rows, 16)

@@ -258,8 +258,8 @@ class FieldIsing:
     The Ising form with fields, which `qubo_to_ising` produces. For a
     Max-Cut graph (`maxcut_ising`) it is -cut derived by way of the QUBO,
     independently of `encoding`, which reads the couplings w/2 and the
-    offset -W/2 off the graph itself; the fields of a graph cancel to at
-    most rounding residues.
+    offset -W/2 off the graph itself; the fields of an integer-weight
+    graph cancel exactly.
     """
 
     n: int

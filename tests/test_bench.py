@@ -258,6 +258,16 @@ class TestDepthBadLayers:
         assert captured.out == "" and not out.exists()
 
 
+# (file text, the place its error names after the path, the error) for
+# weights that are not positive integers, or that reach a total of 2^16.
+BAD_WEIGHT_FILES = {
+    **{w: (f"2 1\n0 1 {w}\n", ":2:", f"edge (0,1) has weight {float(w)}, not a positive integer")
+       for w in ("0.5", "1.5", "0", "-1", "inf", "nan")},
+    "65536": ("2 1\n0 1 65536\n", ":2:", "edge (0,1) brings the total weight to 65536, not below 65536"),
+    "total-2^16": ("3 2\n0 1 65535\n1 2 1\n", ":", "edge (1,2) brings the total weight to 65536, not below 65536"),
+}
+
+
 class TestBadInstanceFiles:
     @pytest.fixture
     def inf_weight(self, tmp_path):
@@ -269,7 +279,28 @@ class TestBadInstanceFiles:
     def test_non_finite_weight_is_reported_with_its_line(self, command, inf_weight, capsys):
         assert cli.main([command, str(inf_weight), "--layers", "1"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"{inf_weight}:3:" in err and "non-finite" in err
+        assert err == f"error: {inf_weight}:3: edge (1,2) has weight inf, not a positive integer\n"
+
+    @pytest.mark.parametrize("name", sorted(BAD_WEIGHT_FILES))
+    @pytest.mark.parametrize("command", ["bench", "depth"])
+    def test_bad_weights_exit_2_and_write_nothing(self, command, name, tmp_path, capsys):
+        text, where, message = BAD_WEIGHT_FILES[name]
+        path = tmp_path / "MC_BAD.txt"
+        path.write_text(text)
+        out = tmp_path / "out" / "results"
+        out.parent.mkdir()
+        assert cli.main([command, str(path), "--layers", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}{where} {message}\n" and captured.out == ""
+        assert not any(out.parent.iterdir())
+
+    @pytest.mark.parametrize("name", sorted(BAD_WEIGHT_FILES))
+    def test_verify_fails_the_parse_check_on_bad_weights(self, name, tmp_path, capsys):
+        text, where, message = BAD_WEIGHT_FILES[name]
+        path = tmp_path / "MC_BAD.txt"
+        path.write_text(text)
+        assert cli.main(["verify", str(path)]) == 1
+        assert capsys.readouterr().out == f"check parse: FAIL ({path}{where} {message})\n"
 
     @pytest.mark.parametrize("command", ["bench", "depth"])
     def test_missing_file_is_reported(self, command, tmp_path, capsys):

@@ -40,7 +40,7 @@ def test_schedule_rounds_are_disjoint_and_cover_each_pair_once(seed):
 def test_phase_separator_is_one_rzz_per_edge(strategy):
     # RZZ(t) = exp(-i t ZZ / 2) and the edge's term of -cut is (w/2) ZZ,
     # so exp(-i gamma (w/2) ZZ) is RZZ(gamma w).
-    weighted = Graph(5, ((0, 1, 1.0), (1, 2, 2.5), (2, 4, 4.0), (0, 4, 1.5), (3, 4, 0.125)))
+    weighted = Graph(5, ((0, 1, 1.0), (1, 2, 3.0), (2, 4, 4.0), (0, 4, 2.0), (3, 4, 7.0)))
     for graph in (weighted, generate_random_graph(9, 0.5, seed=6)):
         gates = phase_separator_gates(graph, 0.3, strategy)
         assert all(g.kind == "RZZ" for g in gates) and len(gates) == graph.num_edges

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qaoa_maxcut import bench, cli, encoding
@@ -178,6 +179,22 @@ def test_verify_reads_the_objectives_own_table(tmp_path, capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "check encoding-roundtrip: FAIL (max |E+cut| = 5.00e-01 over every half entry)"
     assert all(": ok (" in line for line in lines[:1] + lines[2:])
+
+
+def test_verify_requires_the_table_to_be_exact(tmp_path, capsys, monkeypatch):
+    # Every energy of an integer-weight graph is an exact integer, so an
+    # entry one ulp off fails the round trip.
+    real_table = encoding.energy_table
+
+    def one_ulp_off(g):
+        table = real_table(g)
+        table[5] = np.nextafter(table[5], -np.inf)
+        return table
+
+    monkeypatch.setattr(encoding, "energy_table", one_ulp_off)
+    assert cli.main(["verify", str(write_instance(tmp_path, 8))]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("check encoding-roundtrip: FAIL (max |E+cut| = ")
 
 
 def test_verify_skips_the_table_above_the_simulator_width(tmp_path, capsys, monkeypatch):

@@ -14,6 +14,7 @@ from oracles import (
 
 from qaoa_maxcut.encoding import energy_blocks, energy_levels, energy_table
 from qaoa_maxcut.graphs import (
+    MAX_TOTAL_WEIGHT,
     Graph,
     cut_value,
     generate_random_graph,
@@ -125,13 +126,13 @@ class TestRoundTrip:
 
 class TestEnergyTable:
     def test_matches_scalar_energy(self):
-        g = Graph(4, ((0, 1, 1.5), (1, 3, 0.75), (2, 3, 2.0), (0, 2, 0.3)))
+        g = Graph(4, ((0, 1, 3.0), (1, 3, 2.0), (2, 3, 4.0), (0, 2, 1.0)))
         m = maxcut_ising(g)
         table = energy_table(g)
         for z in range(16):
             bits = [(z >> i) & 1 for i in range(4)]
             # Half entry k holds assignment 2k, and an odd z its complement's energy.
-            assert table[(z if z % 2 == 0 else z ^ 15) >> 1] == pytest.approx(m.energy(bits), abs=1e-12)
+            assert table[(z if z % 2 == 0 else z ^ 15) >> 1] == m.energy(bits)
 
     def test_maxcut_table_is_negated_cut(self):
         g = generate_random_graph(7, 0.5, seed=3)
@@ -148,36 +149,33 @@ class TestEnergyTable:
         assert table.tobytes() == np.zeros(1 << max(n - 1, 0)).tobytes()
 
 
-def real_weighted_maxcut(n: int, seed: int, dyadic: bool = False, density: float = 0.5) -> Graph:
-    """G(n, density) with weights uniform in [0.05, 3), or, with `dyadic`,
-    in sixteenths from 1/16 to 3, whose sums are exact in any order."""
+def weighted_maxcut(n: int, seed: int, density: float = 0.5, heavy: bool = False) -> Graph:
+    """G(n, density) with integer weights uniform in 1..8, or, with
+    `heavy`, in 1..(MAX_TOTAL_WEIGHT - 1) // m for its m edges, so that
+    the total weight may come close to the bound."""
     rng = np.random.default_rng(seed)
     edges = generate_random_graph(n, density, seed).edges if n > 1 else ()
-    weights = rng.integers(1, 49, len(edges)) / 16 if dyadic else rng.uniform(0.05, 3.0, len(edges))
+    top = (MAX_TOTAL_WEIGHT - 1) // max(1, len(edges)) if heavy else 8
+    weights = rng.integers(1, top + 1, len(edges))
     return Graph(n, tuple((u, v, float(w)) for (u, v, _), w in zip(edges, weights)))
 
 
-@pytest.mark.parametrize("weights", ["unit", "real"])
+@pytest.mark.parametrize("weights", ["unit", "weighted"])
 @pytest.mark.parametrize("n", range(1, 17))
 def test_half_table_holds_every_assignment_and_its_complement(n, weights):
     # Entry 2^n - 1 - x of the strided oracle's full table is the
     # complement of assignment x. The half table must equal both its even
-    # entries and their complements, bit for bit where every energy is
-    # exact, so that a full-state draw folded onto half indices scores as
-    # the full table would.
+    # entries and their complements bit for bit, so that a full-state
+    # draw folded onto half indices scores as the full table would.
     if n == 1:
         g = Graph(1, ())
     elif weights == "unit":
         g = generate_random_graph(n, 0.5, seed=20 + n)
     else:
-        g = real_weighted_maxcut(n, seed=30 + n)
+        g = weighted_maxcut(n, seed=30 + n)
     full = strided_energy_table(maxcut_ising(g))
     half = energy_table(g)
-    if weights == "unit":
-        assert half.tobytes() == full[::2].tobytes() == full[::-1][::2].tobytes()
-    else:
-        np.testing.assert_allclose(half, full[::2], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(half, full[::-1][::2], rtol=0, atol=1e-12)
+    assert half.tobytes() == full[::2].tobytes() == full[::-1][::2].tobytes()
 
 
 class TestBlockedEnergyTable:
@@ -187,23 +185,22 @@ class TestBlockedEnergyTable:
         np.testing.assert_array_equal(energy_table(g), strided_energy_table(maxcut_ising(g))[::2])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
-    def test_real_weights_match_strided_oracle(self, n):
-        g = real_weighted_maxcut(n, seed=n)
-        np.testing.assert_allclose(energy_table(g), strided_energy_table(maxcut_ising(g))[::2], rtol=1e-12, atol=1e-12)
+    @pytest.mark.parametrize("heavy", [False, True], ids=["weights-1-8", "heavy-weights"])
+    def test_integer_weights_equal_strided_oracle_exactly(self, n, heavy):
+        g = weighted_maxcut(n, seed=n, heavy=heavy)
+        np.testing.assert_array_equal(energy_table(g), strided_energy_table(maxcut_ising(g))[::2])
 
 
 # Every width from 2 to 11 splits into its own low and high halves; the
 # complete graphs set every coupling of both halves and of the cross block.
 GRAPH_SIZES = range(2, 12)
-EXACT_GRAPHS = {
+GRAPHS = {
     "one-node": Graph(1, ()),
     **{f"unit-{n}": generate_random_graph(n, 0.5, seed=80 + n) for n in GRAPH_SIZES},
     **{f"complete-{n}": generate_random_graph(n, 1.0, seed=0) for n in GRAPH_SIZES},
-    **{f"dyadic-weights-{n}": real_weighted_maxcut(n, seed=90 + n, dyadic=True) for n in GRAPH_SIZES},
-}
-ROUNDED_GRAPHS = {
-    **{f"real-weights-{n}": real_weighted_maxcut(n, seed=90 + n) for n in GRAPH_SIZES},
-    **{f"real-complete-{n}": real_weighted_maxcut(n, seed=110 + n, density=1.0) for n in GRAPH_SIZES},
+    **{f"weighted-{n}": weighted_maxcut(n, seed=90 + n) for n in GRAPH_SIZES},
+    **{f"heavy-weights-{n}": weighted_maxcut(n, seed=90 + n, heavy=True) for n in GRAPH_SIZES},
+    **{f"weighted-complete-{n}": weighted_maxcut(n, seed=110 + n, density=1.0) for n in GRAPH_SIZES},
 }
 
 
@@ -223,33 +220,25 @@ class TestEnergyBlocks:
     """`energy_blocks` in pieces against `energy_table`, the half table as
     one block.
 
-    Where every energy is exact in any summation order (unit and dyadic
-    weights) the pieces must equal the table bit for bit. With arbitrary
-    real weights a block of one or two rows may round differently in the
-    last bits, because BLAS takes a matrix-vector or a thin product
-    through other kernels than the table's.
+    Integer weights make every energy exact in any summation order, so
+    the pieces must equal the table bit for bit, also where BLAS takes a
+    one-row block through its matrix-vector kernel.
     """
 
-    @pytest.mark.parametrize("name", sorted(EXACT_GRAPHS))
-    @pytest.mark.parametrize("entries", ["1", "4", "2^n"])
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    @pytest.mark.parametrize("entries", ["1", "4", "64", "2^n"])
     def test_exact_energies_tile_the_table_bit_for_bit(self, name, entries):
-        g = EXACT_GRAPHS[name]
+        g = GRAPHS[name]
         entries = 1 << g.num_nodes if entries == "2^n" else int(entries)
         np.testing.assert_array_equal(concatenated(g, entries), energy_table(g))
-
-    @pytest.mark.parametrize("name", sorted(ROUNDED_GRAPHS))
-    @pytest.mark.parametrize("entries", [1, 4, 64])
-    def test_real_energies_tile_the_table_to_rounding(self, name, entries):
-        g = ROUNDED_GRAPHS[name]
-        np.testing.assert_allclose(concatenated(g, entries), energy_table(g), rtol=0, atol=1e-12)
 
 
 class TestEnergyLevels:
     @pytest.mark.parametrize("g", [
         generate_random_graph(12, 0.5, seed=7),
-        real_weighted_maxcut(7, seed=70),
+        weighted_maxcut(7, seed=70),
         Graph(1, ()),
-    ], ids=["unit-12", "real-7", "constant-1"])
+    ], ids=["unit-12", "weighted-7", "constant-1"])
     def test_levels_gather_back_to_the_table(self, g):
         table = energy_table(g)
         levels, index = energy_levels(table)
@@ -297,16 +286,19 @@ class TestArithmeticLevels:
             assert levels.size > want_levels.size
             assert_same_phases((levels, index), unique_energy_levels(table))
 
-    @pytest.mark.parametrize("table", [
-        energy_table(real_weighted_maxcut(7, seed=71)),
-        np.array([0.5]),
-        np.array([0.0, 1.0, 0.5, 2.0]),
-        np.concatenate([np.arange(1 << 16) % 7, [3.5]]),
-        np.array([3.0, 0.0, float(1 << 16), 5.0, 3.0, 0.0, 1.0, 2.0]),
-    ], ids=["real-weights", "half-offset", "half-entry", "half-entry-at-the-end", "span-2^16"])
-    def test_other_tables_fall_back_to_sorting(self, table):
+    @pytest.mark.parametrize("n", [2, 5, 9, 12])
+    @pytest.mark.parametrize("heavy", [False, True], ids=["weights-1-8", "heavy-weights"])
+    def test_integer_weight_tables(self, n, heavy):
+        table = energy_table(weighted_maxcut(n, seed=70 + n, heavy=heavy))
         levels, index = energy_levels(table)
-        want_levels, want_index = unique_energy_levels(table)
-        np.testing.assert_array_equal(levels, want_levels)
-        np.testing.assert_array_equal(index, want_index)
-        assert index.dtype == want_index.dtype
+        np.testing.assert_array_equal(levels, table.min() + np.arange(levels.size))
+        assert levels[-1] == table.max()
+        assert_same_phases((levels, index), unique_energy_levels(table))
+
+    def test_largest_total_weight_indexes_as_uint16(self):
+        table = energy_table(Graph(2, ((0, 1, float(MAX_TOTAL_WEIGHT - 1)),)))
+        levels, index = energy_levels(table)
+        assert index.dtype == np.uint16
+        assert levels.size == MAX_TOTAL_WEIGHT
+        np.testing.assert_array_equal(levels[index], table)
+        np.testing.assert_array_equal(index, [MAX_TOTAL_WEIGHT - 1, 0])

@@ -7,6 +7,7 @@ from oracles import naive_max_cut
 from qaoa_maxcut import graphs
 from qaoa_maxcut.encoding import energy_blocks
 from qaoa_maxcut.graphs import (
+    MAX_TOTAL_WEIGHT,
     CutSolution,
     Graph,
     GraphFormatError,
@@ -46,9 +47,10 @@ class TestGraphType:
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, ((0, 2, 1.0),))
 
-    def test_rejects_nonpositive_weight(self):
-        with pytest.raises(ValueError, match="non-positive"):
-            Graph(2, ((0, 1, -1.0),))
+    @pytest.mark.parametrize("weight", [-1.0, 0, -0.0])
+    def test_rejects_nonpositive_weight(self, weight):
+        with pytest.raises(ValueError, match=r"edge \(0,1\) has weight -?\d.0, not a positive integer"):
+            Graph(2, ((0, 1, weight),))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -56,8 +58,26 @@ class TestGraphType:
 
     @pytest.mark.parametrize("weight", [float("inf"), float("-inf"), float("nan")])
     def test_rejects_nonfinite_weight(self, weight):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=r"edge \(0,1\) has weight .*, not a positive integer"):
             Graph(2, ((0, 1, weight),))
+
+    @pytest.mark.parametrize("weight", [0.5, 1.5, 2.000001])
+    def test_rejects_non_integer_weight(self, weight):
+        with pytest.raises(ValueError, match=r"edge \(1,2\) has weight .*, not a positive integer"):
+            Graph(3, ((0, 1, 1.0), (2, 1, weight)))
+
+    def test_stores_integer_weights_as_floats(self):
+        g = Graph(3, ((0, 1, 3), (1, 2, 2.0)))
+        assert g.edges == ((0, 1, 3.0), (1, 2, 2.0))
+        assert all(type(w) is float for _, _, w in g.edges)
+
+    def test_total_weight_stays_below_the_bound(self):
+        assert MAX_TOTAL_WEIGHT == 1 << 16
+        assert Graph(2, ((0, 1, 65535.0),)).total_weight() == 65535.0
+        with pytest.raises(ValueError, match=r"edge \(0,1\) brings the total weight to 65536, not below 65536"):
+            Graph(2, ((0, 1, 65536.0),))
+        with pytest.raises(ValueError, match=r"edge \(1,2\) brings the total weight to 65536"):
+            Graph(3, ((0, 1, 65535.0), (1, 2, 1.0)))
 
 
 class TestGenerator:
@@ -129,7 +149,7 @@ class TestCutValue:
 class TestTotalWeight:
     def test_sums_edge_weights(self):
         assert PETERSEN.total_weight() == 15.0
-        assert Graph(3, ((0, 1, 1.5), (1, 2, 0.25))).total_weight() == 1.75
+        assert Graph(3, ((0, 1, 3.0), (1, 2, 5.0))).total_weight() == 8.0
 
     def test_edgeless_graph_is_float_zero(self):
         # A sum over no edges is the float 0.0, as the annotation says.
@@ -154,11 +174,17 @@ class TestFileFormat:
         with pytest.raises(GraphFormatError, match=":2:"):
             load_graph(path)
 
-    @pytest.mark.parametrize("weight", ["inf", "nan"])
-    def test_nonfinite_weight_rejected_with_line(self, tmp_path, weight):
+    @pytest.mark.parametrize("weight", ["0.5", "1.5", "0", "-1", "inf", "nan", "65536"])
+    def test_bad_weight_rejected_with_line(self, tmp_path, weight):
         path = tmp_path / "g.txt"
         path.write_text(f"3 2\n0 1\n1 2 {weight}\n")
-        with pytest.raises(GraphFormatError, match=":3: .*non-finite"):
+        with pytest.raises(GraphFormatError, match=r":3: edge \(1,2\) (has weight|brings the total)"):
+            load_graph(path)
+
+    def test_total_weight_of_2_16_rejected(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("3 2\n0 1 32768\n1 2 32768\n")
+        with pytest.raises(GraphFormatError, match=r"g.txt: edge \(1,2\) brings the total weight to 65536"):
             load_graph(path)
 
     def test_malformed_line_number(self, tmp_path):
@@ -191,9 +217,10 @@ class TestFileFormat:
         assert load_graph(path) == K3
 
     def test_weighted_round_trip(self, tmp_path):
-        g = Graph(4, ((0, 1, 2.5), (1, 3, 1.0), (2, 3, 0.125)))
+        g = Graph(4, ((0, 1, 3.0), (1, 3, 1.0), (2, 3, 65000.0)))
         path = tmp_path / "g.txt"
         save_graph(g, path)
+        assert path.read_text() == "4 3\n0 1 3\n1 3\n2 3 65000\n"
         assert load_graph(path) == g
 
     def test_round_trip_random(self, tmp_path):
@@ -252,11 +279,11 @@ class TestBruteForce:
         assert brute_force_optimum(Graph(1)) == CutSolution((0,), 0.0)
 
 
-def real_weighted(n: int, density: float, seed: int) -> Graph:
-    """G(n, density) with weights drawn uniformly from [0.05, 2)."""
+def weighted(n: int, density: float, seed: int) -> Graph:
+    """G(n, density) with integer weights drawn uniformly from 1..8."""
     rng = np.random.default_rng(seed)
     pairs = generate_random_graph(n, density, seed).edges
-    return Graph(n, tuple((u, v, float(rng.uniform(0.05, 2.0))) for u, v, _ in pairs))
+    return Graph(n, tuple((u, v, float(rng.integers(1, 9))) for u, v, _ in pairs))
 
 
 class TestChunkedOptimum:
@@ -273,19 +300,19 @@ class TestChunkedOptimum:
         assert len(list(energy_blocks(g, graphs._BLOCK))) == blocks
 
     @pytest.mark.parametrize("n", [2, 3, 6, 11, 12, 14, 15, 16])
-    @pytest.mark.parametrize("weights", ["unit", "real"])
+    @pytest.mark.parametrize("weights", ["unit", "weighted"])
     def test_matches_naive_enumeration(self, n, weights):
         g = generate_random_graph(n, 0.5, seed=100 + n)
-        if weights == "real":
-            g = real_weighted(n, 0.5, seed=100 + n)
+        if weights == "weighted":
+            g = weighted(n, 0.5, seed=100 + n)
         assignment, value = naive_max_cut(g)
         assert brute_force_optimum(g) == CutSolution(assignment, value)
 
-    def test_sparse_real_weights_tie_to_the_lowest_assignment(self):
+    def test_sparse_weighted_graphs_tie_to_the_lowest_assignment(self):
         # Sparse graphs are often disconnected: flipping a component that
         # does not hold node 0 keeps the cut, so ties are common here.
         for seed in range(60):
-            g = real_weighted(5 + seed % 6, 0.2, seed)
+            g = weighted(5 + seed % 6, 0.2, seed)
             assignment, value = naive_max_cut(g)
             assert brute_force_optimum(g) == CutSolution(assignment, value), seed
 
@@ -305,9 +332,9 @@ class TestChunkedOptimum:
     def test_edgeless_graph_is_all_zeros(self, n):
         assert brute_force_optimum(Graph(n)) == CutSolution((0,) * n, 0.0)
 
-    def test_value_matches_exhaustive_optimum_with_real_weights(self):
+    def test_value_matches_exhaustive_optimum_with_integer_weights(self):
         for seed in range(12):
-            g = real_weighted(4 + seed % 9, 0.5, seed)
+            g = weighted(4 + seed % 9, 0.5, seed)
             assert brute_force_optimum(g).value == exhaustive_optimum(g).value
 
     @pytest.mark.parametrize("block", [1, 2, 4, 64])
@@ -315,10 +342,10 @@ class TestChunkedOptimum:
         # Blocks of a single row, and of rows cut from the middle of the table.
         monkeypatch.setattr(graphs, "_BLOCK", block)
         for n in range(2, 13):
-            for g in (generate_random_graph(n, 0.5, seed=200 + n), real_weighted(n, 0.5, seed=200 + n)):
+            for g in (generate_random_graph(n, 0.5, seed=200 + n), weighted(n, 0.5, seed=200 + n)):
                 assert brute_force_optimum(g) == CutSolution(*naive_max_cut(g)), n
         for seed in range(60):
-            g = real_weighted(5 + seed % 6, 0.2, seed)
+            g = weighted(5 + seed % 6, 0.2, seed)
             assert brute_force_optimum(g) == CutSolution(*naive_max_cut(g)), seed
 
     def test_memory_stays_small(self):

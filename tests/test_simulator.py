@@ -103,7 +103,7 @@ class TestSlices:
 
 def random_graph(n: int, weighted: bool, rng: np.random.Generator) -> Graph:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
-    return Graph(n, tuple((u, v, float(rng.uniform(0.1, 3.0)) if weighted else 1.0) for u, v in pairs))
+    return Graph(n, tuple((u, v, float(rng.integers(1, 9)) if weighted else 1.0) for u, v in pairs))
 
 
 class TestQaoaState:
