@@ -12,6 +12,13 @@ Integer-weight Max-Cut energies are small integers, so every sum over
 them is exact in any order and every record must match byte for byte.
 No record may have an approximation ratio above 1.
 
+`golden/wide.jsonl` holds the records of MC_16 and MC_17, as
+`generate --seed 11` writes them, at p in {1, 3}, one run, budget 8 and
+10k shots: the exact naive call's records, then the sampled scheduled
+call's. Their states span 2^16 and 2^17 amplitudes, more than the
+simulator's runs of 2^15, so they cover the slicing that the smaller
+suite never reaches. They too must match byte for byte.
+
 `golden/depth_suite.csv` is the `depth --layers 1 3 5` CSV over the
 15-instance study suite (MC_8..MC_25 as `generate` writes them with its
 defaults) plus W_9. Depths are integers and do not depend on the
@@ -37,28 +44,30 @@ from qaoa_maxcut.seeding import mix64
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SIZES = (6, 7, 8, 9, 10)
 WEIGHTED = "W_9"
+WIDE_SIZES = (16, 17)
 MODES = {
     "sampled_scheduled": ["--mode", "sampled", "--strategy", "scheduled"],
     "exact_naive": ["--mode", "exact", "--strategy", "naive"],
 }
 
 
-def write_suite(directory: Path) -> list[str]:
+def write_suite(directory: Path, sizes=SIZES, weighted=True) -> list[str]:
     files = []
-    for n in SIZES:
+    for n in sizes:
         path = directory / f"MC_{n}.txt"
         save_graph(generate_random_graph(n, 0.5, mix64(11, n)), path)
         files.append(str(path))
-    files.append(str(GOLDEN / f"{WEIGHTED}.txt"))
+    if weighted:
+        files.append(str(GOLDEN / f"{WEIGHTED}.txt"))
     return files
 
 
-def bench_argv(files: list[str], mode: str, out: Path) -> list[str]:
+def bench_argv(files: list[str], mode: str, out: Path, runs: int = 2, budget: int = 40) -> list[str]:
     return [
         "bench", *files,
         "--layers", "1", "3",
-        "--runs", "2",
-        "--budget", "40",
+        "--runs", str(runs),
+        "--budget", str(budget),
         "--shots", "10000",
         "--seed", "11",
         "--out", str(out),
@@ -77,7 +86,19 @@ def test_records_match_golden(mode, tmp_path, capsys):
     assert got == want
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
+def test_wide_records_match_golden(tmp_path, capsys):
+    files = write_suite(tmp_path, WIDE_SIZES, weighted=False)
+    got = []
+    for mode in ("exact_naive", "sampled_scheduled"):
+        out = tmp_path / f"{mode}.jsonl"
+        assert cli.main(bench_argv(files, mode, out, runs=1, budget=8)) == 0
+        got.append(out.read_text())
+    capsys.readouterr()
+    assert len("".join(got).splitlines()) == 2 * len(WIDE_SIZES) * 2
+    assert "".join(got) == (GOLDEN / "wide.jsonl").read_text()
+
+
+@pytest.mark.parametrize("mode", [*sorted(MODES), "wide"])
 def test_golden_ratios_lie_in_0_1(mode):
     for line in (GOLDEN / f"{mode}.jsonl").read_text().splitlines():
         record = json.loads(line)
