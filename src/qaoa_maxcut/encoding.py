@@ -55,9 +55,10 @@ def energy_blocks(g: Graph, entries: int) -> Iterator[tuple[int, np.ndarray]]:
     With Z_L the +-1 spin rows of the even low half assignments and Z_H
     those of the high half, a block is the cross-half couplings as one
     product (Z_H @ J_LH^T) @ Z_L^T, plus each half's own energy z^T J z
-    as a row and as a column, plus the offset. Integer and half-integer
-    energies are exact in any summation order, so the tables of
-    integer-weight graphs equal the edge-by-edge sum bit for bit.
+    as a row and as a column, with the offset added to the row once.
+    Integer and half-integer energies are exact in any summation order,
+    so the tables of integer-weight graphs equal the edge-by-edge sum bit
+    for bit.
     """
     n = g.num_nodes
     low = max(1, n // 2)
@@ -66,7 +67,7 @@ def energy_blocks(g: Graph, entries: int) -> Iterator[tuple[int, np.ndarray]]:
         J[u, v] = w / 2.0
     offset = -g.total_weight() / 2.0
     z_low = _spin_rows(np.arange(0, 1 << low, 2), low)
-    low_energy = _half_energies(z_low, J[:low, :low])
+    low_energy = _half_energies(z_low, J[:low, :low]) + offset
     cross = J[:low, low:].T
     high_rows = 1 << (n - low)
     rows = max(1, entries // len(z_low))
@@ -75,7 +76,6 @@ def energy_blocks(g: Graph, entries: int) -> Iterator[tuple[int, np.ndarray]]:
         block = (z_high @ cross) @ z_low.T
         block += low_energy
         block += _half_energies(z_high, J[low:, low:])[:, None]
-        block += offset
         yield start * len(z_low), block
 
 

@@ -9,14 +9,16 @@ from.
 Two evolution paths share that layout:
 
 * `simulate` runs the gate-level QAOA ansatz
-  (`circuits.build_qaoa_ansatz`: H, RX, RZZ and barriers) over all 2^n
-  amplitudes and is the reference; any other gate kind, such as the CX
-  and RZ of a `circuits.decompose`d circuit, raises ValueError. Its
-  kernels never form operator matrices. H and RX mix amplitude pairs in
-  a (blocks, 2, stride) view. RZZ is a parity-phase kernel: each
-  contiguous run of `_SLICE` amplitudes is multiplied once by
-  exp(-/+ i theta/2), chosen per amplitude by the parity of its bits on
-  the gate's two qubits.
+  (`circuits.build_qaoa_ansatz`: H, RX, RZZ and barriers) and is the
+  reference; any other gate kind, such as the CX and RZ of a
+  `circuits.decompose`d circuit, raises ValueError. Each gate acts on
+  the first 2^w amplitudes only, w being 1 + the highest qubit reached
+  so far: the rest are still 0. So the opening H layer costs about two
+  passes over the state, not n. Its kernels never form operator
+  matrices. H and RX mix amplitude pairs in a (blocks, 2, stride) view.
+  RZZ is a parity-phase kernel: each contiguous run of `_SLICE`
+  amplitudes is multiplied once by exp(-/+ i theta/2), chosen per
+  amplitude by the parity of its bits on the gate's two qubits.
 * `qaoa_state` is the QAOA fast path (after Lykov et al., "Fast
   Simulation of High-Depth QAOA Circuits", arXiv:2309.04841). It
   evolves only the half phi[k] = psi[2k] of the state psi, the 2^(n-1)
@@ -39,7 +41,8 @@ Two evolution paths share that layout:
 Both work in place on the state, over slices or runs of at most
 `_SLICE` amplitudes, so their temporaries stay small and cache-resident:
 about 1 MiB at most, the parity-phase kernel's two complex patterns.
-`simulate` is bit-identical whatever the slicing. `qaoa_state` is too,
+`simulate` is bit-identical whatever the slicing, and so equal bit for
+bit to applying every gate to all 2^n amplitudes. `qaoa_state` is too,
 for slices of 64 amplitudes or more (four of the mixer's 16-amplitude
 blocks); below that its products can differ in the last bit.
 
@@ -120,19 +123,22 @@ def num_qubits_of(state: np.ndarray) -> int:
     return n
 
 
-def zero_state(num_qubits: int) -> np.ndarray:
-    state = np.zeros(1 << num_qubits, dtype=np.complex128)
-    state[0] = 1.0
-    return state
-
-
 def simulate(c: Circuit) -> np.ndarray:
-    """Amplitudes of U_c |0...0> for a circuit of H, RX, RZZ and barriers."""
+    """Amplitudes of U_c |0...0> for a circuit of H, RX, RZZ and barriers.
+
+    Each gate acts on the prefix state[: 2^width], width being 1 + the
+    highest qubit any gate so far has touched: every amplitude above it
+    has a bit set on a qubit still at |0>, so it is 0, and a gate on
+    lower qubits only mixes amplitudes that share their higher bits.
+    """
     check_width(c.num_qubits)
-    state = zero_state(c.num_qubits)
+    state = np.zeros(1 << c.num_qubits, dtype=np.complex128)
+    state[0] = 1.0
+    width = 1
     for g in c.gates:
         if not isinstance(g, Barrier):
-            apply_gate(state, g)
+            width = max(width, 1 + max(g.qubits))
+            apply_gate(state[: 1 << width], g)
     return state
 
 

@@ -6,6 +6,9 @@ entry, diagonal phases read off the index bits, expectation values
 summed state by state, a closed form for one layer, the QUBO route to
 an Ising model with fields (the tests' only Ising form of -cut), energy
 levels by sorting, and shot histograms counted over every basis state.
+The one exception, `simulate_full_width`, reuses the simulator's gate
+kernels (checked against the dense matrices) to check how `simulate`
+limits each gate to the qubits it has reached.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 
 from qaoa_maxcut.circuits import Barrier, Circuit, Gate
 from qaoa_maxcut.graphs import Graph
+from qaoa_maxcut.simulator import apply_gate
 
 
 def gate_matrix(g: Gate) -> np.ndarray:
@@ -82,6 +86,18 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
             continue
         u = embed(g, c.num_qubits) @ u
     return u
+
+
+def simulate_full_width(c: Circuit) -> np.ndarray:
+    """`simulator.simulate` without its reached-width prefix: a zero state
+    of all 2^n amplitudes, then `apply_gate` of every non-barrier gate on
+    the whole array."""
+    state = np.zeros(1 << c.num_qubits, dtype=np.complex128)
+    state[0] = 1.0
+    for g in c.gates:
+        if not isinstance(g, Barrier):
+            apply_gate(state, g)
+    return state
 
 
 def random_circuit(

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
-from oracles import circuit_unitary, diagonal_after_h_layer, random_circuit, random_state, sample_index_counts
+from oracles import (
+    circuit_unitary,
+    diagonal_after_h_layer,
+    random_circuit,
+    random_state,
+    sample_index_counts,
+    simulate_full_width,
+)
 
 from qaoa_maxcut.circuits import Barrier, Circuit, Gate, build_qaoa_ansatz, decompose
 from qaoa_maxcut.encoding import energy_levels, energy_table
 from qaoa_maxcut import simulator
-from qaoa_maxcut.graphs import Graph
+from qaoa_maxcut.graphs import Graph, generate_random_graph
+from qaoa_maxcut.seeding import mix64
 from qaoa_maxcut.simulator import (
     DEFAULT_MAX_QUBITS,
     CapacityError,
@@ -83,6 +91,77 @@ class TestSimulate:
     def test_refuses_too_wide_before_allocating(self):
         with pytest.raises(CapacityError, match=f"{DEFAULT_MAX_QUBITS}-qubit limit"):
             simulate(Circuit(DEFAULT_MAX_QUBITS + 1))
+
+
+def reaching_circuit(n: int, order, rng: np.random.Generator) -> Circuit:
+    """H on each qubit of `order` in turn, each followed by an RX on it and
+    an RZZ between it and a qubit reached before, so the highest qubit
+    reached grows as `order` climbs; then a few random gates below the
+    highest qubit of `order`."""
+    gates, reached = [], []
+    for q in map(int, order):
+        gates += [Gate("H", (q,)), Gate("RX", (q,), float(rng.uniform(-np.pi, np.pi)))]
+        if reached:
+            gates.append(Gate("RZZ", (q, int(rng.choice(reached))), float(rng.uniform(-np.pi, np.pi))))
+        reached.append(q)
+    tail = random_circuit(1 + max(reached), 6, rng, ANSATZ_KINDS).gates
+    return Circuit(n, tuple(gates) + tail)
+
+
+class TestReachedWidth:
+    """`simulate` applies each gate to the amplitudes of the qubits reached
+    so far; the oracle applies it to the whole state. They must agree bit
+    for bit."""
+
+    @pytest.mark.parametrize("slice_size", [1, 4, 1 << 6])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_random_circuits_match_full_width(self, n, slice_size, monkeypatch):
+        monkeypatch.setattr(simulator, "_SLICE", slice_size)
+        for seed in range(3):
+            rng = np.random.default_rng(100 * slice_size + 10 * n + seed)
+            c = random_circuit(n, 40, rng, ANSATZ_KINDS)
+            np.testing.assert_array_equal(simulate(c), simulate_full_width(c))
+            c = reaching_circuit(n, range(n), rng)
+            np.testing.assert_array_equal(simulate(c), simulate_full_width(c))
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_across_the_run_width(self, n):
+        # With runs of 2^15 amplitudes, the reached width crosses a run.
+        assert simulator._SLICE == 1 << 15
+        c = reaching_circuit(n, range(n), np.random.default_rng(n))
+        np.testing.assert_array_equal(simulate(c), simulate_full_width(c))
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_first_gate_on_the_top_qubit(self, n):
+        rng = np.random.default_rng(n)
+        c = reaching_circuit(n, [n - 1, *range(n - 1)], rng)
+        assert c.gates[0].qubits == (n - 1,)
+        np.testing.assert_array_equal(simulate(c), simulate_full_width(c))
+
+    @pytest.mark.parametrize("n", [4, 7, 16])
+    def test_shuffled_first_touches(self, n):
+        rng = np.random.default_rng(10 + n)
+        c = reaching_circuit(n, rng.permutation(n), rng)
+        np.testing.assert_array_equal(simulate(c), simulate_full_width(c))
+
+    @pytest.mark.parametrize("n", [2, 6, 16])
+    def test_untouched_top_qubit_leaves_the_upper_half_zero(self, n):
+        c = reaching_circuit(n, range(n - 1), np.random.default_rng(20 + n))
+        assert max(q for g in c.gates for q in g.qubits) == n - 2
+        state = simulate(c)
+        np.testing.assert_array_equal(state, simulate_full_width(c))
+        assert np.all(state[1 << (n - 1) :] == 0)
+        assert np.any(state[: 1 << (n - 1)] != 0)
+
+    @pytest.mark.parametrize("strategy", ["naive", "scheduled"])
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("n", [16, 17, 18])
+    def test_ansatz_matches_full_width(self, n, p, strategy):
+        # MC_<n> as `generate --seed 11` writes it.
+        g = generate_random_graph(n, 0.5, mix64(11, n))
+        gammas, betas = np.random.default_rng(n + p).uniform(-np.pi, np.pi, size=(2, p)).tolist()
+        c = build_qaoa_ansatz(g, gammas, betas, strategy)
+        np.testing.assert_array_equal(simulate(c), simulate_full_width(c))
 
 
 class TestSlices:
