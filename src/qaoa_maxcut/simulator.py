@@ -41,10 +41,11 @@ Two evolution paths share that layout:
 Both work in place on the state, over slices or runs of at most
 `_SLICE` amplitudes, so their temporaries stay small and cache-resident:
 about 1 MiB at most, the parity-phase kernel's two complex patterns.
-`simulate` is bit-identical whatever the slicing, and so equal bit for
-bit to applying every gate to all 2^n amplitudes. `qaoa_state` is too,
-for slices of 64 amplitudes or more (four of the mixer's 16-amplitude
-blocks); below that its products can differ in the last bit.
+`simulate` is bit-identical whatever the slicing, and equal bit for bit
+to every gate applied to all 2^n amplitudes. `qaoa_state` is the same
+whatever the slicing for slices of 64 amplitudes or more (four of the
+mixer's 16-amplitude blocks); below that its products can differ in the
+last bit.
 
 In bytes per amplitude of the 2^n-amplitude state psi: `simulate` holds
 psi, 16, and `qaoa_state` holds phi, 8, each plus that fixed part.

@@ -51,7 +51,7 @@ MODES = {
 }
 
 
-def write_suite(directory: Path, sizes=SIZES, weighted=True) -> list[str]:
+def write_suite(directory: Path, sizes: tuple[int, ...] = SIZES, weighted: bool = True) -> list[str]:
     files = []
     for n in sizes:
         path = directory / f"MC_{n}.txt"
