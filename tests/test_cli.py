@@ -20,10 +20,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """`code` in a fresh interpreter that imports the package from src/."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter that imports the package from src/."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=path),
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60)
 
 
@@ -38,7 +38,7 @@ def test_cli_import_loads_neither_scipy_nor_process_pools():
         "import sys, qaoa_maxcut, qaoa_maxcut.cli\n"
         "print(sorted(m for m in ('scipy', 'concurrent.futures.process') if m in sys.modules))"
     )
-    done = run_python(code)
+    done = run_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
 
@@ -60,7 +60,16 @@ def test_every_command_runs_without_scipy(command, tmp_path):
         "from qaoa_maxcut import cli\n"
         "raise SystemExit(cli.main(sys.argv[1:]))"
     )
-    done = run_python(code, *argv)
+    done = run_python("-c", code, *argv)
+    assert done.returncode == 0, done.stderr
+
+
+def test_module_entry_point_exits_with_the_commands_status(tmp_path):
+    # `python -m qaoa_maxcut.cli` reaches main() through the module's __main__ block.
+    instance = str(write_instance(tmp_path, 8))
+    done = run_python("-m", "qaoa_maxcut.cli", "depth", instance, "--layers", "0")
+    assert (done.returncode, done.stderr, done.stdout) == (2, "error: layer count must be >= 1, got 0\n", "")
+    done = run_python("-m", "qaoa_maxcut.cli", "verify", instance)
     assert done.returncode == 0, done.stderr
 
 
