@@ -15,7 +15,8 @@ Two evolution paths share that layout:
   the first 2^w amplitudes only, w being 1 + the highest qubit reached
   so far: the rest are still 0. So the opening H layer costs about two
   passes over the state, not n. Its kernels never form operator
-  matrices. H and RX mix amplitude pairs in a (blocks, 2, stride) view.
+  matrices: H and RX share one pair loop over a (blocks, 2, stride)
+  view, given the four entries of the gate's 2x2 matrix as scalars.
   RZZ is a parity-phase kernel: each contiguous run of `_SLICE`
   amplitudes is multiplied once by exp(-/+ i theta/2), chosen per
   amplitude by the parity of its bits on the gate's two qubits.
@@ -239,24 +240,22 @@ def _slices(view: np.ndarray) -> Iterator[np.ndarray]:
 
 def apply_gate(state: np.ndarray, g: Gate) -> None:
     """Apply one gate in place, one `_slices` part or `_apply_phase` run at a time."""
-    if g.kind == "H":
-        for part in _slices(_single(state, g.qubits[0])):
-            a = part[:, 0, :].copy()
-            b = part[:, 1, :]
-            part[:, 0, :] = (a + b) * _SQRT_HALF
-            part[:, 1, :] = (a - b) * _SQRT_HALF
-    elif g.kind == "RX":
-        cos = math.cos(g.angle / 2.0)
-        msin = -1j * math.sin(g.angle / 2.0)
-        for part in _slices(_single(state, g.qubits[0])):
-            a = part[:, 0, :].copy()
-            b = part[:, 1, :]
-            part[:, 0, :] = cos * a + msin * b
-            part[:, 1, :] = msin * a + cos * b
-    elif g.kind == "RZZ":
+    if g.kind == "RZZ":
         _apply_phase(state, g.qubits, np.exp([-0.5j * g.angle, 0.5j * g.angle]))
+        return
+    if g.kind == "H":
+        m00 = m01 = m10 = _SQRT_HALF
+        m11 = -_SQRT_HALF
+    elif g.kind == "RX":
+        m00 = m11 = math.cos(g.angle / 2.0)
+        m01 = m10 = -1j * math.sin(g.angle / 2.0)
     else:
         raise ValueError(f"cannot simulate a {g.kind} gate: simulate runs only the ansatz's H, RX and RZZ gates")
+    for part in _slices(state.reshape(-1, 2, 1 << g.qubits[0])):
+        a = part[:, 0, :].copy()
+        b = part[:, 1, :]
+        part[:, 0, :] = m00 * a + m01 * b
+        part[:, 1, :] = m10 * a + m11 * b
 
 
 def _apply_phase(state: np.ndarray, qubits: Sequence[int], phases: np.ndarray) -> None:
@@ -277,10 +276,6 @@ def _apply_phase(state: np.ndarray, qubits: Sequence[int], phases: np.ndarray) -
     patterns = np.take(phases, pattern), np.take(phases[::-1], pattern)
     for run, odd in zip(state.reshape(-1, 1 << width), parity):
         run *= patterns[odd]
-
-
-def _single(state: np.ndarray, q: int) -> np.ndarray:
-    return state.reshape(-1, 2, 1 << q)
 
 
 def probabilities(state: np.ndarray) -> np.ndarray:
