@@ -140,7 +140,7 @@ def run_benchmark(
     for name, value in (("runs", runs), ("workers", workers)):
         if value < 1:
             raise BenchArgumentError(f"{name} must be >= 1, got {value}")
-    workers = min(workers, len(instances) * len(layer_counts) * runs)  # no idle worker is started or budgeted
+    workers = min(workers, len(instances) * len(layer_counts) * runs)  # no idle worker is budgeted
     try:
         configs = {p: QaoaConfig(p, shots=shots, max_evaluations=budget, objective_mode=mode, strategy=strategy)
                    for p in layer_counts}
@@ -176,6 +176,7 @@ def run_benchmark(
         for layers in layer_counts
         for run in range(runs)
     ]
+    workers = min(workers, len(tasks))  # nor started for the runs of a skipped instance
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # kept off the import path of every CLI call
 

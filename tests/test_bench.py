@@ -7,7 +7,7 @@ import pytest
 from qaoa_maxcut import bench, cli, engine
 from qaoa_maxcut.circuits import Barrier, build_qaoa_ansatz, decompose, depth, gate_counts
 from qaoa_maxcut.engine import EXACT, SAMPLED
-from qaoa_maxcut.graphs import CutSolution, generate_random_graph, graph_from_pairs, load_graph, save_graph
+from qaoa_maxcut.graphs import CutSolution, Graph, generate_random_graph, graph_from_pairs, load_graph, save_graph
 from qaoa_maxcut.seeding import mix64
 from qaoa_maxcut.simulator import DEFAULT_MAX_QUBITS, CapacityError
 
@@ -179,6 +179,20 @@ class TestMemoryGate:
         monkeypatch.setattr(bench, "available_memory", lambda: one_run)
         records, warnings = bench.run_benchmark(instances, [1], 1, budget=4, workers=3)
         assert records == expected and len(records) == 1 and warnings == []
+
+    @pytest.mark.parametrize("edgeless", [1, 2])
+    def test_runs_of_skipped_instances_start_no_pool(self, edgeless, monkeypatch):
+        # With one edgeless instance beside MC_8 one run is left; with two and no MC_8, none.
+        instances = [(f"MC_E{k}", Graph(4)) for k in range(edgeless)] + self.INSTANCES[: 2 - edgeless]
+        expected, _ = bench.run_benchmark(instances, [1], 1, budget=4)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started for fewer than two runs")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        records, warnings = bench.run_benchmark(instances, [1], 1, budget=4, workers=2)
+        assert records == expected and len(records) == 2 - edgeless
+        assert warnings == [f"skipped MC_E{k}: optimum cut is 0 (edgeless graph?)" for k in range(edgeless)]
 
     def test_cli_reports_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(bench, "brute_force_optimum", no_optimum)
