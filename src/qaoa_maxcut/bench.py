@@ -254,7 +254,7 @@ def summarize(records: list[BenchRecord]) -> list[dict]:
 
 def format_summary_table(rows: list[dict], layer_counts: list[int]) -> str:
     """One column pair per distinct layer count, ascending."""
-    _, layer_counts = _plan([], layer_counts)
+    layer_counts = sorted(set(layer_counts))
     header = ["instance", "n"]
     for p in layer_counts:
         header += [f"{p}-layer mean", f"{p}-layer std"]

@@ -294,8 +294,7 @@ def sample(state: np.ndarray, shots: int, seed: int) -> Counts:
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    cdf = np.abs(state)
-    np.square(cdf, out=cdf)
+    cdf = probabilities(state)
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     draws = np.random.default_rng(seed).random(shots)

@@ -3,9 +3,9 @@
 Everything here is deliberately naive and kept separate from the
 package code paths it checks: dense operator matrices built entry by
 entry, diagonal phases read off the index bits, expectation values
-summed state by state, a closed form for one layer, the QUBO route to
-an Ising model with fields (the tests' only Ising form of -cut), energy
-levels by sorting, and shot histograms counted over every basis state.
+summed state by state, a closed form for one layer, -cut of every
+assignment edge by edge from the definition of a cut
+(`strided_cut_table`), energy levels by sorting, and shot histograms counted over every basis state.
 The one exception, `simulate_full_width`, reuses the simulator's gate
 kernels (checked against the dense matrices) to check how `simulate`
 limits each gate to the qubits it has reached.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -127,24 +126,19 @@ def random_state(num_qubits: int, seed: int) -> np.ndarray:
     return state / np.linalg.norm(state)
 
 
-def strided_energy_table(m: FieldIsing) -> np.ndarray:
-    """Energies of all 2^n assignments, little-endian, by strided adds.
+def strided_cut_table(g: Graph) -> np.ndarray:
+    """-cut of all 2^n assignments, little-endian, by strided subtracts:
+    the reference for `encoding.energy_table`.
 
-    One pass over reshaped views of the whole table per nonzero
-    coefficient, in the model's dict order: with `maxcut_ising`, the
-    reference for the blocked `encoding.energy_table`.
+    A table of zeros, then per edge (u, v, w) one pass over a reshaped
+    view of it that subtracts w wherever bits u and v differ. No spins,
+    couplings or offset enter.
     """
-    e = np.full(1 << m.n, m.offset, dtype=np.float64)
-    for i, hi in m.h.items():
-        view = e.reshape(-1, 2, 1 << i)
-        view[:, 0, :] += hi  # bit 0 -> z = +1
-        view[:, 1, :] -= hi
-    for (i, j), jij in m.J.items():
-        view = e.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
-        view[:, 0, :, 0, :] += jij  # equal bits -> z_i z_j = +1
-        view[:, 1, :, 1, :] += jij
-        view[:, 0, :, 1, :] -= jij
-        view[:, 1, :, 0, :] -= jij
+    e = np.zeros(1 << g.num_nodes)
+    for u, v, w in g.edges:
+        view = e.reshape(-1, 2, 1 << (v - u - 1), 2, 1 << u)
+        view[:, 0, :, 1, :] -= w
+        view[:, 1, :, 0, :] -= w
     return e
 
 
@@ -164,29 +158,6 @@ def naive_max_cut(g: Graph) -> tuple[tuple[int, ...], float]:
         if value > best_value:
             best_mask, best_value = mask, value
     return tuple((best_mask >> i) & 1 for i in range(g.num_nodes)), best_value
-
-
-def maxcut_p1_edge_expectation(g: Graph, u: int, v: int, gamma: float, beta: float) -> float:
-    """<(1 - Z_u Z_v)/2> after one QAOA layer on a unit-weight graph.
-
-    Closed form of Wang, Hadfield, Jiang & Rieffel (PRA 97, 022304,
-    arXiv:1706.02998) for the state exp(-i beta B) exp(-i gamma C) |+>^n,
-    C = sum over edges of (1 - Z_u Z_v)/2 and B = sum_i X_i. No
-    simulation: only degrees and the triangles through (u, v) enter.
-    """
-    neighbours: dict[int, set[int]] = {i: set() for i in range(g.num_nodes)}
-    for a, b, _ in g.edges:
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    d_u = len(neighbours[u]) - 1
-    d_v = len(neighbours[v]) - 1
-    f = len(neighbours[u] & neighbours[v])
-    cos = math.cos(gamma)
-    return (
-        0.5
-        + 0.25 * math.sin(4 * beta) * math.sin(gamma) * (cos**d_u + cos**d_v)
-        - 0.25 * math.sin(2 * beta) ** 2 * cos ** (d_u + d_v - 2 * f) * (1 - math.cos(2 * gamma) ** f)
-    )
 
 
 def p1_expected_cut(g: Graph, gamma: float, beta: float) -> np.ndarray:
@@ -237,100 +208,6 @@ def diagonal_after_h_layer(num_qubits: int, gates: Sequence[Gate]) -> np.ndarray
             parity ^= (x >> q) & 1
         exponent += g.angle * (1 - 2 * parity)
     return 2.0 ** (-num_qubits / 2) * np.exp(-0.5j * exponent)
-
-
-@dataclass(frozen=True)
-class Qubo:
-    """Minimize sum_{i<=j} coeffs[i,j] x_i x_j + offset over binary x."""
-
-    n: int
-    coeffs: dict[tuple[int, int], float] = field(default_factory=dict)
-    offset: float = 0.0
-
-    def __post_init__(self):
-        for i, j in self.coeffs:
-            if not 0 <= i <= j < self.n:
-                raise ValueError(f"non-canonical QUBO key ({i},{j}) for n={self.n}")
-
-
-def maxcut_to_qubo(g: Graph) -> Qubo:
-    """QUBO whose minimum is the negated maximum cut: f(x) = -cut(x).
-
-    Each edge (u, v, w) contributes -w to both diagonal entries and +2w
-    to the off-diagonal entry.
-    """
-    coeffs: dict[tuple[int, int], float] = {}
-    for u, v, w in g.edges:
-        coeffs[(u, u)] = coeffs.get((u, u), 0.0) - w
-        coeffs[(v, v)] = coeffs.get((v, v), 0.0) - w
-        coeffs[(u, v)] = coeffs.get((u, v), 0.0) + 2.0 * w
-    return Qubo(g.num_nodes, coeffs, 0.0)
-
-
-@dataclass(frozen=True)
-class FieldIsing:
-    """E(z) = sum_i h[i] z_i + sum_{i<j} J[i,j] z_i z_j + offset over z in {-1,+1}^n.
-
-    The Ising form with fields, which `qubo_to_ising` produces. For a
-    Max-Cut graph (`maxcut_ising`) it is -cut derived by way of the QUBO,
-    independently of `encoding`, which reads the couplings w/2 and the
-    offset -W/2 off the graph itself; the fields of an integer-weight
-    graph cancel exactly.
-    """
-
-    n: int
-    h: dict[int, float] = field(default_factory=dict)
-    J: dict[tuple[int, int], float] = field(default_factory=dict)
-    offset: float = 0.0
-
-    def energy(self, assignment: Sequence[int] | str) -> float:
-        """Energy of a bit vector under the spin convention z_i = 1 - 2*bit_i."""
-        z = [1 - 2 * int(b) for b in assignment]
-        if len(z) != self.n:
-            raise ValueError(f"assignment length {len(z)} != n {self.n}")
-        e = self.offset
-        for i, hi in self.h.items():
-            e += hi * z[i]
-        for (i, j), jij in self.J.items():
-            e += jij * z[i] * z[j]
-        return e
-
-
-def qubo_to_ising(q: Qubo) -> FieldIsing:
-    """Exact change of variables x_i = (1 - z_i)/2; zero coefficients are pruned."""
-    h = {i: 0.0 for i in range(q.n)}
-    J: dict[tuple[int, int], float] = {}
-    offset = q.offset
-    for (i, j), c in q.coeffs.items():
-        if i == j:
-            # c*x_i = c/2 - (c/2) z_i
-            h[i] -= c / 2.0
-            offset += c / 2.0
-        else:
-            # c*x_i*x_j = c/4 (1 - z_i - z_j + z_i z_j)
-            quarter = c / 4.0
-            h[i] -= quarter
-            h[j] -= quarter
-            J[(i, j)] = J.get((i, j), 0.0) + quarter
-            offset += quarter
-    return FieldIsing(
-        q.n,
-        {i: v for i, v in h.items() if v != 0.0},
-        {k: v for k, v in J.items() if v != 0.0},
-        offset,
-    )
-
-
-def maxcut_ising(g: Graph) -> FieldIsing:
-    """The Ising form of -cut of a graph, by way of its QUBO."""
-    return qubo_to_ising(maxcut_to_qubo(g))
-
-
-def qubo_energy(q: Qubo, assignment: Sequence[int] | str) -> float:
-    x = [int(b) for b in assignment]
-    if len(x) != q.n:
-        raise ValueError(f"assignment length {len(x)} != n {q.n}")
-    return sum(c * x[i] * x[j] for (i, j), c in q.coeffs.items()) + q.offset
 
 
 def unique_energy_levels(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,15 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import (
-    Qubo,
-    maxcut_ising,
-    maxcut_to_qubo,
-    qubo_energy,
-    qubo_to_ising,
-    strided_energy_table,
-    unique_energy_levels,
-)
+from oracles import strided_cut_table, unique_energy_levels
 
 from qaoa_maxcut.encoding import energy_blocks, energy_levels, energy_table
 from qaoa_maxcut.graphs import (
@@ -22,117 +14,17 @@ from qaoa_maxcut.graphs import (
 )
 from qaoa_maxcut.simulator import qaoa_state
 
-SINGLE_EDGE = graph_from_pairs(2, [(0, 1)])
 K3 = graph_from_pairs(3, [(0, 1), (1, 2), (0, 2)])
-
-
-def all_bits(n):
-    return itertools.product((0, 1), repeat=n)
-
-
-class TestMaxcutToQubo:
-    def test_single_edge_coefficients(self):
-        q = maxcut_to_qubo(SINGLE_EDGE)
-        assert q.coeffs == {(0, 0): -1.0, (1, 1): -1.0, (0, 1): 2.0}
-        assert q.offset == 0.0
-
-    def test_single_edge_minimum(self):
-        q = maxcut_to_qubo(SINGLE_EDGE)
-        values = {bits: qubo_energy(q, bits) for bits in all_bits(2)}
-        assert min(values.values()) == -1.0
-        assert {b for b, v in values.items() if v == -1.0} == {(0, 1), (1, 0)}
-
-    def test_empty_graph(self):
-        q = maxcut_to_qubo(Graph(3))
-        assert q.coeffs == {}
-        assert all(qubo_energy(q, bits) == 0.0 for bits in all_bits(3))
-
-    def test_triangle_minimum(self):
-        q = maxcut_to_qubo(K3)
-        assert min(qubo_energy(q, bits) for bits in all_bits(3)) == -2.0
-
-    def test_equals_negated_cut(self):
-        for seed in range(5):
-            g = generate_random_graph(7, 0.5, seed=seed)
-            q = maxcut_to_qubo(g)
-            for bits in all_bits(7):
-                assert qubo_energy(q, bits) == -cut_value(g, bits)
-
-
-class TestQuboToIsing:
-    def test_single_edge(self):
-        m = qubo_to_ising(maxcut_to_qubo(SINGLE_EDGE))
-        assert m.h == {}
-        assert m.J == {(0, 1): 0.5}
-        assert m.offset == -0.5
-        for bits in all_bits(2):
-            assert m.energy(bits) == qubo_energy(maxcut_to_qubo(SINGLE_EDGE), bits)
-
-    def test_single_linear_term(self):
-        c = 3.0
-        m = qubo_to_ising(Qubo(1, {(0, 0): c}))
-        assert m.h == {0: -c / 2}
-        assert m.offset == c / 2
-        for bits in all_bits(1):
-            assert m.energy(bits) == qubo_energy(Qubo(1, {(0, 0): c}), bits)
-
-    def test_zero_qubo(self):
-        m = qubo_to_ising(Qubo(2))
-        assert m.h == {} and m.J == {} and m.offset == 0.0
-
-    def test_exact_on_all_assignments(self):
-        rng = np.random.default_rng(5)
-        coeffs = {}
-        n = 5
-        for i in range(n):
-            for j in range(i, n):
-                coeffs[(i, j)] = float(rng.normal())
-        q = Qubo(n, coeffs, offset=float(rng.normal()))
-        m = qubo_to_ising(q)
-        for bits in all_bits(n):
-            assert m.energy(bits) == pytest.approx(qubo_energy(q, bits), abs=1e-12)
-
-    def test_rejects_bad_keys(self):
-        with pytest.raises(ValueError):
-            Qubo(2, {(1, 0): 1.0})
-
-
-class TestRoundTrip:
-    def test_matches_negated_cut_exactly(self):
-        for seed in range(20):
-            n = 4 + seed % 7  # 4..10
-            g = generate_random_graph(n, 0.5, seed=100 + seed)
-            m = qubo_to_ising(maxcut_to_qubo(g))
-            for bits in all_bits(n):
-                assert m.energy(bits) == -cut_value(g, bits)
-
-    def test_unweighted_has_no_linear_terms(self):
-        for seed in range(10):
-            g = generate_random_graph(8, 0.6, seed=seed)
-            assert qubo_to_ising(maxcut_to_qubo(g)).h == {}
-
-    def test_argmin_energy_is_argmax_cut(self):
-        for seed in range(5):
-            g = generate_random_graph(6, 0.5, seed=seed)
-            m = qubo_to_ising(maxcut_to_qubo(g))
-            energies = {bits: m.energy(bits) for bits in all_bits(6)}
-            cuts = {bits: cut_value(g, bits) for bits in all_bits(6)}
-            best_e = min(energies.values())
-            best_c = max(cuts.values())
-            assert {b for b, e in energies.items() if e == best_e} == {
-                b for b, c in cuts.items() if c == best_c
-            }
 
 
 class TestEnergyTable:
     def test_matches_scalar_energy(self):
         g = Graph(4, ((0, 1, 3.0), (1, 3, 2.0), (2, 3, 4.0), (0, 2, 1.0)))
-        m = maxcut_ising(g)
         table = energy_table(g)
         for z in range(16):
             bits = [(z >> i) & 1 for i in range(4)]
             # Half entry k holds assignment 2k, and an odd z its complement's energy.
-            assert table[(z if z % 2 == 0 else z ^ 15) >> 1] == m.energy(bits)
+            assert table[(z if z % 2 == 0 else z ^ 15) >> 1] == -cut_value(g, bits)
 
     def test_maxcut_table_is_negated_cut(self):
         g = generate_random_graph(7, 0.5, seed=3)
@@ -173,7 +65,7 @@ def test_half_table_holds_every_assignment_and_its_complement(n, weights):
         g = generate_random_graph(n, 0.5, seed=20 + n)
     else:
         g = weighted_maxcut(n, seed=30 + n)
-    full = strided_energy_table(maxcut_ising(g))
+    full = strided_cut_table(g)
     half = energy_table(g)
     assert half.tobytes() == full[::2].tobytes() == full[::-1][::2].tobytes()
 
@@ -182,13 +74,13 @@ class TestBlockedEnergyTable:
     @pytest.mark.parametrize("n", [*range(1, 13), 16])
     def test_unit_weight_maxcut_equals_strided_oracle_exactly(self, n):
         g = generate_random_graph(n, 0.5, seed=40 + n) if n > 1 else Graph(1, ())
-        np.testing.assert_array_equal(energy_table(g), strided_energy_table(maxcut_ising(g))[::2])
+        np.testing.assert_array_equal(energy_table(g), strided_cut_table(g)[::2])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
     @pytest.mark.parametrize("heavy", [False, True], ids=["weights-1-8", "heavy-weights"])
     def test_integer_weights_equal_strided_oracle_exactly(self, n, heavy):
         g = weighted_maxcut(n, seed=n, heavy=heavy)
-        np.testing.assert_array_equal(energy_table(g), strided_energy_table(maxcut_ising(g))[::2])
+        np.testing.assert_array_equal(energy_table(g), strided_cut_table(g)[::2])
 
 
 # Every width from 2 to 11 splits into its own low and high halves; the

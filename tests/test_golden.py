@@ -37,7 +37,7 @@ from pathlib import Path
 
 import pytest
 
-from qaoa_maxcut import cli
+from qaoa_maxcut import bench, cli
 from qaoa_maxcut.graphs import brute_force_optimum, generate_random_graph, load_graph, save_graph
 from qaoa_maxcut.seeding import mix64
 
@@ -103,6 +103,13 @@ def test_golden_ratios_lie_in_0_1(mode):
     for line in (GOLDEN / f"{mode}.jsonl").read_text().splitlines():
         record = json.loads(line)
         assert 0 < record["ar_expectation"] <= record["ar_best"] <= 1, line
+
+
+@pytest.mark.parametrize("mode", [*sorted(MODES), "wide"])
+def test_records_read_back_and_rewrite_the_golden_bytes(mode, tmp_path):
+    out = tmp_path / "rewritten.jsonl"
+    bench.write_records(bench.read_records(GOLDEN / f"{mode}.jsonl"), out)
+    assert out.read_bytes() == (GOLDEN / f"{mode}.jsonl").read_bytes()
 
 
 def study_suite(directory: Path) -> list[Path]:
