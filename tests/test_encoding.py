@@ -52,6 +52,45 @@ def weighted_maxcut(n: int, seed: int, density: float = 0.5, heavy: bool = False
     return Graph(n, tuple((u, v, float(w)) for (u, v, _), w in zip(edges, weights)))
 
 
+def negated_cuts(g: Graph) -> np.ndarray:
+    """-cut_value of every assignment, little-endian, one call each."""
+    n = g.num_nodes
+    return np.array([-cut_value(g, [(z >> i) & 1 for i in range(n)]) for z in range(1 << n)])
+
+
+class TestStridedCutTable:
+    """The tests' -cut oracle against `cut_value`, assignment by assignment."""
+
+    def test_single_edge(self):
+        table = strided_cut_table(graph_from_pairs(2, [(0, 1)]))
+        np.testing.assert_array_equal(table, [0.0, -1.0, -1.0, 0.0])
+
+    def test_empty_graph_is_all_zero(self):
+        np.testing.assert_array_equal(strided_cut_table(Graph(3)), np.zeros(8))
+
+    def test_triangle_minimum_is_every_split(self):
+        table = strided_cut_table(K3)
+        assert table.min() == -2.0
+        assert set(np.flatnonzero(table == -2.0)) == set(range(1, 7))
+
+    def test_argmin_is_argmax_cut(self):
+        for seed in range(5):
+            g = generate_random_graph(6, 0.5, seed=seed)
+            table, cuts = strided_cut_table(g), -negated_cuts(g)
+            assert set(np.flatnonzero(table == table.min())) == set(np.flatnonzero(cuts == cuts.max()))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_unit_weights_equal_negated_cut_exactly(self, seed):
+        g = generate_random_graph(4 + seed % 7, 0.5, seed=100 + seed)
+        np.testing.assert_array_equal(strided_cut_table(g), negated_cuts(g))
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    @pytest.mark.parametrize("heavy", [False, True], ids=["weights-1-8", "heavy-weights"])
+    def test_integer_weights_equal_negated_cut_exactly(self, n, heavy):
+        g = weighted_maxcut(n, seed=50 + n, heavy=heavy)
+        np.testing.assert_array_equal(strided_cut_table(g), negated_cuts(g))
+
+
 @pytest.mark.parametrize("weights", ["unit", "weighted"])
 @pytest.mark.parametrize("n", range(1, 17))
 def test_half_table_holds_every_assignment_and_its_complement(n, weights):
