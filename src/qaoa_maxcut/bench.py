@@ -47,10 +47,10 @@ DEFAULT_SEED = 11
 # the memory gate of `run_benchmark` budgets each worker by it.
 BYTES_PER_AMPLITUDE = 34
 # Peak bytes per shot of `sample` beside its CDF when nearly every shot
-# is a distinct outcome, as at the study's widths (about 26 when few
+# is a distinct outcome, as at the study's widths (about 18 when few
 # outcomes repeat). Pinned by the tracemalloc test of `sample`; the
 # memory gate adds it per shot to each worker's budget.
-BYTES_PER_SHOT = 50
+BYTES_PER_SHOT = 42
 
 _MEMINFO = Path("/proc/meminfo")
 _CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")

@@ -52,10 +52,13 @@ def energy_blocks(g: Graph, entries: int) -> Iterator[tuple[int, np.ndarray]]:
 
     The spins split into a low half of L = max(1, n // 2) and a high
     half; row r and column c of the table hold assignment r * 2^L + 2c.
-    With Z_L the +-1 spin rows of the even low half assignments and Z_H
-    those of the high half, a block is the cross-half couplings as one
-    product (Z_H @ J_LH^T) @ Z_L^T, plus each half's own energy z^T J z
-    as a row and as a column, with the offset added to the row once.
+    With Z_L the +-1 spin rows of the even low half assignments, Z_H
+    those of the high half and E_L, E_H each half's own energies z^T J z,
+    a block is one product left @ right^T of
+        right = [Z_L | E_L + offset | 1], built once, and
+        left = [Z_H @ J_LH^T | 1 | E_H], built per block,
+    so that each entry sums the cross-half couplings, the low half's
+    energy with the offset and the high half's energy in one dot product.
     Integer and half-integer energies are exact in any summation order,
     so the tables of integer-weight graphs equal the edge-by-edge sum bit
     for bit.
@@ -67,16 +70,14 @@ def energy_blocks(g: Graph, entries: int) -> Iterator[tuple[int, np.ndarray]]:
         J[u, v] = w / 2.0
     offset = -g.total_weight() / 2.0
     z_low = _spin_rows(np.arange(0, 1 << low, 2), low)
-    low_energy = _half_energies(z_low, J[:low, :low]) + offset
+    right = np.column_stack([z_low, _half_energies(z_low, J[:low, :low]) + offset, np.ones(len(z_low))])
     cross = J[:low, low:].T
     high_rows = 1 << (n - low)
-    rows = max(1, entries // len(z_low))
+    rows = max(1, entries // len(right))
     for start in range(0, high_rows, rows):
         z_high = _spin_rows(np.arange(start, min(start + rows, high_rows)), n - low)
-        block = (z_high @ cross) @ z_low.T
-        block += low_energy
-        block += _half_energies(z_high, J[low:, low:])[:, None]
-        yield start * len(z_low), block
+        left = np.column_stack([z_high @ cross, np.ones(len(z_high)), _half_energies(z_high, J[low:, low:])])
+        yield start * len(right), left @ right.T
 
 
 def _spin_rows(indices: np.ndarray, width: int) -> np.ndarray:

@@ -31,8 +31,10 @@ MAX_BRUTE_FORCE_NODES = 28
 # Total edge weight a Graph stays below, so that energy levels index as uint16.
 MAX_TOTAL_WEIGHT = 1 << 16
 
-# Energies brute_force_optimum asks `energy_blocks` for at once (64 KiB).
-_BLOCK = 1 << 13
+# Energies brute_force_optimum asks `energy_blocks` for at once (256 KiB).
+# In pinned timings 2^16 was no faster, and it added 0.5 MiB of RSS on
+# perfbench's suite-prep.
+_BLOCK = 1 << 15
 
 Edge = tuple[int, int, float]
 
@@ -200,11 +202,13 @@ def brute_force_optimum(g: Graph) -> CutSolution:
 
     Node 0 is fixed to side 0 (cuts are complement-symmetric), so only
     the 2^(n-1) even assignment integers are scored: `energy_blocks`, in
-    blocks of `_BLOCK` energies (64 KiB). The largest temporaries are
-    the spin rows of `energy_blocks`' low half, 2^(L-1) * L float64 for
-    its L spins, and the integer bits they are made from, as large:
-    88 KiB each at n = 22 and 0.9 MiB at n = 28, where tracemalloc reads
-    peaks of 0.3 and 1.9 MiB.
+    blocks of `_BLOCK` energies (256 KiB), two of which are alive while
+    the next is made. Beside them the largest temporaries are
+    `energy_blocks`' low-half factor, 2^(L-1) * (L + 2) float64 for its
+    L spins, and the spin rows it is made from, 2^(L-1) * L float64:
+    104 and 88 KiB at n = 22, 1.0 and 0.9 MiB at n = 28. tracemalloc
+    reads peaks of 0.70 MiB at n = 22, 0.92 MiB at n = 24 and 2.4 MiB at
+    n = 28.
 
     Ties break toward the lowest assignment integer: blocks come in
     ascending order, `np.argmin` returns the first minimum of a block,

@@ -290,13 +290,14 @@ def sample(state: np.ndarray, shots: int, seed: int) -> Counts:
     is renormalized to absorb float drift in the state norm.
     Deterministic for a fixed seed. The vector is built in place in one
     float64 buffer (8 bytes per amplitude), and the hits are counted
-    among themselves, so no other array is as long as the state.
+    among themselves, so no other array is as long as the state; the
+    uniforms are freed before the count.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     cdf = probabilities(state)
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
-    draws = np.random.default_rng(seed).random(shots)
-    indices, counts = np.unique(np.searchsorted(cdf, draws, side="right"), return_counts=True)
+    hits = np.searchsorted(cdf, np.random.default_rng(seed).random(shots), side="right")
+    indices, counts = np.unique(hits, return_counts=True)
     return Counts(indices, counts, shots, num_qubits_of(state))

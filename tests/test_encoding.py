@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import strided_cut_table, unique_energy_levels
 
+from qaoa_maxcut import graphs
 from qaoa_maxcut.encoding import energy_blocks, energy_levels, energy_table
 from qaoa_maxcut.graphs import (
     MAX_TOTAL_WEIGHT,
@@ -134,6 +135,18 @@ GRAPHS = {
     **{f"weighted-complete-{n}": weighted_maxcut(n, seed=110 + n, density=1.0) for n in GRAPH_SIZES},
 }
 
+# At n = 18 the table is four blocks of the size `brute_force_optimum`
+# asks for.
+BLOCK_GRAPHS = {
+    "unit-18": generate_random_graph(18, 0.5, seed=98),
+    "weighted-18": weighted_maxcut(18, seed=108),
+    "heavy-weights-18": weighted_maxcut(18, seed=108, heavy=True),
+}
+TILINGS = [
+    *((entries, name) for name in sorted(GRAPHS) for entries in ("1", "4", "64", "2^n")),
+    *(("_BLOCK", name) for name in BLOCK_GRAPHS),
+]
+
 
 def concatenated(g: Graph, entries: int) -> np.ndarray:
     """The blocks of `energy_blocks` flattened and joined, after checking
@@ -149,19 +162,20 @@ def concatenated(g: Graph, entries: int) -> np.ndarray:
 
 class TestEnergyBlocks:
     """`energy_blocks` in pieces against `energy_table`, the half table as
-    one block.
+    one block, and against the strided oracle's even entries.
 
     Integer weights make every energy exact in any summation order, so
     the pieces must equal the table bit for bit, also where BLAS takes a
     one-row block through its matrix-vector kernel.
     """
 
-    @pytest.mark.parametrize("name", sorted(GRAPHS))
-    @pytest.mark.parametrize("entries", ["1", "4", "64", "2^n"])
+    @pytest.mark.parametrize("entries, name", TILINGS)
     def test_exact_energies_tile_the_table_bit_for_bit(self, name, entries):
-        g = GRAPHS[name]
-        entries = 1 << g.num_nodes if entries == "2^n" else int(entries)
-        np.testing.assert_array_equal(concatenated(g, entries), energy_table(g))
+        g = {**GRAPHS, **BLOCK_GRAPHS}[name]
+        entries = {"2^n": 1 << g.num_nodes, "_BLOCK": graphs._BLOCK}.get(entries) or int(entries)
+        tiles = concatenated(g, entries)
+        np.testing.assert_array_equal(tiles, energy_table(g))
+        np.testing.assert_array_equal(tiles, strided_cut_table(g)[::2])
 
 
 class TestEnergyLevels:

@@ -72,7 +72,7 @@ class TestClosedFormP1:
         assert got == pytest.approx(want, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [*range(2, 17), 20])
-    def test_exact_objective_matches_vectorized_closed_form(self, n):
+    def test_exact_objective_matches_closed_form_on_seeded_graphs(self, n):
         # n = 20 is MC_20 as `generate` writes it, where a gate-level
         # reference would be too slow.
         g = generate_random_graph(n, 0.5, mix64(11, n)) if n == 20 else random_unit_graph(n, 300 + n)

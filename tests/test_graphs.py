@@ -290,11 +290,11 @@ class TestChunkedOptimum:
     """brute_force_optimum against the naive even-mask enumeration.
 
     It scores the 2^(n-1) assignments with node 0 on side 0 in blocks of
-    `graphs._BLOCK` = 2^13 energies, so n <= 14 is one block, n = 15 two
-    and n = 16 four.
+    `graphs._BLOCK` = 2^15 energies, so n <= 16 is one block, n = 17 two
+    and n = 18 four.
     """
 
-    @pytest.mark.parametrize("n, blocks", [(12, 1), (14, 1), (15, 2), (16, 4)])
+    @pytest.mark.parametrize("n, blocks", [(14, 1), (16, 1), (17, 2), (18, 4)])
     def test_sizes_span_one_and_several_blocks(self, n, blocks):
         g = generate_random_graph(n, 0.5, seed=100 + n)
         assert len(list(energy_blocks(g, graphs._BLOCK))) == blocks
@@ -324,7 +324,10 @@ class TestChunkedOptimum:
         ],
         ids=["odd-cycle-15", "complete-16"],
     )
-    def test_optima_in_several_blocks_tie_to_the_lowest_assignment(self, g):
+    def test_optima_in_several_blocks_tie_to_the_lowest_assignment(self, g, monkeypatch):
+        # Blocks of 2^13 energies, so that these graphs span several.
+        monkeypatch.setattr(graphs, "_BLOCK", 1 << 13)
+        assert len(list(energy_blocks(g, graphs._BLOCK))) > 1
         assignment, value = naive_max_cut(g)
         assert brute_force_optimum(g) == CutSolution(assignment, value)
 
