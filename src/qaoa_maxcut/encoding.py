@@ -71,6 +71,7 @@ def energy_blocks(g: Graph, entries: int) -> Iterator[tuple[int, np.ndarray]]:
     offset = -g.total_weight() / 2.0
     z_low = _spin_rows(np.arange(0, 1 << low, 2), low)
     right = np.column_stack([z_low, _half_energies(z_low, J[:low, :low]) + offset, np.ones(len(z_low))])
+    del z_low
     cross = J[:low, low:].T
     high_rows = 1 << (n - low)
     rows = max(1, entries // len(right))
