@@ -15,11 +15,14 @@ Two evolution paths share that layout:
   the first 2^w amplitudes only, w being 1 + the highest qubit reached
   so far: the rest are still 0. So the opening H layer costs about two
   passes over the state, not n. Its kernels never form operator
-  matrices: H and RX share one pair loop over a (blocks, 2, stride)
-  view, given the four entries of the gate's 2x2 matrix as scalars.
-  RZZ is a parity-phase kernel: each contiguous run of `_SLICE`
-  amplitudes is multiplied once by exp(-/+ i theta/2), chosen per
-  amplitude by the parity of its bits on the gate's two qubits.
+  matrices: H and RX share one scaled flip over a (blocks, 2, stride)
+  view. Per slice, the partner amplitudes (the view with its pair axis
+  reversed) times m01 go into a one-slice buffer; then the slice is
+  scaled by m00 and the buffer added, both over whole contiguous
+  slices, so only the partner read is strided. RZZ is a parity-phase
+  kernel: each contiguous run of `_SLICE` amplitudes is multiplied
+  once by exp(-/+ i theta/2), chosen per amplitude by the parity of its
+  bits on the gate's two qubits.
 * `qaoa_state` is the QAOA fast path (after Lykov et al., "Fast
   Simulation of High-Depth QAOA Circuits", arXiv:2309.04841). It
   evolves only the half phi[k] = psi[2k] of the state psi, the 2^(n-1)
@@ -36,12 +39,15 @@ Two evolution paths share that layout:
   matrix per block, applied to the lowest block as one (rows, 16)
   product per slice and to the others as batched `np.matmul`. RX on
   qubit 0 pairs psi[2k] with psi[2k + 1], so it is the mirror step
-  phi <- cos(beta) phi - i sin(beta) phi[::-1], over a slice from the
-  front and its mirror slice from the back at a time.
+  phi <- cos(beta) phi - i sin(beta) phi[::-1]: the same scaled flip,
+  over a slice from the front and its mirror slice from the back at a
+  time, each the other's partner read backwards.
 
 Both work in place on the state, over slices or runs of at most
 `_SLICE` amplitudes, so their temporaries stay small and cache-resident:
-about 1 MiB at most, the parity-phase kernel's two complex patterns.
+about 1.5 MiB at most. That is the parity-phase kernel's two complex
+patterns, or the mirror step's two partner buffers beside `qaoa_state`'s
+gather buffer; the pair kernel's one buffer is half a MiB.
 `simulate` is bit-identical whatever the slicing, and equal bit for bit
 to every gate applied to all 2^n amplitudes. `qaoa_state` is the same
 whatever the slicing for slices of 64 amplitudes or more (four of the
@@ -201,18 +207,25 @@ def _apply_block(state: np.ndarray, low: int, width: int, beta: float) -> None:
 def _apply_mirror(state: np.ndarray, beta: float) -> None:
     """RX(2 beta) on qubit 0 of the half state: phi[k] pairs with
     phi[-1 - k], so each slice from the front is mixed with its mirror
-    slice from the back, reversed (the middle entry of a one-entry half
-    pairs with itself)."""
+    slice from the back, as the scaled flip of `apply_gate`: both
+    partners, read reversed and times -i sin(beta), go into two
+    one-slice buffers before either slice is scaled by cos(beta) and
+    gets its buffer added. The one entry of a one-entry half pairs with
+    itself."""
     cos, msin = math.cos(beta), -1j * math.sin(beta)
     size = state.size
     middle = (size + 1) // 2
+    bufs = np.empty((2, min(_SLICE, middle)), dtype=np.complex128)
     for start in range(0, middle, _SLICE):
         stop = min(start + _SLICE, middle)
-        front = state[start:stop]
-        back = state[size - stop : size - start][::-1]
-        mixed = cos * front + msin * back
-        back[...] = cos * back + msin * front
-        front[...] = mixed
+        front, back = state[start:stop], state[size - stop : size - start]
+        to_front = np.multiply(back[::-1], msin, out=bufs[0, : stop - start])
+        to_back = np.multiply(front[::-1], msin, out=bufs[1, : stop - start])
+        front *= cos
+        front += to_front
+        if size > 1:
+            back *= cos
+            back += to_back
 
 
 def _slices(view: np.ndarray) -> Iterator[np.ndarray]:
@@ -239,23 +252,32 @@ def _slices(view: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def apply_gate(state: np.ndarray, g: Gate) -> None:
-    """Apply one gate in place, one `_slices` part or `_apply_phase` run at a time."""
+    """Apply one gate in place, one `_slices` part or `_apply_phase` run at a time.
+
+    H and RX are symmetric 2x2 matrices [[m00, m01], [m01, m11]] with
+    m11 = m00 for RX and -m00 for H, applied as one scaled flip per part:
+    the partner amplitudes times m01 into a one-slice buffer, the part
+    times m00 (H then negates its bit-1 half), and the buffer added.
+    Each scalar factor has a zero real or imaginary part, so each
+    product is rounded once whether or not numpy fuses its multiply-add,
+    and each sum adds the same two products as the matrix-vector product.
+    """
     if g.kind == "RZZ":
         _apply_phase(state, g.qubits, np.exp([-0.5j * g.angle, 0.5j * g.angle]))
         return
     if g.kind == "H":
-        m00 = m01 = m10 = _SQRT_HALF
-        m11 = -_SQRT_HALF
+        m00 = m01 = _SQRT_HALF
     elif g.kind == "RX":
-        m00 = m11 = math.cos(g.angle / 2.0)
-        m01 = m10 = -1j * math.sin(g.angle / 2.0)
+        m00, m01 = math.cos(g.angle / 2.0), -1j * math.sin(g.angle / 2.0)
     else:
         raise ValueError(f"cannot simulate a {g.kind} gate: simulate runs only the ansatz's H, RX and RZZ gates")
+    buf = np.empty(min(max(_SLICE, 2), state.size), dtype=np.complex128)
     for part in _slices(state.reshape(-1, 2, 1 << g.qubits[0])):
-        a = part[:, 0, :].copy()
-        b = part[:, 1, :]
-        part[:, 0, :] = m00 * a + m01 * b
-        part[:, 1, :] = m10 * a + m11 * b
+        flip = np.multiply(part[:, ::-1, :], m01, out=buf[: part.size].reshape(part.shape))
+        part *= m00
+        if g.kind == "H":
+            np.negative(part[:, 1, :], out=part[:, 1, :])
+        part += flip
 
 
 def _apply_phase(state: np.ndarray, qubits: Sequence[int], phases: np.ndarray) -> None:

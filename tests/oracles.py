@@ -2,13 +2,16 @@
 
 Everything here is deliberately naive and kept separate from the
 package code paths it checks: dense operator matrices built entry by
-entry, diagonal phases read off the index bits, expectation values
-summed state by state, a closed form for one layer, -cut of every
-assignment edge by edge from the definition of a cut
-(`strided_cut_table`), energy levels by sorting, and shot histograms counted over every basis state.
-The one exception, `simulate_full_width`, reuses the simulator's gate
-kernels (checked against the dense matrices) to check how `simulate`
-limits each gate to the qubits it has reached.
+entry, one-qubit gates applied through index arrays, the mirror step
+over whole arrays, diagonal phases read off the index bits, expectation
+values summed state by state, a closed form for one layer, -cut of
+every assignment edge by edge from the definition of a cut
+(`strided_cut_table`), energy levels by sorting, and shot histograms
+counted over every basis state. The one exception,
+`simulate_full_width`, reuses the simulator's gate kernels (checked bit
+for bit against `one_qubit_gate`, and to 1e-12 against the dense
+matrices) to check how `simulate` limits each gate to the qubits it has
+reached.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ def gate_matrix(g: Gate) -> np.ndarray:
     2-bit subspace index, matching the little-endian state layout.
     """
     if g.kind == "H":
-        return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+        # sqrt(0.5) is 1/sqrt(2) rounded once; 1 / math.sqrt(2) is one ulp low.
+        return np.array([[1, 1], [1, -1]], dtype=complex) * math.sqrt(0.5)
     if g.kind == "RX":
         c = math.cos(g.angle / 2)
         s = -1j * math.sin(g.angle / 2)
@@ -85,6 +89,28 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
             continue
         u = embed(g, c.num_qubits) @ u
     return u
+
+
+def one_qubit_gate(state: np.ndarray, g: Gate) -> np.ndarray:
+    """`state` after the one-qubit gate g, through index arrays: i0 holds
+    every index with bit q clear and i1 = i0 | 1 << q, and
+    new[i0] = m00 s[i0] + m01 s[i1], new[i1] = m10 s[i0] + m11 s[i1]
+    with the entries of `gate_matrix`."""
+    (q,) = g.qubits
+    m = gate_matrix(g)
+    index = np.arange(state.size)
+    i0 = index[(index >> q) & 1 == 0]
+    i1 = i0 | 1 << q
+    new = np.empty_like(state)
+    new[i0] = m[0, 0] * state[i0] + m[0, 1] * state[i1]
+    new[i1] = m[1, 0] * state[i0] + m[1, 1] * state[i1]
+    return new
+
+
+def mirror_step(half: np.ndarray, beta: float) -> np.ndarray:
+    """RX(2 beta) on qubit 0 of a spin-flip-symmetric half state, over
+    whole arrays: cos(beta) phi - i sin(beta) phi[::-1]."""
+    return math.cos(beta) * half + -1j * math.sin(beta) * half[::-1]
 
 
 def simulate_full_width(c: Circuit) -> np.ndarray:

@@ -3,6 +3,8 @@ import pytest
 from oracles import (
     circuit_unitary,
     diagonal_after_h_layer,
+    mirror_step,
+    one_qubit_gate,
     random_circuit,
     random_state,
     sample_index_counts,
@@ -91,6 +93,35 @@ class TestSimulate:
     def test_refuses_too_wide_before_allocating(self):
         with pytest.raises(CapacityError, match=f"{DEFAULT_MAX_QUBITS}-qubit limit"):
             simulate(Circuit(DEFAULT_MAX_QUBITS + 1))
+
+
+class TestPairKernels:
+    """`apply_gate`'s H/RX kernel and the mirror step of `qaoa_state`
+    equal their oracles bit for bit, for parts that cut the axes on both
+    sides of the gate's bit and for whole-slice parts."""
+
+    @pytest.mark.parametrize("slice_size", [1, 2, 4, 32, 1 << 15])
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
+    def test_one_qubit_gates_equal_the_index_oracle(self, n, slice_size, monkeypatch):
+        monkeypatch.setattr(simulator, "_SLICE", slice_size)
+        rng = np.random.default_rng(n)
+        state = random_state(n, n)
+        for q in range(n):
+            angle = float(rng.uniform(-2 * np.pi, 2 * np.pi))
+            for g in (Gate("H", (q,)), Gate("RX", (q,), angle), Gate("RX", (q,), np.pi)):
+                got = state.copy()
+                simulator.apply_gate(got, g)
+                np.testing.assert_array_equal(got, one_qubit_gate(state, g))
+
+    @pytest.mark.parametrize("slice_size", [1, 2, 4, 32, 1 << 15])
+    @pytest.mark.parametrize("size", [1, 2, 4, 1 << 11])
+    def test_mirror_equals_the_whole_array_oracle(self, size, slice_size, monkeypatch):
+        monkeypatch.setattr(simulator, "_SLICE", slice_size)
+        half = random_state(size.bit_length() - 1, size)
+        for beta in np.random.default_rng(size).uniform(-np.pi, np.pi, 3):
+            got = half.copy()
+            simulator._apply_mirror(got, beta)
+            np.testing.assert_array_equal(got, mirror_step(half, beta))
 
 
 def reaching_circuit(n: int, order, rng: np.random.Generator) -> Circuit:
