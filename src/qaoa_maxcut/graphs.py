@@ -43,6 +43,15 @@ class GraphFormatError(ValueError):
     """Raised when an instance file cannot be parsed."""
 
 
+class EdgeError(ValueError):
+    """Raised by `Graph` for the edge it refuses: `position` is that
+    edge's index in the edge list it was given."""
+
+    def __init__(self, position: int, message: str):
+        super().__init__(message)
+        self.position = position
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph; edges stored canonically as (u, v, w) with u < v.
@@ -50,7 +59,8 @@ class Graph:
     Edge list order is preserved (it defines the naive gate-emission
     order downstream). Weights are stored as floats. Self-loops,
     duplicate pairs, weights other than integers >= 1, and a total
-    weight of `MAX_TOTAL_WEIGHT` or more are rejected.
+    weight of `MAX_TOTAL_WEIGHT` or more are rejected, with an EdgeError
+    that names the edge at fault and its position.
     """
 
     num_nodes: int
@@ -62,21 +72,22 @@ class Graph:
         canonical: list[Edge] = []
         seen: set[tuple[int, int]] = set()
         total = 0.0
-        for u, v, w in self.edges:
+        for position, (u, v, w) in enumerate(self.edges):
             if u == v:
-                raise ValueError(f"self-loop on node {u}")
+                raise EdgeError(position, f"self-loop on node {u}")
             if u > v:
                 u, v = v, u
             if not (0 <= u < v < self.num_nodes):
-                raise ValueError(f"edge ({u},{v}) out of range for {self.num_nodes} nodes")
+                raise EdgeError(position, f"edge ({u},{v}) out of range for {self.num_nodes} nodes")
             if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
+                raise EdgeError(position, f"duplicate edge ({u},{v})")
             w = float(w)
             if not (w >= 1.0 and w.is_integer()):
-                raise ValueError(f"edge ({u},{v}) has weight {w}, not a positive integer")
+                raise EdgeError(position, f"edge ({u},{v}) has weight {w}, not a positive integer")
             total += w
             if total >= MAX_TOTAL_WEIGHT:
-                raise ValueError(
+                raise EdgeError(
+                    position,
                     f"edge ({u},{v}) brings the total weight to {total:.0f}, not below {MAX_TOTAL_WEIGHT}"
                 )
             seen.add((u, v))
@@ -156,10 +167,13 @@ def load_graph(path) -> Graph:
     Format: first data line "<num_nodes> <num_edges>", then one edge per
     line as "u v" or "u v w", w a positive integer weight (0-indexed,
     whitespace separated). '#' starts a comment; blank lines are
-    ignored. Parse errors report the offending 1-based line number.
+    ignored. A refused line, edge or header is named by its 1-based
+    line number: the graph is built once, and an edge it refuses is
+    traced back to its line.
     """
     header: tuple[int, int] | None = None
     edges: list[Edge] = []
+    lines: list[int] = []  # the line each edge is on
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -173,6 +187,7 @@ def load_graph(path) -> Graph:
                     header = (int(fields[0]), int(fields[1]))
                 except ValueError:
                     raise GraphFormatError(f"{path}:{lineno}: non-integer header") from None
+                header_line = lineno
                 continue
             if len(fields) not in (2, 3):
                 raise GraphFormatError(f"{path}:{lineno}: expected 'u v' or 'u v w'")
@@ -181,20 +196,20 @@ def load_graph(path) -> Graph:
                 w = float(fields[2]) if len(fields) == 3 else 1.0
             except ValueError:
                 raise GraphFormatError(f"{path}:{lineno}: malformed edge line {line!r}") from None
-            try:
-                Graph(header[0], ((u, v, w),))
-            except ValueError as exc:
-                raise GraphFormatError(f"{path}:{lineno}: {exc}") from None
             edges.append((u, v, w))
+            lines.append(lineno)
     if header is None:
         raise GraphFormatError(f"{path}: empty file")
     n, m = header
+    try:
+        g = Graph(n, tuple(edges))
+    except EdgeError as exc:
+        raise GraphFormatError(f"{path}:{lines[exc.position]}: {exc}") from None
+    except ValueError as exc:
+        raise GraphFormatError(f"{path}:{header_line}: {exc}") from None
     if len(edges) != m:
         raise GraphFormatError(f"{path}: header promises {m} edges, found {len(edges)}")
-    try:
-        return Graph(n, tuple(edges))
-    except ValueError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from None
+    return g
 
 
 def brute_force_optimum(g: Graph) -> CutSolution:

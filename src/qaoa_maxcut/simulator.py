@@ -13,16 +13,20 @@ Two evolution paths share that layout:
   reference; any other gate kind, such as the CX and RZ of a
   `circuits.decompose`d circuit, raises ValueError. Each gate acts on
   the first 2^w amplitudes only, w being 1 + the highest qubit reached
-  so far: the rest are still 0. So the opening H layer costs about two
-  passes over the state, not n. Its kernels never form operator
-  matrices: H and RX share one scaled flip over a (blocks, 2, stride)
-  view. Per slice, the partner amplitudes (the view with its pair axis
-  reversed) times m01 go into a one-slice buffer; then the slice is
-  scaled by m00 and the buffer added, both over whole contiguous
-  slices, so only the partner read is strided. RZZ is a parity-phase
-  kernel: each contiguous run of `_SLICE` amplitudes is multiplied
-  once by exp(-/+ i theta/2), chosen per amplitude by the parity of its
-  bits on the gate's two qubits.
+  so far: the rest are still 0. An H or RX that first reaches a qubit
+  q >= w has one nonzero block, the first 2^w amplitudes, to mix: it
+  writes m01 times that block at 2^q and scales the block by m00, so
+  the opening H layer costs about one pass over the state, not n. Its
+  kernels never form operator matrices: H and RX share one scaled flip
+  over a (blocks, 2, stride) view. Per slice, the partner amplitudes
+  (the view with its pair axis reversed) times m01 go into a one-slice
+  buffer; then the slice is scaled by m00 and the buffer added, both
+  over whole contiguous slices, so only the partner read is strided.
+  RZZ is a parity-phase kernel: each contiguous run of `_SLICE`
+  amplitudes is multiplied once by one of two patterns of
+  exp(-/+ i theta/2), chosen by the parity of the run's bits above the
+  run width on the gate's two qubits. The patterns are filled in place
+  by contiguous copies, with no index pattern or gather.
 * `qaoa_state` is the QAOA fast path (after Lykov et al., "Fast
   Simulation of High-Depth QAOA Circuits", arXiv:2309.04841). It
   evolves only the half phi[k] = psi[2k] of the state psi, the 2^(n-1)
@@ -48,8 +52,9 @@ Both work in place on the state, over slices or runs of at most
 about 1.5 MiB at most. That is the parity-phase kernel's two complex
 patterns, or the mirror step's two partner buffers beside `qaoa_state`'s
 gather buffer; the pair kernel's one buffer is half a MiB.
-`simulate` is bit-identical whatever the slicing, and equal bit for bit
-to every gate applied to all 2^n amplitudes. `qaoa_state` is the same
+`simulate` is bit-identical whatever the slicing, and equal value for
+value to every gate applied to all 2^n amplitudes (a first touch may
+give a zero the other sign). `qaoa_state` is the same
 whatever the slicing for slices of 64 amplitudes or more (four of the
 mixer's 16-amplitude blocks); below that its products can differ in the
 last bit.
@@ -138,15 +143,27 @@ def simulate(c: Circuit) -> np.ndarray:
     highest qubit any gate so far has touched: every amplitude above it
     has a bit set on a qubit still at |0>, so it is 0, and a gate on
     lower qubits only mixes amplitudes that share their higher bits.
+    An H or RX on a qubit q >= width, the first to touch it, has only
+    state[: 2^width] to mix, with zeros: it writes m01 times that block
+    to state[2^q : 2^q + 2^width], scales the block by m00 and sets
+    width to q + 1. Those are the products `apply_gate` would form, so
+    every value is the same; only the sign of a zero may differ.
     """
     check_width(c.num_qubits)
     state = np.zeros(1 << c.num_qubits, dtype=np.complex128)
     state[0] = 1.0
-    width = 1
+    width = 0
     for g in c.gates:
-        if not isinstance(g, Barrier):
-            width = max(width, 1 + max(g.qubits))
-            apply_gate(state[: 1 << width], g)
+        if isinstance(g, Barrier):
+            continue
+        top = max(g.qubits)
+        if top >= width and g.kind in ("H", "RX"):
+            m00, m01 = _entries(g)
+            np.multiply(state[: 1 << width], m01, out=state[1 << top : (1 << top) + (1 << width)])
+            state[: 1 << width] *= m00
+        else:
+            apply_gate(state[: 1 << max(width, top + 1)], g)
+        width = max(width, top + 1)
     return state
 
 
@@ -265,12 +282,7 @@ def apply_gate(state: np.ndarray, g: Gate) -> None:
     if g.kind == "RZZ":
         _apply_phase(state, g.qubits, np.exp([-0.5j * g.angle, 0.5j * g.angle]))
         return
-    if g.kind == "H":
-        m00 = m01 = _SQRT_HALF
-    elif g.kind == "RX":
-        m00, m01 = math.cos(g.angle / 2.0), -1j * math.sin(g.angle / 2.0)
-    else:
-        raise ValueError(f"cannot simulate a {g.kind} gate: simulate runs only the ansatz's H, RX and RZZ gates")
+    m00, m01 = _entries(g)
     buf = np.empty(min(max(_SLICE, 2), state.size), dtype=np.complex128)
     for part in _slices(state.reshape(-1, 2, 1 << g.qubits[0])):
         flip = np.multiply(part[:, ::-1, :], m01, out=buf[: part.size].reshape(part.shape))
@@ -280,6 +292,15 @@ def apply_gate(state: np.ndarray, g: Gate) -> None:
         part += flip
 
 
+def _entries(g: Gate) -> tuple[float, complex]:
+    """(m00, m01) of an H or RX gate; any other kind raises ValueError."""
+    if g.kind == "H":
+        return _SQRT_HALF, _SQRT_HALF
+    if g.kind == "RX":
+        return math.cos(g.angle / 2.0), -1j * math.sin(g.angle / 2.0)
+    raise ValueError(f"cannot simulate a {g.kind} gate: simulate runs only the ansatz's H, RX and RZZ gates")
+
+
 def _apply_phase(state: np.ndarray, qubits: Sequence[int], phases: np.ndarray) -> None:
     """Multiply each amplitude by phases[parity of its bits on `qubits`].
 
@@ -287,15 +308,24 @@ def _apply_phase(state: np.ndarray, qubits: Sequence[int], phases: np.ndarray) -
     lone complex product differently, without its vector loop's fused
     multiply-add) share one parity pattern from the bits below the run
     width; bits above it give each run a parity, and an odd run takes
-    the pattern's phases swapped.
+    the pattern's phases swapped. The even and odd patterns are filled
+    in place: a constant phase over the bits below the lowest qubit,
+    then doubled one bit at a time up to the run width, each pattern
+    copying its own first half, or the other pattern's on a gate qubit.
+    Each copy takes one row: over both rows, source and target would
+    overlap in their bounds, and numpy would copy the source first.
     """
     width = min(num_qubits_of(state), max(1, _SLICE.bit_length() - 1))
-    pattern = np.zeros(1 << width, dtype=np.uint8)
     parity = np.zeros(state.size >> width, dtype=np.uint8)
     for q in qubits:
-        bits, q = (pattern, q) if q < width else (parity, q - width)
-        bits.reshape(-1, 2, 1 << q)[:, 1] ^= 1
-    patterns = np.take(phases, pattern), np.take(phases[::-1], pattern)
+        if q >= width:
+            parity.reshape(-1, 2, 1 << (q - width))[:, 1] ^= 1
+    patterns = np.empty((2, 1 << width), dtype=np.complex128)
+    low = min(*qubits, width)
+    patterns[:, : 1 << low] = phases[:, None]
+    for b in range(low, width):
+        for row, done in enumerate(patterns[::-1] if b in qubits else patterns):
+            patterns[row, 1 << b : 2 << b] = done[: 1 << b]
     for run, odd in zip(state.reshape(-1, 1 << width), parity):
         run *= patterns[odd]
 
@@ -310,16 +340,22 @@ def sample(state: np.ndarray, shots: int, seed: int) -> Counts:
     Inverse-CDF sampling: `shots` uniforms from numpy's PCG64 seeded
     with `seed` are placed into the cumulative probability vector, which
     is renormalized to absorb float drift in the state norm.
-    Deterministic for a fixed seed. The vector is built in place in one
-    float64 buffer (8 bytes per amplitude), and the hits are counted
-    among themselves, so no other array is as long as the state; the
-    uniforms are freed before the count.
+    Deterministic for a fixed seed. The uniforms are sorted in place
+    first: the histogram does not depend on their order, and ascending
+    keys let `np.searchsorted` keep each hit as the next search's lower
+    bound, so its reads move through the vector front to back. The vector
+    is built in place in one float64 buffer (8 bytes per amplitude), and
+    the hits are counted among themselves, so no other array is as long
+    as the state; the uniforms are freed before the count.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     cdf = probabilities(state)
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
-    hits = np.searchsorted(cdf, np.random.default_rng(seed).random(shots), side="right")
+    draws = np.random.default_rng(seed).random(shots)
+    draws.sort()
+    hits = np.searchsorted(cdf, draws, side="right")
+    del draws
     indices, counts = np.unique(hits, return_counts=True)
     return Counts(indices, counts, shots, num_qubits_of(state))

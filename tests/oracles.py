@@ -2,16 +2,17 @@
 
 Everything here is deliberately naive and kept separate from the
 package code paths it checks: dense operator matrices built entry by
-entry, one-qubit gates applied through index arrays, the mirror step
-over whole arrays, diagonal phases read off the index bits, expectation
+entry, one-qubit gates applied through index arrays, RZZ phases
+chosen by parities read off index arrays, the mirror step over whole
+arrays, diagonal phases read off the index bits, expectation
 values summed state by state, a closed form for one layer, -cut of
 every assignment edge by edge from the definition of a cut
 (`strided_cut_table`), energy levels by sorting, and shot histograms
 counted over every basis state. The one exception,
 `simulate_full_width`, reuses the simulator's gate kernels (checked bit
-for bit against `one_qubit_gate`, and to 1e-12 against the dense
-matrices) to check how `simulate` limits each gate to the qubits it has
-reached.
+for bit against `one_qubit_gate` and `rzz_gate`, and to 1e-12 against
+the dense matrices) to check how `simulate` limits each gate to the
+qubits it has reached.
 """
 
 from __future__ import annotations
@@ -105,6 +106,20 @@ def one_qubit_gate(state: np.ndarray, g: Gate) -> np.ndarray:
     new[i0] = m[0, 0] * state[i0] + m[0, 1] * state[i1]
     new[i1] = m[1, 0] * state[i0] + m[1, 1] * state[i1]
     return new
+
+
+def rzz_gate(state: np.ndarray, g: Gate) -> np.ndarray:
+    """`state` after the RZZ gate g: each index's parity on g's two qubits,
+    read off an index array, picks one of the first two entries of
+    `gate_matrix(g)`'s diagonal (the phases of even and odd parity)."""
+    u, v = g.qubits
+    index = np.arange(state.size)
+    parity = ((index >> u) ^ (index >> v)) & 1
+    # Bound to a name: numpy reuses an unnamed temporary operand of 256 KiB
+    # or more as the product's output and then rounds as if the operands
+    # were swapped.
+    phases = np.diag(gate_matrix(g))[:2][parity]
+    return state * phases
 
 
 def mirror_step(half: np.ndarray, beta: float) -> np.ndarray:
@@ -247,7 +262,8 @@ def sample_index_counts(state: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Multinomial shot counts per basis-state index, one per amplitude.
 
     Inverse-CDF sampling with the same seeded uniforms as
-    `simulator.sample`, counted with a bincount over all 2^n indices.
+    `simulator.sample`, placed in the order they are drawn (unsorted)
+    and counted with a bincount over all 2^n indices.
     """
     cdf = np.cumsum(np.abs(state) ** 2)
     cdf /= cdf[-1]

@@ -278,7 +278,7 @@ BAD_WEIGHT_FILES = {
     **{w: (f"2 1\n0 1 {w}\n", ":2:", f"edge (0,1) has weight {float(w)}, not a positive integer")
        for w in ("0.5", "1.5", "0", "-1", "inf", "nan")},
     "65536": ("2 1\n0 1 65536\n", ":2:", "edge (0,1) brings the total weight to 65536, not below 65536"),
-    "total-2^16": ("3 2\n0 1 65535\n1 2 1\n", ":", "edge (1,2) brings the total weight to 65536, not below 65536"),
+    "total-2^16": ("3 2\n0 1 65535\n1 2 1\n", ":3:", "edge (1,2) brings the total weight to 65536, not below 65536"),
 }
 
 

@@ -9,6 +9,7 @@ from qaoa_maxcut.encoding import energy_blocks
 from qaoa_maxcut.graphs import (
     MAX_TOTAL_WEIGHT,
     CutSolution,
+    EdgeError,
     Graph,
     GraphFormatError,
     brute_force_optimum,
@@ -42,6 +43,18 @@ class TestGraphType:
     def test_rejects_duplicate_edge(self):
         with pytest.raises(ValueError, match="duplicate"):
             Graph(3, ((0, 1, 1.0), (1, 0, 2.0)))
+
+    @pytest.mark.parametrize("edges, position", [
+        (((0, 1, 1.0), (1, 1, 1.0)), 1),
+        (((0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)), 2),
+        (((0, 5, 1.0), (1, 2, 1.0)), 0),
+        (((0, 1, 1.0), (1, 2, 0.5)), 1),
+        (((0, 1, 65535.0), (0, 2, 1.0), (1, 2, 1.0)), 1),
+    ], ids=["self-loop", "duplicate", "out-of-range", "weight", "total"])
+    def test_refusal_names_the_edge_position(self, edges, position):
+        with pytest.raises(EdgeError) as info:
+            Graph(3, edges)
+        assert info.value.position == position
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -184,7 +197,7 @@ class TestFileFormat:
     def test_total_weight_of_2_16_rejected(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("3 2\n0 1 32768\n1 2 32768\n")
-        with pytest.raises(GraphFormatError, match=r"g.txt: edge \(1,2\) brings the total weight to 65536"):
+        with pytest.raises(GraphFormatError, match=r"g.txt:3: edge \(1,2\) brings the total weight to 65536"):
             load_graph(path)
 
     def test_malformed_line_number(self, tmp_path):
@@ -203,6 +216,20 @@ class TestFileFormat:
         path = tmp_path / "g.txt"
         path.write_text("3 3\n0 1\n1 2\n1 0\n")
         with pytest.raises(GraphFormatError, match="duplicate"):
+            load_graph(path)
+
+    def test_duplicate_edge_rejected_with_line(self, tmp_path):
+        # Comments and blank lines shift the lines; the refusal names the
+        # second copy's line, not the last edge's.
+        path = tmp_path / "g.txt"
+        path.write_text("3 3\n# edges\n0 1\n\n1 0\n1 2\n")
+        with pytest.raises(GraphFormatError, match=r"g.txt:5: duplicate edge \(0,1\)$"):
+            load_graph(path)
+
+    def test_zero_nodes_rejected_with_header_line(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("# empty graph\n0 0\n")
+        with pytest.raises(GraphFormatError, match=r"g.txt:2: num_nodes must be >= 1"):
             load_graph(path)
 
     def test_edge_count_mismatch(self, tmp_path):

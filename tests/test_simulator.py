@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from oracles import (
@@ -7,6 +9,7 @@ from oracles import (
     one_qubit_gate,
     random_circuit,
     random_state,
+    rzz_gate,
     sample_index_counts,
     simulate_full_width,
 )
@@ -96,9 +99,9 @@ class TestSimulate:
 
 
 class TestPairKernels:
-    """`apply_gate`'s H/RX kernel and the mirror step of `qaoa_state`
-    equal their oracles bit for bit, for parts that cut the axes on both
-    sides of the gate's bit and for whole-slice parts."""
+    """`apply_gate`'s H/RX kernel, its RZZ kernel and the mirror step of
+    `qaoa_state` equal their oracles bit for bit, for parts that cut the
+    axes on both sides of the gate's bits and for whole-slice parts."""
 
     @pytest.mark.parametrize("slice_size", [1, 2, 4, 32, 1 << 15])
     @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
@@ -112,6 +115,26 @@ class TestPairKernels:
                 got = state.copy()
                 simulator.apply_gate(got, g)
                 np.testing.assert_array_equal(got, one_qubit_gate(state, g))
+
+    @pytest.mark.parametrize("slice_size", [1, 4, 1 << 6, 1 << 15])
+    @pytest.mark.parametrize("n", [2, 5, 9, 16, 17])
+    def test_rzz_equals_the_parity_oracle(self, n, slice_size, monkeypatch):
+        # Runs of 2, 4, 64 and 2^15 amplitudes: a pair has both qubits
+        # below the run width, one, or none. Every pair runs, except at
+        # runs of 2 and 4 amplitudes for n >= 16, where one gate takes up
+        # to 66 ms in its per-run loop: there the pairs are one of each
+        # kind, at both ends of the register.
+        monkeypatch.setattr(simulator, "_SLICE", slice_size)
+        rng = np.random.default_rng(n + slice_size)
+        state = random_state(n, 50 + n)
+        pairs = list(itertools.combinations(range(n), 2))
+        if n >= 16 and slice_size < 64:
+            pairs = [(0, 1), (0, 15), (1, n - 1), (2, 3), (14, 15), (n - 2, n - 1)]
+        for k, (u, v) in enumerate(pairs):
+            g = Gate("RZZ", (u, v) if k % 2 else (v, u), float(rng.uniform(-2 * np.pi, 2 * np.pi)))
+            got = state.copy()
+            simulator.apply_gate(got, g)
+            np.testing.assert_array_equal(got, rzz_gate(state, g))
 
     @pytest.mark.parametrize("slice_size", [1, 2, 4, 32, 1 << 15])
     @pytest.mark.parametrize("size", [1, 2, 4, 1 << 11])
@@ -174,6 +197,31 @@ class TestReachedWidth:
         rng = np.random.default_rng(10 + n)
         c = reaching_circuit(n, rng.permutation(n), rng)
         np.testing.assert_array_equal(simulate(c), simulate_full_width(c))
+
+    @pytest.mark.parametrize("angle", ["random", "pi"])
+    @pytest.mark.parametrize("slice_size", [1, 4, 1 << 6])
+    @pytest.mark.parametrize("n", [4, 16, 17])
+    def test_rx_first_touches(self, n, slice_size, angle, monkeypatch):
+        # The first gate on each qubit is an RX, at a random angle or at
+        # pi, where m00 = cos(pi/2) is about 6e-17, not 0. The first
+        # touches skip qubits, and a later one falls below the reached
+        # width. Only values are pinned: a first touch may give a zero
+        # the other sign than the full-width kernel.
+        rng = np.random.default_rng(30 + n)
+        gates, reached = [], []
+        for q in [1, 3, 0, 2] if n == 4 else [2, 0, 9, n - 1]:
+            theta = np.pi if angle == "pi" else float(rng.uniform(-2 * np.pi, 2 * np.pi))
+            gates.append(Gate("RX", (q,), theta))
+            if reached:
+                gates.append(Gate("RZZ", (q, int(rng.choice(reached))), float(rng.uniform(-np.pi, np.pi))))
+            reached.append(q)
+        c = Circuit(n, tuple(gates))
+        # The oracle runs at the default slicing, which gives the same
+        # state as any other (TestSimulate); at runs of 1 or 4 amplitudes
+        # one full-width RX at n = 17 takes up to half a second.
+        want = simulate_full_width(c)
+        monkeypatch.setattr(simulator, "_SLICE", slice_size)
+        np.testing.assert_array_equal(simulate(c), want)
 
     @pytest.mark.parametrize("n", [2, 6, 16])
     def test_untouched_top_qubit_leaves_the_upper_half_zero(self, n):
