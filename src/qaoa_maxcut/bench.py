@@ -356,7 +356,7 @@ def verify_instance(path) -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
     try:
         g = graphs.load_graph(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, graphs.GraphFormatError) as exc:
         checks.append(("parse", False, str(exc)))
         return checks
     checks.append(("parse", True, f"{g.num_nodes} nodes, {g.num_edges} edges"))

@@ -167,44 +167,43 @@ def load_graph(path) -> Graph:
     Format: first data line "<num_nodes> <num_edges>", then one edge per
     line as "u v" or "u v w", w a positive integer weight (0-indexed,
     whitespace separated). '#' starts a comment; blank lines are
-    ignored. A refused line, edge or header is named by its 1-based
-    line number: the graph is built once, and an edge it refuses is
-    traced back to its line.
+    ignored. The file is read as UTF-8 with universal newlines, in two
+    passes: its data lines with their 1-based numbers, then the header
+    and edges from those. A line that is not UTF-8, and a refused line,
+    header or edge, is named by its line number.
     """
-    header: tuple[int, int] | None = None
-    edges: list[Edge] = []
-    lines: list[int] = []  # the line each edge is on
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if header is None:
-                if len(fields) != 2:
-                    raise GraphFormatError(f"{path}:{lineno}: header must be '<num_nodes> <num_edges>'")
-                try:
-                    header = (int(fields[0]), int(fields[1]))
-                except ValueError:
-                    raise GraphFormatError(f"{path}:{lineno}: non-integer header") from None
-                header_line = lineno
-                continue
-            if len(fields) not in (2, 3):
-                raise GraphFormatError(f"{path}:{lineno}: expected 'u v' or 'u v w'")
+    rows: list[tuple[int, str]] = []  # (line number, text) of each data line
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
             try:
-                u, v = int(fields[0]), int(fields[1])
-                w = float(fields[2]) if len(fields) == 3 else 1.0
-            except ValueError:
-                raise GraphFormatError(f"{path}:{lineno}: malformed edge line {line!r}") from None
-            edges.append((u, v, w))
-            lines.append(lineno)
-    if header is None:
+                line = raw.decode("utf-8").split("#", 1)[0].strip()
+            except UnicodeDecodeError:
+                raise GraphFormatError(f"{path}:{lineno}: not valid UTF-8") from None
+            if line:
+                rows.append((lineno, line))
+    if not rows:
         raise GraphFormatError(f"{path}: empty file")
-    n, m = header
+    (header_line, header), *edge_rows = rows
+    fields = header.split()
+    if len(fields) != 2:
+        raise GraphFormatError(f"{path}:{header_line}: header must be '<num_nodes> <num_edges>'")
+    try:
+        n, m = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise GraphFormatError(f"{path}:{header_line}: non-integer header") from None
+    edges: list[Edge] = []
+    for lineno, line in edge_rows:
+        fields = line.split()
+        if len(fields) not in (2, 3):
+            raise GraphFormatError(f"{path}:{lineno}: expected 'u v' or 'u v w'")
+        try:
+            edges.append((int(fields[0]), int(fields[1]), float(fields[2]) if len(fields) == 3 else 1.0))
+        except ValueError:
+            raise GraphFormatError(f"{path}:{lineno}: malformed edge line {line!r}") from None
     try:
         g = Graph(n, tuple(edges))
     except EdgeError as exc:
-        raise GraphFormatError(f"{path}:{lines[exc.position]}: {exc}") from None
+        raise GraphFormatError(f"{path}:{edge_rows[exc.position][0]}: {exc}") from None
     except ValueError as exc:
         raise GraphFormatError(f"{path}:{header_line}: {exc}") from None
     if len(edges) != m:

@@ -11,14 +11,14 @@ Two evolution paths share that layout:
 * `simulate` runs the gate-level QAOA ansatz
   (`circuits.build_qaoa_ansatz`: H, RX, RZZ and barriers) and is the
   reference; any other gate kind, such as the CX and RZ of a
-  `circuits.decompose`d circuit, raises ValueError. Each gate acts on
-  the first 2^w amplitudes only, w being 1 + the highest qubit reached
-  so far: the rest are still 0. An H or RX that first reaches a qubit
-  q >= w has one nonzero block, the first 2^w amplitudes, to mix: it
-  writes m01 times that block at 2^q and scales the block by m00, so
-  the opening H layer costs about one pass over the state, not n. Its
-  kernels never form operator matrices: H and RX share one scaled flip
-  over a (blocks, 2, stride) view. Per slice, the partner amplitudes
+  `circuits.decompose`d circuit, raises ValueError. Only the block of
+  the first 2^w amplitudes can be nonzero, w being 1 + the highest
+  qubit an H or RX has reached so far. An H or RX that first reaches a
+  qubit q >= w writes m01 times that block at 2^q and scales the block
+  by m00, so the opening H layer costs about one pass over the state,
+  not n; every other gate runs over the whole state. The kernels never
+  form operator matrices: H and RX share one scaled flip over a
+  (blocks, 2, stride) view. Per slice, the partner amplitudes
   (the view with its pair axis reversed) times m01 go into a one-slice
   buffer; then the slice is scaled by m00 and the buffer added, both
   over whole contiguous slices, so only the partner read is strided.
@@ -139,15 +139,15 @@ def num_qubits_of(state: np.ndarray) -> int:
 def simulate(c: Circuit) -> np.ndarray:
     """Amplitudes of U_c |0...0> for a circuit of H, RX, RZZ and barriers.
 
-    Each gate acts on the prefix state[: 2^width], width being 1 + the
-    highest qubit any gate so far has touched: every amplitude above it
-    has a bit set on a qubit still at |0>, so it is 0, and a gate on
-    lower qubits only mixes amplitudes that share their higher bits.
-    An H or RX on a qubit q >= width, the first to touch it, has only
-    state[: 2^width] to mix, with zeros: it writes m01 times that block
-    to state[2^q : 2^q + 2^width], scales the block by m00 and sets
-    width to q + 1. Those are the products `apply_gate` would form, so
-    every value is the same; only the sign of a zero may differ.
+    Only state[: 2^width] can be nonzero, width being 1 + the highest
+    qubit an H or RX has touched so far: every amplitude above it has a
+    bit set on a qubit still at |0>. An H or RX on a qubit q >= width,
+    the first to touch it, has only that block to mix, with zeros: it
+    writes m01 times the block to state[2^q : 2^q + 2^width], scales
+    the block by m00 and sets width to q + 1. Those are the products
+    `apply_gate` would form, so every value is the same; only the sign
+    of a zero may differ. Every other gate runs over the whole state:
+    RZZ is diagonal, so it keeps the zeros zero.
     """
     check_width(c.num_qubits)
     state = np.zeros(1 << c.num_qubits, dtype=np.complex128)
@@ -161,9 +161,9 @@ def simulate(c: Circuit) -> np.ndarray:
             m00, m01 = _entries(g)
             np.multiply(state[: 1 << width], m01, out=state[1 << top : (1 << top) + (1 << width)])
             state[: 1 << width] *= m00
+            width = top + 1
         else:
-            apply_gate(state[: 1 << max(width, top + 1)], g)
-        width = max(width, top + 1)
+            apply_gate(state, g)
     return state
 
 

@@ -272,14 +272,22 @@ class TestDepthBadLayers:
         assert captured.out == "" and not out.exists()
 
 
-# (file text, the place its error names after the path, the error) for
+# (file bytes, the place its error names after the path, the error) for
 # weights that are not positive integers, or that reach a total of 2^16.
 BAD_WEIGHT_FILES = {
-    **{w: (f"2 1\n0 1 {w}\n", ":2:", f"edge (0,1) has weight {float(w)}, not a positive integer")
+    **{w: (f"2 1\n0 1 {w}\n".encode(), ":2:", f"edge (0,1) has weight {float(w)}, not a positive integer")
        for w in ("0.5", "1.5", "0", "-1", "inf", "nan")},
-    "65536": ("2 1\n0 1 65536\n", ":2:", "edge (0,1) brings the total weight to 65536, not below 65536"),
-    "total-2^16": ("3 2\n0 1 65535\n1 2 1\n", ":3:", "edge (1,2) brings the total weight to 65536, not below 65536"),
+    "65536": (b"2 1\n0 1 65536\n", ":2:", "edge (0,1) brings the total weight to 65536, not below 65536"),
+    "total-2^16": (b"3 2\n0 1 65535\n1 2 1\n", ":3:", "edge (1,2) brings the total weight to 65536, not below 65536"),
 }
+
+# The same for files with a byte that is not UTF-8 (a Latin-1 comment, a
+# 0xff byte), refused on its line.
+NON_UTF8_FILES = {
+    "latin-1-comment": (b"# caf\xe9\n2 1\n0 1\n", ":1:", "not valid UTF-8"),
+    "0xff-edge": (b"3 2\n0 1\n\n1 2\xff\n", ":4:", "not valid UTF-8"),
+}
+BAD_FILES = {**BAD_WEIGHT_FILES, **NON_UTF8_FILES}
 
 
 class TestBadInstanceFiles:
@@ -295,12 +303,12 @@ class TestBadInstanceFiles:
         err = capsys.readouterr().err
         assert err == f"error: {inf_weight}:3: edge (1,2) has weight inf, not a positive integer\n"
 
-    @pytest.mark.parametrize("name", sorted(BAD_WEIGHT_FILES))
+    @pytest.mark.parametrize("name", sorted(BAD_FILES))
     @pytest.mark.parametrize("command", ["bench", "depth"])
     def test_bad_weights_exit_2_and_write_nothing(self, command, name, tmp_path, capsys):
-        text, where, message = BAD_WEIGHT_FILES[name]
+        data, where, message = BAD_FILES[name]
         path = tmp_path / "MC_BAD.txt"
-        path.write_text(text)
+        path.write_bytes(data)
         out = tmp_path / "out" / "results"
         out.parent.mkdir()
         assert cli.main([command, str(path), "--layers", "1", "--out", str(out)]) == 2
@@ -308,11 +316,11 @@ class TestBadInstanceFiles:
         assert captured.err == f"error: {path}{where} {message}\n" and captured.out == ""
         assert not any(out.parent.iterdir())
 
-    @pytest.mark.parametrize("name", sorted(BAD_WEIGHT_FILES))
+    @pytest.mark.parametrize("name", sorted(BAD_FILES))
     def test_verify_fails_the_parse_check_on_bad_weights(self, name, tmp_path, capsys):
-        text, where, message = BAD_WEIGHT_FILES[name]
+        data, where, message = BAD_FILES[name]
         path = tmp_path / "MC_BAD.txt"
-        path.write_text(text)
+        path.write_bytes(data)
         assert cli.main(["verify", str(path)]) == 1
         assert capsys.readouterr().out == f"check parse: FAIL ({path}{where} {message})\n"
 

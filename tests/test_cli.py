@@ -71,6 +71,11 @@ def test_module_entry_point_exits_with_the_commands_status(tmp_path):
     assert (done.returncode, done.stderr, done.stdout) == (2, "error: layer count must be >= 1, got 0\n", "")
     done = run_python("-m", "qaoa_maxcut.cli", "verify", instance)
     assert done.returncode == 0, done.stderr
+    # A file that is not UTF-8 is refused like any other bad file, without a traceback.
+    latin1 = tmp_path / "MC_LATIN1.txt"
+    latin1.write_bytes(b"# caf\xe9\n2 1\n0 1\n")
+    done = run_python("-m", "qaoa_maxcut.cli", "depth", str(latin1))
+    assert (done.returncode, done.stderr, done.stdout) == (2, f"error: {latin1}:1: not valid UTF-8\n", "")
 
 
 def test_bench_refuses_a_missing_out_directory_before_any_run(tmp_path, capsys, monkeypatch):

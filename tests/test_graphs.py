@@ -181,6 +181,36 @@ class TestFileFormat:
         path.write_text("3 3\n0 1\n1 2\n0 2\n")
         assert load_graph(path) == K3
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_parse_triangle_with_other_line_ends(self, tmp_path, newline):
+        path = tmp_path / "g.txt"
+        path.write_bytes(newline.join([b"# a triangle", b"3 3", b"0 1", b"", b"1 2", b"0 2", b""]))
+        assert load_graph(path) == K3
+
+    @pytest.mark.parametrize("data, where, message", [
+        (b"3\n0 1\n", ":1:", "header must be '<num_nodes> <num_edges>'"),
+        (b"# three fields\n3 1 1\n0 1\n", ":2:", "header must be '<num_nodes> <num_edges>'"),
+        (b"3 x\n0 1\n", ":1:", "non-integer header"),
+        (b"3 1.0\n0 1\n", ":1:", "non-integer header"),
+        (b"3 1\r\r0\r", ":3:", "expected 'u v' or 'u v w'"),
+        (b"3 1\n0 1 1 1  # four fields\n", ":2:", "expected 'u v' or 'u v w'"),
+        (b"3 1\n  1   x  # inner spaces\n", ":2:", "malformed edge line '1   x'"),
+        (b"# comments\n\n   \n# and blank lines only\n", ":", "empty file"),
+        # A byte that is not UTF-8 is refused on its line, comment or not.
+        (b"3 1\xff\n0 1\n", ":1:", "not valid UTF-8"),
+        (b"3 2\n0 1\n1 2 \xe9\n", ":3:", "not valid UTF-8"),
+        (b"3 2\n0 1\n# caf\xe9\n1 2\n", ":3:", "not valid UTF-8"),
+        (b"3 2\r0 1\r1 2 \xc3\r", ":3:", "not valid UTF-8"),
+    ], ids=["header-1-field", "header-3-fields", "header-x", "header-float", "edge-1-field-cr",
+            "edge-4-fields", "edge-inner-spaces", "comments-only", "non-utf8-header",
+            "non-utf8-edge", "non-utf8-comment", "non-utf8-edge-cr"])
+    def test_refusal_names_its_line(self, tmp_path, data, where, message):
+        path = tmp_path / "g.txt"
+        path.write_bytes(data)
+        with pytest.raises(GraphFormatError) as refused:
+            load_graph(path)
+        assert str(refused.value) == f"{path}{where} {message}"
+
     def test_self_loop_rejected_with_line(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("2 1\n1 1\n")
@@ -240,7 +270,7 @@ class TestFileFormat:
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "g.txt"
-        path.write_text("# a triangle\n3 3\n\n0 1  # first\n1 2\n0 2\n")
+        path.write_text("# a triangle, café\n3 3\n\n0 1  # first\n1 2\n0 2\n", encoding="utf-8")
         assert load_graph(path) == K3
 
     def test_weighted_round_trip(self, tmp_path):

@@ -163,9 +163,10 @@ def reaching_circuit(n: int, order, rng: np.random.Generator) -> Circuit:
 
 
 class TestReachedWidth:
-    """`simulate` applies each gate to the amplitudes of the qubits reached
-    so far; the oracle applies it to the whole state. They must agree bit
-    for bit."""
+    """`simulate` applies an H or RX that first reaches a qubit to the
+    amplitudes of the qubits reached so far, and every other gate to the
+    whole state; the oracle applies every gate to the whole state. They
+    must agree bit for bit."""
 
     @pytest.mark.parametrize("slice_size", [1, 4, 1 << 6])
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
