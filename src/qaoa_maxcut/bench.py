@@ -9,7 +9,10 @@ mix64(master_seed, fnv1a64(instance_name), layers, run_index), so runs
 are reproducible and independent of execution order or worker count;
 `run_single` hands that config to `run_qaoa` and copies its layers,
 seed and strategy into the record; its compiled depth and gate counts
-come from `compiled_metrics`. Records serialize as one JSON object
+come from `compiled_metrics`, which builds no circuit: it runs the
+depth pass's frontier arithmetic over the strategy's `rzz_order`, and
+`circuits`' decompose, depth and gate_counts remain the metrics'
+definition and test oracle. Records serialize as one JSON object
 per line, with the keys in `BenchRecord`'s field order; no record holds
 a timing, so identical invocations produce identical files.
 """
@@ -24,7 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import encoding, graphs
-from .circuits import STRATEGIES, build_qaoa_ansatz, decompose, depth, gate_counts
+from .circuits import STRATEGIES, rzz_order
+# Unused here, but perfbench/layers.py wraps bench:build_qaoa_ansatz, decompose and depth.
+from .circuits import build_qaoa_ansatz, decompose, depth
 from .engine import (
     DEFAULT_BUDGET, DEFAULT_SHOTS, DEFAULT_STRATEGY, EXACT, SAMPLED, QaoaConfig, QaoaObjective, run_qaoa,
 )
@@ -296,12 +301,22 @@ def summary_csv(rows: list[dict]) -> str:
 
 def compiled_metrics(g: Graph, strategy: str, layer_counts: list[int]) -> dict[int, tuple[int, dict[str, int]]]:
     """{p: (depth, gate counts)} of the decomposed p-layer ansatz per p in
-    `layer_counts`, from one decomposed one-layer ansatz with placeholder
-    angles. Neither depends on the angles; the depth follows from the
-    one-layer depth d1 by the barrier identity in `circuits`, and every
-    gate kind but H occurs p times as often as in one layer."""
-    one_layer = decompose(build_qaoa_ansatz(g, [0.5], [0.5], strategy))
-    d1, counts = depth(one_layer), gate_counts(one_layer)
+    `layer_counts`, with no circuit built. Neither depends on the angles.
+
+    The one-layer depth d1 is `circuits.depth`'s frontier pass over the
+    decomposed one-layer ansatz, run on `rzz_order` alone: the H layer
+    puts every qubit at 1, each RZZ(u, v) becomes CX, RZ, CX and puts both
+    endpoints 3 past the later of the two, and the RX layer adds 1. The
+    p-layer depth follows by the barrier identity in `circuits`, and
+    every gate kind but H occurs p times as often as in one layer; zero
+    counts are omitted. `decompose`, `depth` and `gate_counts` of the
+    built ansatz define both and are the tests' oracle."""
+    n, order = g.num_nodes, rzz_order(g, strategy)
+    frontier = [1] * n
+    for u, v, _ in order:
+        frontier[u] = frontier[v] = max(frontier[u], frontier[v]) + 3
+    d1 = max(frontier) + 1
+    counts = {"H": n, "RX": n, **({"CX": 2 * len(order), "RZ": len(order)} if order else {})}
     return {p: (1 + p * (d1 - 1), {kind: c if kind == "H" else p * c for kind, c in counts.items()})
             for p in layer_counts}
 
@@ -311,10 +326,10 @@ def depth_table(
     layer_counts: list[int],
 ) -> list[dict]:
     """Compiled circuit depth per (instance, layers, strategy), from one
-    `compiled_metrics` call, so one one-layer circuit, per (instance,
-    strategy). Rows come in `_plan`'s canonical order, one per distinct
-    layer count; `_plan` refuses a bad layer list and a repeated
-    instance name with BenchArgumentError before any circuit is built.
+    `compiled_metrics` call per (instance, strategy). Rows come in
+    `_plan`'s canonical order, one per distinct layer count; `_plan`
+    refuses a bad layer list and a repeated instance name with
+    BenchArgumentError before any depth is computed.
     """
     instances, layer_counts = _plan(instances, layer_counts)
     rows = []

@@ -13,17 +13,19 @@ layers so that each (phase separator, mixer) block occupies its own
 depth window and total depth grows exactly linearly in the layer count:
 the initial H layer has depth 1 on every qubit, so a p-layer ansatz
 whose one-layer form has depth d1 has depth 1 + p * (d1 - 1), before
-and after decomposition; `bench.compiled_metrics` derives every p's
-compiled depth from that. Without the barrier, ASAP packing lets later
+and after decomposition. Without the barrier, ASAP packing lets later
 layers slide into earlier layers' idle slots, which breaks the exact
-per-layer depth accounting on irregular graphs.
+per-layer depth accounting on irregular graphs. `decompose`, `depth`
+and `gate_counts` define the compiled metrics and are their test
+oracle; `bench.compiled_metrics` computes them with no circuit, by
+frontier arithmetic over `rzz_order` and that identity.
 
 The ansatz is built from the Max-Cut graph itself: each layer's phase
 separator is one RZZ per edge, and its mixer one RX per node.
 
 `STRATEGIES` names the emission strategies for the commuting
 phase-separator terms; the engine, the CLI and the depth table take
-theirs from it:
+theirs from it, and `rzz_order` alone orders the terms by them:
 
 * naive      - RZZ gates in edge-list order (one long conflict chain).
 * scheduled  - RZZ gates grouped into non-overlapping rounds by greedy
@@ -38,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .graphs import Graph
+from .graphs import Edge, Graph
 
 GATE_KINDS = ("H", "RX", "RZ", "RZZ", "CX")
 _ROTATIONS = ("RX", "RZ", "RZZ")
@@ -94,23 +96,32 @@ class Circuit:
 # Ansatz construction
 
 
+def rzz_order(g: Graph, strategy: str) -> list[Edge]:
+    """The edges (u, v, w) in the order `strategy` emits their RZZ terms:
+    the edge list's for naive, `schedule_rounds`' rounds in turn for
+    scheduled. Any other strategy raises ValueError."""
+    if strategy == "naive":
+        return list(g.edges)
+    if strategy == "scheduled":
+        weights = {(u, v): w for u, v, w in g.edges}
+        return [(u, v, weights[u, v]) for rnd in schedule_rounds(weights) for u, v in rnd]
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
 def phase_separator_gates(g: Graph, gamma: float, strategy: str) -> list[Gate]:
     """exp(-i gamma C) for the cost C = -cut, dropping the offset's global
     phase.
 
-    One RZZ(gamma w) per edge of weight w, ordered per `strategy`, and no
-    other gate: RZZ(2 gamma J) for the coupling J = w/2 of `encoding`.
+    One RZZ(gamma w) per edge of weight w, in `rzz_order`, and no other
+    gate: RZZ(2 gamma J) for the coupling J = w/2 of `encoding`.
     Halving and doubling are exact, so gamma * w has the bits of
     2 gamma (w/2) unless w/2 is subnormal or 2 gamma overflows.
     """
-    weights = {(u, v): w for u, v, w in g.edges}
-    if strategy == "naive":
-        ordered = list(weights)
-    elif strategy == "scheduled":
-        ordered = [p for rnd in schedule_rounds(weights) for p in rnd]
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return [Gate("RZZ", p, gamma * weights[p]) for p in ordered]
+    return _rzz_gates(rzz_order(g, strategy), gamma)
+
+
+def _rzz_gates(order: list[Edge], gamma: float) -> list[Gate]:
+    return [Gate("RZZ", (u, v), gamma * w) for u, v, w in order]
 
 
 def schedule_rounds(pairs: Iterable[tuple[int, int]]) -> list[list[tuple[int, int]]]:
@@ -151,7 +162,9 @@ def build_qaoa_ansatz(
 ) -> Circuit:
     """p-layer ansatz, p = len(gammas): H on all qubits, then p blocks of
     phase separator followed by mixer exp(-i beta sum_i X_i), RX(2 beta)
-    per qubit, with a barrier between consecutive blocks.
+    per qubit, with a barrier between consecutive blocks. Each phase
+    separator holds `phase_separator_gates`' gates, from one `rzz_order`
+    call per ansatz.
     """
     gammas = list(gammas)
     betas = list(betas)
@@ -160,11 +173,12 @@ def build_qaoa_ansatz(
     if len(betas) != len(gammas):
         raise ValueError(f"need as many betas as gammas, got {len(gammas)} gammas and {len(betas)} betas")
     n = g.num_nodes
+    order = rzz_order(g, strategy)
     gates: list[Instruction] = [Gate("H", (q,)) for q in range(n)]
     for k, (gamma, beta) in enumerate(zip(gammas, betas)):
         if k > 0:
             gates.append(Barrier())
-        gates.extend(phase_separator_gates(g, gamma, strategy))
+        gates.extend(_rzz_gates(order, gamma))
         gates.extend(Gate("RX", (q,), 2.0 * beta) for q in range(n))
     return Circuit(n, tuple(gates))
 

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from qaoa_maxcut import bench, cli, engine
-from qaoa_maxcut.circuits import Barrier, build_qaoa_ansatz, decompose, depth, gate_counts
+from qaoa_maxcut import bench, circuits, cli, engine
+from qaoa_maxcut.circuits import build_qaoa_ansatz, decompose, depth, gate_counts
 from qaoa_maxcut.engine import EXACT, SAMPLED
 from qaoa_maxcut.graphs import CutSolution, Graph, generate_random_graph, graph_from_pairs, load_graph, save_graph
 from qaoa_maxcut.seeding import mix64
@@ -461,12 +461,25 @@ def test_record_keys_follow_the_golden_files():
     assert bench.record_from_json(line) == r
 
 
+# The one-layer depth d1 of shapes where the frontier arithmetic could slip;
+# every RZZ decomposes to three gates in a row on its endpoints.
+KNOWN_D1 = {
+    "one_node": (graph_from_pairs(1, []), 2),  # H, RX
+    "star_1_7": (graph_from_pairs(8, [(0, k) for k in range(1, 8)]), 23),  # H, 7 RZZ on the hub, RX
+    "matching_8": (graph_from_pairs(8, [(0, 1), (2, 3), (4, 5), (6, 7)]), 5),  # H, 4 parallel RZZ, RX
+}
+
 DEPTH_GRAPHS = {
     **{f"random_{n}_{density}": generate_random_graph(n, density, mix64(5, n)) for n, density in
        [(2, 1.0), (4, 0.3), (6, 0.5), (9, 0.7), (11, 0.4), (12, 0.9)]},
     "W_9": load_graph(Path(__file__).resolve().parent / "golden" / "W_9.txt"),
     "edgeless": graph_from_pairs(5, []),
     "complete": generate_random_graph(8, 1.0, 0),
+    **{name: g for name, (g, _) in KNOWN_D1.items()},
+    "isolated_nodes": graph_from_pairs(9, [(0, 3), (3, 5), (5, 0), (1, 7)]),  # 2, 4, 6, 8 have no edge
+    "unsorted_pairs": graph_from_pairs(7, [(5, 2), (6, 0), (1, 4), (3, 0), (2, 1), (6, 5), (4, 3), (0, 5)]),
+    **{f"sweep_{n}_{density}": generate_random_graph(n, density, mix64(29, n, int(10 * density)))
+       for n in range(2, 15) for density in (0.2, 0.5, 0.8)},
 }
 
 
@@ -488,23 +501,38 @@ def test_depth_table_matches_full_circuits(name):
             assert metrics[strategy][p] == (depth(full), gate_counts(full)), (p, strategy)
 
 
-def test_no_run_decomposes_a_multi_layer_circuit(monkeypatch):
-    instances = [("MC_8", generate_random_graph(8, 0.5, mix64(11, 8)))]
-    expected, _ = bench.run_benchmark(instances, [3], 1, budget=12)
+@pytest.mark.parametrize("name", KNOWN_D1)
+def test_one_layer_depth_of_known_shapes(name):
+    g, d1 = KNOWN_D1[name]
+    for strategy in ("naive", "scheduled"):
+        assert depth(decompose(build_qaoa_ansatz(g, [0.5], [0.5], strategy))) == d1, strategy
+        assert bench.compiled_metrics(g, strategy, [1])[1][0] == d1, strategy
+
+
+def test_unsorted_pairs_keep_their_naive_order():
+    g = DEPTH_GRAPHS["unsorted_pairs"]
+    assert g.edges[:3] == ((2, 5, 1.0), (0, 6, 1.0), (1, 4, 1.0))
+    assert circuits.rzz_order(g, "naive") == list(g.edges)
+
+
+@pytest.mark.parametrize("strategy", ["naive", "scheduled"])
+def test_no_run_builds_or_measures_a_circuit_for_its_metrics(strategy, monkeypatch):
+    """Records' compiled depth and gate counts come from the RZZ order
+    alone; the final draw's circuit (`engine.build_ansatz`) is the only
+    one a run builds."""
+    g = generate_random_graph(8, 0.5, mix64(11, 8))
+    instances = [("MC_8", g)]
+    expected, _ = bench.run_benchmark(instances, [1, 3], 1, budget=12, strategy=strategy)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("run_qaoa measured a circuit")
+        raise AssertionError("a run built or measured a circuit for its metrics")
 
+    for name in ("build_qaoa_ansatz", "decompose", "depth"):
+        monkeypatch.setattr(bench, name, refuse)
     for name in ("decompose", "depth", "gate_counts"):
         monkeypatch.setattr(engine, name, refuse)
-    decomposed = []
-
-    def one_layer_only(c):
-        assert not any(isinstance(g, Barrier) for g in c.gates), "a circuit of more than one layer was decomposed"
-        decomposed.append(c)
-        return decompose(c)
-
-    monkeypatch.setattr(bench, "decompose", one_layer_only)
-    records, _ = bench.run_benchmark(instances, [3], 1, budget=12)
-    assert records == expected and records[0].layers == 3
-    assert len(decomposed) == 1
+    records, _ = bench.run_benchmark(instances, [1, 3], 1, budget=12, strategy=strategy)
+    assert records == expected and [r.layers for r in records] == [1, 3]
+    for r in records:
+        full = decompose(build_qaoa_ansatz(g, [0.2] * r.layers, [0.4] * r.layers, strategy))
+        assert (r.compiled_depth, r.gate_counts) == (depth(full), gate_counts(full)), r.layers
