@@ -108,22 +108,6 @@ def rzz_order(g: Graph, strategy: str) -> list[Edge]:
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def phase_separator_gates(g: Graph, gamma: float, strategy: str) -> list[Gate]:
-    """exp(-i gamma C) for the cost C = -cut, dropping the offset's global
-    phase.
-
-    One RZZ(gamma w) per edge of weight w, in `rzz_order`, and no other
-    gate: RZZ(2 gamma J) for the coupling J = w/2 of `encoding`.
-    Halving and doubling are exact, so gamma * w has the bits of
-    2 gamma (w/2) unless w/2 is subnormal or 2 gamma overflows.
-    """
-    return _rzz_gates(rzz_order(g, strategy), gamma)
-
-
-def _rzz_gates(order: list[Edge], gamma: float) -> list[Gate]:
-    return [Gate("RZZ", (u, v), gamma * w) for u, v, w in order]
-
-
 def schedule_rounds(pairs: Iterable[tuple[int, int]]) -> list[list[tuple[int, int]]]:
     """Greedy edge coloring into rounds of mutually disjoint pairs.
 
@@ -162,9 +146,14 @@ def build_qaoa_ansatz(
 ) -> Circuit:
     """p-layer ansatz, p = len(gammas): H on all qubits, then p blocks of
     phase separator followed by mixer exp(-i beta sum_i X_i), RX(2 beta)
-    per qubit, with a barrier between consecutive blocks. Each phase
-    separator holds `phase_separator_gates`' gates, from one `rzz_order`
-    call per ansatz.
+    per qubit, with a barrier between consecutive blocks.
+
+    Layer k's phase separator is exp(-i gamma_k C) for the cost C = -cut,
+    dropping the offset's global phase: one RZZ(gamma_k w) per edge of
+    weight w, in the order of one `rzz_order` call per ansatz. That is
+    RZZ(2 gamma J) for the coupling J = w/2 of `encoding`; halving and
+    doubling are exact, so gamma * w has the bits of 2 gamma (w/2) unless
+    w/2 is subnormal or 2 gamma overflows.
     """
     gammas = list(gammas)
     betas = list(betas)
@@ -178,7 +167,7 @@ def build_qaoa_ansatz(
     for k, (gamma, beta) in enumerate(zip(gammas, betas)):
         if k > 0:
             gates.append(Barrier())
-        gates.extend(_rzz_gates(order, gamma))
+        gates.extend(Gate("RZZ", (u, v), gamma * w) for u, v, w in order)
         gates.extend(Gate("RX", (q,), 2.0 * beta) for q in range(n))
     return Circuit(n, tuple(gates))
 

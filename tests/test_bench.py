@@ -19,8 +19,8 @@ def no_optimum(g):
     raise AssertionError("an optimum was computed before the width check")
 
 
-def no_circuit(*args, **kwargs):
-    raise AssertionError("a circuit was built before the layer counts were checked")
+def no_metric(*args, **kwargs):
+    raise AssertionError("a compiled metric was computed before the arguments were checked")
 
 
 class TestTooWide:
@@ -122,13 +122,13 @@ class TestDepthRepeatedInstanceName:
     # Two depth rows named MC_8 with different depths could not be told apart.
     GRAPHS = [generate_random_graph(8, 0.5, seed) for seed in (11, 23)]
 
-    def test_fails_before_any_circuit(self, monkeypatch):
-        monkeypatch.setattr(bench, "build_qaoa_ansatz", no_circuit)
+    def test_fails_before_any_metric(self, monkeypatch):
+        monkeypatch.setattr(bench, "compiled_metrics", no_metric)
         with pytest.raises(bench.BenchArgumentError, match="instance name given more than once: MC_8$"):
             bench.depth_table([("MC_8", self.GRAPHS[0]), ("MC_5", SMALL), ("MC_8", self.GRAPHS[1])], [1])
 
     def test_cli_reports_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(bench, "build_qaoa_ansatz", no_circuit)
+        monkeypatch.setattr(bench, "compiled_metrics", no_metric)
         files = []
         for directory, g in zip("ab", self.GRAPHS):
             (tmp_path / directory).mkdir()
@@ -256,14 +256,14 @@ class TestDepthBadLayers:
         ([1, -2], "layer count must be >= 1, got -2"),
         ([], "need at least one layer count"),
     ])
-    def test_fails_before_any_circuit(self, layers, message, monkeypatch):
-        monkeypatch.setattr(bench, "build_qaoa_ansatz", no_circuit)
+    def test_fails_before_any_metric(self, layers, message, monkeypatch):
+        monkeypatch.setattr(bench, "compiled_metrics", no_metric)
         with pytest.raises(bench.BenchArgumentError, match=message):
             bench.depth_table([("MC_5", SMALL)], layers)
 
     @pytest.mark.parametrize("bad", ["0", "-2"])
     def test_cli_reports_error_and_writes_nothing(self, bad, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(bench, "build_qaoa_ansatz", no_circuit)
+        monkeypatch.setattr(bench, "compiled_metrics", no_metric)
         save_graph(SMALL, tmp_path / "MC_5.txt")
         out = tmp_path / "depth.csv"
         assert cli.main(["depth", str(tmp_path / "MC_5.txt"), "--layers", "1", bad, "--out", str(out)]) == 2

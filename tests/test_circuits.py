@@ -7,7 +7,7 @@ from qaoa_maxcut.circuits import (
     build_qaoa_ansatz,
     decompose,
     depth,
-    phase_separator_gates,
+    rzz_order,
     schedule_rounds,
 )
 from qaoa_maxcut.engine import build_ansatz
@@ -41,12 +41,22 @@ def test_phase_separator_is_one_rzz_per_edge(strategy):
     # RZZ(t) = exp(-i t ZZ / 2) and the edge's term of -cut is (w/2) ZZ,
     # so exp(-i gamma (w/2) ZZ) is RZZ(gamma w).
     weighted = Graph(5, ((0, 1, 1.0), (1, 2, 3.0), (2, 4, 4.0), (0, 4, 2.0), (3, 4, 7.0)))
+    gammas = [0.3, 0.7]
     for graph in (weighted, generate_random_graph(9, 0.5, seed=6)):
-        gates = phase_separator_gates(graph, 0.3, strategy)
-        assert all(g.kind == "RZZ" for g in gates) and len(gates) == graph.num_edges
-        assert {g.qubits: g.angle for g in gates} == {(u, v): 0.3 * w for u, v, w in graph.edges}
+        c = build_qaoa_ansatz(graph, gammas, [0.1, 0.2], strategy)
+        layers = [[]]
+        for g in c.gates:
+            if isinstance(g, Barrier):
+                layers.append([])
+            elif g.kind == "RZZ":
+                layers[-1].append(g)
+        assert len(layers) == len(gammas)
+        order = rzz_order(graph, strategy)
         if strategy == "naive":
-            assert [g.qubits for g in gates] == [(u, v) for u, v, _ in graph.edges]
+            assert order == list(graph.edges)
+        assert sorted(order) == sorted(graph.edges)
+        for gamma, rzz in zip(gammas, layers):
+            assert [(g.qubits, g.angle) for g in rzz] == [((u, v), gamma * w) for u, v, w in order]
 
 
 @pytest.mark.parametrize("strategy", ["naive", "scheduled"])
