@@ -9,12 +9,10 @@ mix64(master_seed, fnv1a64(instance_name), layers, run_index), so runs
 are reproducible and independent of execution order or worker count;
 `run_single` hands that config to `run_qaoa` and copies its layers,
 seed and strategy into the record; its compiled depth and gate counts
-come from `compiled_metrics`, which builds no circuit: it runs the
-depth pass's frontier arithmetic over the strategy's `rzz_order`, and
-`circuits`' decompose, depth and gate_counts remain the metrics'
-definition and test oracle. Records serialize as one JSON object
-per line, with the keys in `BenchRecord`'s field order; no record holds
-a timing, so identical invocations produce identical files.
+come from `circuits.compiled_metrics`, where the compile model lives.
+Records serialize as one JSON object per line, with the keys in
+`BenchRecord`'s field order; no record holds a timing, so identical
+invocations produce identical files.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoding, graphs
-from .circuits import STRATEGIES, rzz_order
+from .circuits import STRATEGIES, compiled_metrics
 # Unused here, but perfbench/layers.py wraps bench:build_qaoa_ansatz, decompose and depth.
 from .circuits import build_qaoa_ansatz, decompose, depth
 from .engine import (
@@ -299,28 +297,6 @@ def summary_csv(rows: list[dict]) -> str:
 # Depth curves (Fig. 2-style measurement: no simulation involved)
 
 
-def compiled_metrics(g: Graph, strategy: str, layer_counts: list[int]) -> dict[int, tuple[int, dict[str, int]]]:
-    """{p: (depth, gate counts)} of the decomposed p-layer ansatz per p in
-    `layer_counts`, with no circuit built. Neither depends on the angles.
-
-    The one-layer depth d1 is `circuits.depth`'s frontier pass over the
-    decomposed one-layer ansatz, run on `rzz_order` alone: the H layer
-    puts every qubit at 1, each RZZ(u, v) becomes CX, RZ, CX and puts both
-    endpoints 3 past the later of the two, and the RX layer adds 1. The
-    p-layer depth follows by the barrier identity in `circuits`, and
-    every gate kind but H occurs p times as often as in one layer; zero
-    counts are omitted. `decompose`, `depth` and `gate_counts` of the
-    built ansatz define both and are the tests' oracle."""
-    n, order = g.num_nodes, rzz_order(g, strategy)
-    frontier = [1] * n
-    for u, v, _ in order:
-        frontier[u] = frontier[v] = max(frontier[u], frontier[v]) + 3
-    d1 = max(frontier) + 1
-    counts = {"H": n, "RX": n, **({"CX": 2 * len(order), "RZ": len(order)} if order else {})}
-    return {p: (1 + p * (d1 - 1), {kind: c if kind == "H" else p * c for kind, c in counts.items()})
-            for p in layer_counts}
-
-
 def depth_table(
     instances: list[tuple[str, Graph]],
     layer_counts: list[int],
@@ -363,7 +339,8 @@ def verify_instance(path) -> list[tuple[str, bool, str]]:
     Returns (check name, passed, detail) triples: file parsing, the
     objective's half energy table (`encoding.energy_table`) against
     minus the cut value of each entry's assignment (every entry for
-    n <= 12, else 512 random ones, skipped above the simulator's
+    n <= 12, else 512 random ones drawn from the file's stem, so the same
+    however the path is spelled; skipped above the simulator's
     DEFAULT_MAX_QUBITS, where no run could use the table), agreement of
     the chunked exact optimum with naive enumeration (n <= 12), and the
     zero-angle expectation identity (n <= 20).
@@ -382,7 +359,7 @@ def verify_instance(path) -> list[tuple[str, bool, str]]:
         if n <= 12:
             entries, scope = range(table.size), "every half entry"
         else:
-            rng = np.random.default_rng(mix64(fnv1a64(str(path)), 0xC0FFEE))
+            rng = np.random.default_rng(mix64(fnv1a64(Path(path).stem), 0xC0FFEE))
             entries, scope = rng.integers(0, table.size, 512).tolist(), "512 random half entries"
         worst = max(abs(table[k] + graphs.cut_value(g, [(2 * k >> i) & 1 for i in range(n)])) for k in entries)
         checks.append(("encoding-roundtrip", worst == 0, f"max |E+cut| = {worst:.2e} over {scope}"))

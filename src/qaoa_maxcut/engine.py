@@ -18,9 +18,8 @@ The gate-level ansatz is built once per run, only for the final draw
 (`simulator.simulate`), which is over all 2^n basis states; each drawn
 index is folded onto the half before scoring, an odd one through its
 complement. No circuit is measured here: a record's compiled depth and
-gate counts come from `bench.compiled_metrics`, by frontier arithmetic
-over the RZZ order with no circuit built, and `circuits`' decompose,
-depth and gate_counts are their definition and oracle.
+gate counts come from `circuits.compiled_metrics`, where the compile
+model lives.
 `QaoaConfig` alone judges a run's parameters, the budget floor included;
 `bench` re-raises its refusals and checks none of them itself.
 The cost convention is minimization throughout: for Max-Cut,

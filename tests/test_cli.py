@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qaoa_maxcut import bench, cli, encoding
+from qaoa_maxcut import bench, cli, encoding, graphs
 from qaoa_maxcut.circuits import STRATEGIES
 from qaoa_maxcut.graphs import Graph, generate_random_graph, save_graph
 from qaoa_maxcut.seeding import mix64
@@ -178,6 +178,25 @@ def test_verify_passes_on_good_instances(instance, tmp_path, capsys):
     wide = instance == "MC_14"
     assert lines[1].endswith("512 random half entries)" if wide else "every half entry)")
     assert (lines[2] == "check optimum-oracle: ok (skipped (n > 12))") == wide
+
+
+def test_verify_checks_the_same_entries_however_the_path_is_spelled(tmp_path, monkeypatch):
+    # MC_14 takes the sampled branch: 512 random half entries.
+    (tmp_path / "d").mkdir()
+    path = write_instance(tmp_path / "d", 14)
+    monkeypatch.chdir(tmp_path)
+    real_cut_value = graphs.cut_value
+    checked = []
+
+    def spy(g, assignment):
+        checked[-1].append(tuple(assignment))
+        return real_cut_value(g, assignment)
+
+    monkeypatch.setattr(graphs, "cut_value", spy)
+    for spelling in ("d/MC_14.txt", "./d/MC_14.txt", str(path)):
+        checked.append([])
+        assert cli.main(["verify", spelling]) == 0
+    assert len(checked[0]) == 512 and checked[1] == checked[0] and checked[2] == checked[0]
 
 
 def test_verify_reads_the_objectives_own_table(tmp_path, capsys, monkeypatch):
