@@ -10,22 +10,23 @@ cost has no fields, so every energy, and so every QAOA amplitude, is
 unchanged when all spins flip (the Z2 symmetry of Bravyi et al.,
 arXiv:1910.08980).
 
-`energy_blocks` is the one kernel that scores the assignments, in
-blocks of a table split into a low and a high half of the spins that
-only it reads: each block comes with its first entry's half index. It
+`energy_factors` is the one kernel that scores the assignments: two
+factors, one per half of the spins, whose product is the table. It
 scores only the 2^(n-1) assignments with spin 0 at +1 (bit 0 clear); by
 the symmetry, each other assignment is the complement of one of them
-and has its energy. The simulator's cost vector is that half table as
-one block (`energy_table`: entry k is assignment 2k), and
-`graphs.brute_force_optimum` takes its argmin block by block.
-`energy_levels` reduces a table to ascending levels and a small
+and has its energy. The simulator's cost vector is the whole product in
+float64 (`energy_table`: entry k is assignment 2k), and
+`graphs.brute_force_optimum` takes its argmin over float32 products of
+row slices, exact because integer weights below 2^16 in total make
+every partial sum a multiple of 1/2 below 2^17, within float32's 24-bit
+significand. `energy_levels` reduces a table to ascending levels and a small
 unsigned index per entry, which is how the simulator's phase separator
 consumes it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,31 +38,28 @@ def energy_table(g: Graph) -> np.ndarray:
     """-cut of the 2^(n-1) assignments with bit 0 clear: entry k is
     assignment 2k, little-endian (bit i of 2k = bit i of the assignment).
 
-    `energy_blocks` as one block, flattened row-major. Every other
+    The product of `energy_factors`, flattened row-major. Every other
     assignment is the complement of one of these, with the same energy.
     """
-    ((_, table),) = energy_blocks(g, 1 << (g.num_nodes - 1))
-    return table.ravel()
+    left, right = energy_factors(g)
+    return (left @ right.T).ravel()
 
 
-def energy_blocks(g: Graph, entries: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(first, block) pairs that tile the half table in ascending order:
-    block.flat[i] is -cut of assignment 2 * (first + i). Each block is as
-    many whole rows of the (2^(n-L), 2^(L-1)) table as fit in `entries`
-    (at least one).
+def energy_factors(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) whose product left @ right.T is the half table as a
+    (2^(n-L), 2^(L-1)) matrix: entry [r, c] is -cut of assignment
+    r * 2^L + 2c, so row slices of `left` give whole rows of the table.
 
     The spins split into a low half of L = max(1, n // 2) and a high
-    half; row r and column c of the table hold assignment r * 2^L + 2c.
-    With Z_L the +-1 spin rows of the even low half assignments, Z_H
-    those of the high half and E_L, E_H each half's own energies z^T J z,
-    a block is one product left @ right^T of
-        right = [Z_L | E_L + offset | 1], built once, and
-        left = [Z_H @ J_LH^T | 1 | E_H], built per block,
+    half. With Z_L the +-1 spin rows of the even low half assignments,
+    Z_H those of the high half and E_L, E_H each half's energies z^T J z,
+        right = [Z_L | E_L + offset | 1] and
+        left = [Z_H @ J_LH^T | 1 | E_H],
     so that each entry sums the cross-half couplings, the low half's
     energy with the offset and the high half's energy in one dot product.
-    Integer and half-integer energies are exact in any summation order,
-    so the tables of integer-weight graphs equal the edge-by-edge sum bit
-    for bit.
+    Every factor entry and partial sum is a multiple of 1/2 of magnitude
+    at most 3W/2 < 2^17, W the total weight, so products equal the
+    edge-by-edge sum bit for bit in any order, in float32 as in float64.
     """
     n = g.num_nodes
     low = max(1, n // 2)
@@ -72,13 +70,9 @@ def energy_blocks(g: Graph, entries: int) -> Iterator[tuple[int, np.ndarray]]:
     z_low = _spin_rows(np.arange(0, 1 << low, 2), low)
     right = np.column_stack([z_low, _half_energies(z_low, J[:low, :low]) + offset, np.ones(len(z_low))])
     del z_low
-    cross = J[:low, low:].T
-    high_rows = 1 << (n - low)
-    rows = max(1, entries // len(right))
-    for start in range(0, high_rows, rows):
-        z_high = _spin_rows(np.arange(start, min(start + rows, high_rows)), n - low)
-        left = np.column_stack([z_high @ cross, np.ones(len(z_high)), _half_energies(z_high, J[low:, low:])])
-        yield start * len(right), left @ right.T
+    z_high = _spin_rows(np.arange(1 << (n - low)), n - low)
+    left = np.column_stack([z_high @ J[:low, low:].T, np.ones(len(z_high)), _half_energies(z_high, J[low:, low:])])
+    return left, right
 
 
 def _spin_rows(indices: np.ndarray, width: int) -> np.ndarray:

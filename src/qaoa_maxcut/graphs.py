@@ -11,8 +11,9 @@ little-endian convention is used for simulator basis states, so a
 sampled basis-state index is the assignment integer itself.
 
 The exact optimum, `brute_force_optimum`, scores the assignments with
-`encoding.energy_blocks`, the kernel behind the simulator's energy
-table, which reads its couplings and offset off the graph.
+`encoding.energy_factors`, the kernel behind the simulator's energy
+table, which reads its couplings and offset off the graph, in float32:
+exact, since every partial sum is a multiple of 1/2 below 2^17.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .encoding import energy_blocks
+from .encoding import energy_factors
 from .seeding import SplitMix64
 
 MAX_BRUTE_FORCE_NODES = 28
@@ -31,9 +32,10 @@ MAX_BRUTE_FORCE_NODES = 28
 # Total edge weight a Graph stays below, so that energy levels index as uint16.
 MAX_TOTAL_WEIGHT = 1 << 16
 
-# Energies brute_force_optimum asks `energy_blocks` for at once (256 KiB).
-# In pinned timings 2^16 was no faster, and it added 0.5 MiB of RSS on
-# perfbench's suite-prep.
+# Energies per brute_force_optimum block (128 KiB of float32). 2^16 was not
+# resolvably better: suite-prep wall_vs_ref and peak_rss_mib matched over 6
+# alternating pairs, and it won 13 of 20 fresh-interpreter suite timings
+# (medians 4.30 vs 4.59 ms, RSS +0.1 MiB).
 _BLOCK = 1 << 15
 
 Edge = tuple[int, int, float]
@@ -215,33 +217,36 @@ def brute_force_optimum(g: Graph) -> CutSolution:
     """Exact maximum cut: the lowest -cut over every assignment.
 
     Node 0 is fixed to side 0 (cuts are complement-symmetric), so only
-    the 2^(n-1) even assignment integers are scored: `energy_blocks`, in
-    blocks of `_BLOCK` energies (256 KiB). Each block is dropped before
-    the next is made, which then takes its memory back from the heap
-    instead of fresh pages. Beside it the largest temporaries are
-    `energy_blocks`' low-half factor, 2^(L-1) * (L + 2) float64 for its
-    L spins, and the spin rows it is made from, 2^(L-1) * L float64 and
-    freed once the factor is built: 104 and 88 KiB at n = 22, 1.0 and
-    0.9 MiB at n = 28. tracemalloc reads peaks of 0.37 MiB at n = 22,
-    0.57 MiB at n = 24 and 2.0 MiB at n = 28.
+    the 2^(n-1) even assignment integers are scored: the factors of
+    `encoding.energy_factors`, cast to float32 once and the right one
+    transposed into a contiguous copy once, then one product of a row
+    slice of `left` per `_BLOCK` energies. Float32 is exact: integer
+    weights with total W < 2^16 make every factor entry, partial sum and
+    energy a multiple of 1/2 of magnitude at most 3W/2 < 2^17, within its
+    24-bit significand. Each block is dropped before the next is made,
+    which then takes its memory back from the heap. The peak comes while
+    `energy_factors` builds its float64 high-half factor: tracemalloc
+    reads 0.81 MiB at n = 22, 1.47 MiB at n = 24 and 6.8 MiB at n = 28,
+    where the float32 factors take 1.0 and 0.5 MiB.
 
     Ties break toward the lowest assignment integer: blocks come in
     ascending order, `np.argmin` returns the first minimum of a block,
-    and a later block wins only with a strictly lower energy. Integer
-    weights make every energy exact in the kernel's summation order, so
-    equal cuts tie exactly. The reported value is `cut_value`, the
-    edge-order sum.
+    and a later block wins only with a strictly lower energy. Every
+    energy is exact, so equal cuts tie exactly. The reported value is
+    `cut_value`, the edge-order sum.
     """
     n = g.num_nodes
     if n > MAX_BRUTE_FORCE_NODES:
-        raise ValueError(
-            f"brute force capped at {MAX_BRUTE_FORCE_NODES} nodes, got {n}"
-        )
+        raise ValueError(f"brute force capped at {MAX_BRUTE_FORCE_NODES} nodes, got {n}")
+    left, right = energy_factors(g)
+    left, right = left.astype(np.float32), np.ascontiguousarray(right.T, dtype=np.float32)
+    rows = max(1, _BLOCK // right.shape[1])
     best_index, best_energy = 0, math.inf
-    for first, block in energy_blocks(g, _BLOCK):
+    for start in range(0, len(left), rows):
+        block = left[start:start + rows] @ right
         i = int(np.argmin(block))
         if block.flat[i] < best_energy:
-            best_index, best_energy = 2 * (first + i), block.flat[i]
+            best_index, best_energy = 2 * (start * block.shape[1] + i), block.flat[i]
         del block  # so that the next block reuses its memory
     assignment = tuple((best_index >> i) & 1 for i in range(n))
     return CutSolution(assignment, cut_value(g, assignment))

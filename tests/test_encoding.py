@@ -2,13 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import strided_cut_table, unique_energy_levels
+from oracles import naive_max_cut, strided_cut_table, unique_energy_levels
 
 from qaoa_maxcut import graphs
-from qaoa_maxcut.encoding import energy_blocks, energy_levels, energy_table
+from qaoa_maxcut.encoding import energy_factors, energy_levels, energy_table
 from qaoa_maxcut.graphs import (
     MAX_TOTAL_WEIGHT,
+    CutSolution,
     Graph,
+    brute_force_optimum,
     cut_value,
     generate_random_graph,
     graph_from_pairs,
@@ -148,34 +150,81 @@ TILINGS = [
 ]
 
 
-def concatenated(g: Graph, entries: int) -> np.ndarray:
-    """The blocks of `energy_blocks` flattened and joined, after checking
-    that each starts at the half index after its predecessor's last and
-    holds whole rows, at most `entries` or one row."""
-    blocks = list(energy_blocks(g, entries))
-    sizes = [block.size for _, block in blocks]
-    assert [first for first, _ in blocks] == np.cumsum([0, *sizes[:-1]]).tolist()
-    columns = blocks[0][1].shape[1]
-    assert all(block.shape[1] == columns and block.size <= max(entries, columns) for _, block in blocks)
-    return np.concatenate([block.ravel() for _, block in blocks])
+def row_tiles(g: Graph, entries: int, dtype) -> np.ndarray:
+    """The product of `energy_factors` cast to `dtype`, as
+    `brute_force_optimum` forms it: the transposed right factor made
+    contiguous, then one product per slice of as many whole rows of
+    `left` as fit in `entries` (at least one). The tiles are flattened
+    and joined, after checking their dtype and size."""
+    left, right = (factor.astype(dtype) for factor in energy_factors(g))
+    right = np.ascontiguousarray(right.T)
+    rows = max(1, entries // right.shape[1])
+    tiles = [left[start:start + rows] @ right for start in range(0, len(left), rows)]
+    assert all(tile.dtype == dtype and tile.size <= max(entries, right.shape[1]) for tile in tiles)
+    return np.concatenate([tile.ravel() for tile in tiles])
+
+
+def assert_same_bits(tiles: np.ndarray, table: np.ndarray):
+    """`tiles` holds the values of the float64 `table`, bit for bit once
+    widened to float64."""
+    np.testing.assert_array_equal(tiles, table)
+    assert tiles.astype(np.float64).tobytes() == table.tobytes()
 
 
 class TestEnergyBlocks:
-    """`energy_blocks` in pieces against `energy_table`, the half table as
-    one block, and against the strided oracle's even entries.
+    """Row slices of the `energy_factors` product, in float64 and in the
+    float32 that `brute_force_optimum` scores in, against `energy_table`,
+    the whole float64 product, and against the strided oracle's even
+    entries.
 
     Integer weights make every energy exact in any summation order, so
     the pieces must equal the table bit for bit, also where BLAS takes a
-    one-row block through its matrix-vector kernel.
+    one-row slice through its matrix-vector kernel.
     """
 
     @pytest.mark.parametrize("entries, name", TILINGS)
     def test_exact_energies_tile_the_table_bit_for_bit(self, name, entries):
         g = {**GRAPHS, **BLOCK_GRAPHS}[name]
         entries = {"2^n": 1 << g.num_nodes, "_BLOCK": graphs._BLOCK}.get(entries) or int(entries)
-        tiles = concatenated(g, entries)
-        np.testing.assert_array_equal(tiles, energy_table(g))
-        np.testing.assert_array_equal(tiles, strided_cut_table(g)[::2])
+        table = energy_table(g)
+        assert table.dtype == np.float64
+        for dtype in (np.float64, np.float32):
+            tiles = row_tiles(g, entries, dtype)
+            assert_same_bits(tiles, table)
+            np.testing.assert_array_equal(tiles, strided_cut_table(g)[::2])
+
+
+def capped_complete(n: int, seed: int) -> Graph:
+    """K_n with integer weights that total MAX_TOTAL_WEIGHT - 1 = 65535,
+    the heaviest a Graph admits: each within a few units of the mean, so
+    that many balanced cuts lie within a few units of the maximum, which
+    a kernel that rounded its energies could not tell apart."""
+    rng = np.random.default_rng(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    weights = (MAX_TOTAL_WEIGHT - 1) // len(pairs) + rng.integers(-3, 4, len(pairs))
+    weights[-1] += MAX_TOTAL_WEIGHT - 1 - weights.sum()
+    return Graph(n, tuple((u, v, float(w)) for (u, v), w in zip(pairs, weights)))
+
+
+class TestWeightCap:
+    """Float32 is exact up to the weight cap: every factor entry and
+    partial sum is a multiple of 1/2 below 3W/2 < 2^17, within float32's
+    24-bit significand. Complete graphs set every coupling."""
+
+    @pytest.mark.parametrize("n", range(12, 19))
+    def test_float32_tiles_equal_the_float64_table(self, n):
+        g = capped_complete(n, seed=300 + n)
+        assert g.total_weight() == MAX_TOTAL_WEIGHT - 1
+        table = energy_table(g)
+        for entries in (1 << 9, graphs._BLOCK):
+            assert_same_bits(row_tiles(g, entries, np.float32), table)
+
+    @pytest.mark.parametrize("n", range(12, 19))
+    def test_optimum_equals_naive_enumeration(self, n, monkeypatch):
+        # Blocks of 2^9 energies: 4 at n = 12, 256 at n = 18.
+        monkeypatch.setattr(graphs, "_BLOCK", 1 << 9)
+        g = capped_complete(n, seed=300 + n)
+        assert brute_force_optimum(g) == CutSolution(*naive_max_cut(g))
 
 
 class TestEnergyLevels:

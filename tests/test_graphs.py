@@ -2,11 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import naive_max_cut
+from oracles import naive_max_cut, strided_cut_table
 
-from qaoa_maxcut import graphs
-from qaoa_maxcut.encoding import energy_blocks
+from qaoa_maxcut import encoding, graphs
 from qaoa_maxcut.graphs import (
+    MAX_BRUTE_FORCE_NODES,
     MAX_TOTAL_WEIGHT,
     CutSolution,
     EdgeError,
@@ -353,8 +353,20 @@ class TestChunkedOptimum:
 
     @pytest.mark.parametrize("n, blocks", [(14, 1), (16, 1), (17, 2), (18, 4)])
     def test_sizes_span_one_and_several_blocks(self, n, blocks):
-        g = generate_random_graph(n, 0.5, seed=100 + n)
-        assert len(list(energy_blocks(g, graphs._BLOCK))) == blocks
+        assert len(block_starts(generate_random_graph(n, 0.5, seed=100 + n))) == blocks
+
+    def test_builds_each_factor_once(self, monkeypatch):
+        # One spin-row matrix per half, however many blocks the product takes.
+        monkeypatch.setattr(graphs, "_BLOCK", 1 << 13)
+        calls = []
+        spin_rows = encoding._spin_rows
+        monkeypatch.setattr(encoding, "_spin_rows", lambda *args: calls.append(args) or spin_rows(*args))
+        g = generate_random_graph(18, 0.5, seed=118)
+        table = strided_cut_table(g)[::2]
+        k = int(np.argmin(table))
+        assert brute_force_optimum(g) == CutSolution(tuple((2 * k >> i) & 1 for i in range(18)), -table[k])
+        assert len(calls) == 2
+        assert len(block_starts(g)) == 16
 
     @pytest.mark.parametrize("n", [2, 3, 6, 11, 12, 14, 15, 16])
     @pytest.mark.parametrize("weights", ["unit", "weighted"])
@@ -384,7 +396,7 @@ class TestChunkedOptimum:
     def test_optima_in_several_blocks_tie_to_the_lowest_assignment(self, g, monkeypatch):
         # Blocks of 2^13 energies, so that these graphs span several.
         monkeypatch.setattr(graphs, "_BLOCK", 1 << 13)
-        assert len(list(energy_blocks(g, graphs._BLOCK))) > 1
+        assert len(block_starts(g)) > 1
         assignment, value = naive_max_cut(g)
         assert brute_force_optimum(g) == CutSolution(assignment, value)
 
@@ -411,10 +423,32 @@ class TestChunkedOptimum:
     def test_memory_stays_small(self):
         # A table of all 2^23 cuts would take 64 MiB.
         g = generate_random_graph(24, 0.5, seed=7)
-        tracemalloc.start()
-        try:
-            brute_force_optimum(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        assert traced(brute_force_optimum, g)[1] < 8 * 2**20
+
+    def test_complete_bipartite_graph_at_the_cap(self):
+        # K_{14,14} on the even and the odd nodes: the optimum cuts every
+        # edge, and node 0 on side 0 leaves one such assignment.
+        n = MAX_BRUTE_FORCE_NODES
+        assert n == 28
+        g = graph_from_pairs(n, [(u, v) for u in range(0, n, 2) for v in range(1, n, 2)])
+        assert g.num_edges == 196
+        solution, peak = traced(brute_force_optimum, g)
+        assert solution == CutSolution(tuple(i % 2 for i in range(n)), 196.0)
+        # A float32 table of all 2^27 cuts would take 512 MiB.
         assert peak < 8 * 2**20
+
+
+def block_starts(g: Graph) -> range:
+    """The first rows of the blocks `brute_force_optimum` scores: slices
+    of `graphs._BLOCK` energies, in whole rows of the factors' product."""
+    left, right = encoding.energy_factors(g)
+    return range(0, len(left), max(1, graphs._BLOCK // len(right)))
+
+
+def traced(call, *args):
+    """(call(*args), its tracemalloc peak in bytes)."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
