@@ -77,13 +77,14 @@ def energy_factors(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 def _spin_rows(indices: np.ndarray, width: int) -> np.ndarray:
     """+-1 matrix whose row r holds the spins z = 1 - 2 bit of the `width`
-    low bits of indices[r]."""
-    return 1.0 - 2.0 * ((indices[:, None] >> np.arange(width)) & 1)
+    <= 32 low bits of indices[r], unpacked from its little-endian bytes."""
+    octets = indices.astype("<u4").view(np.uint8).reshape(-1, 4)
+    return 1.0 - 2.0 * np.unpackbits(octets, axis=1, count=width, bitorder="little")
 
 
 def _half_energies(z: np.ndarray, J: np.ndarray) -> np.ndarray:
     """z^T J z for each spin row z, with J strictly upper triangular."""
-    return ((z @ J) * z).sum(axis=1)
+    return np.einsum("ij,ij->i", z @ J, z)
 
 
 def energy_levels(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

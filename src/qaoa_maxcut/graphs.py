@@ -226,7 +226,7 @@ def brute_force_optimum(g: Graph) -> CutSolution:
     24-bit significand. Each block is dropped before the next is made,
     which then takes its memory back from the heap. The peak comes while
     `energy_factors` builds its float64 high-half factor: tracemalloc
-    reads 0.81 MiB at n = 22, 1.47 MiB at n = 24 and 6.8 MiB at n = 28,
+    reads 0.69 MiB at n = 22, 1.47 MiB at n = 24 and 6.8 MiB at n = 28,
     where the float32 factors take 1.0 and 0.5 MiB.
 
     Ties break toward the lowest assignment integer: blocks come in
