@@ -208,8 +208,9 @@ def capped_complete(n: int, seed: int) -> Graph:
 
 class TestWeightCap:
     """Float32 is exact up to the weight cap: every factor entry and
-    partial sum is a multiple of 1/2 below 3W/2 < 2^17, within float32's
-    24-bit significand. Complete graphs set every coupling."""
+    partial sum is a multiple of 1/2 of magnitude at most 3W/2 < 2^17,
+    within float32's 24-bit significand. Complete graphs set every
+    coupling."""
 
     @pytest.mark.parametrize("n", range(12, 19))
     def test_float32_tiles_equal_the_float64_table(self, n):
