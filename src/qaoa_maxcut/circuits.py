@@ -225,16 +225,17 @@ def compiled_metrics(g: Graph, strategy: str, layer_counts: list[int]) -> dict[i
     The one-layer depth d1 is `depth`'s frontier pass over the decomposed
     one-layer ansatz, run on `rzz_order` alone: the H layer puts every
     qubit at 1, each RZZ(u, v) becomes CX, RZ, CX and puts both endpoints
-    3 past the later of the two, and the RX layer adds 1. The p-layer
-    depth follows by the barrier identity, and every gate kind but H
-    occurs p times as often as in one layer; zero counts are omitted.
+    3 past the later of the two, and the RX layer adds 1. Only edge
+    endpoints get a frontier, so memory follows the edges, not n. The
+    p-layer depth follows by the barrier identity, and every gate kind
+    but H occurs p times as often as in one layer; zero counts are omitted.
     `decompose`, `depth` and `gate_counts` of the built ansatz define
     both and are the tests' oracle."""
     n, order = g.num_nodes, rzz_order(g, strategy)
-    frontier = [1] * n
+    frontier: dict[int, int] = {}
     for u, v, _ in order:
-        frontier[u] = frontier[v] = max(frontier[u], frontier[v]) + 3
-    d1 = max(frontier) + 1
+        frontier[u] = frontier[v] = max(frontier.get(u, 1), frontier.get(v, 1)) + 3
+    d1 = max(frontier.values(), default=1) + 1
     counts = {"H": n, "RX": n, **({"CX": 2 * len(order), "RZ": len(order)} if order else {})}
     return {p: (1 + p * (d1 - 1), {kind: c if kind == "H" else p * c for kind, c in counts.items()})
             for p in layer_counts}

@@ -11,13 +11,13 @@ little-endian convention is used for simulator basis states, so a
 sampled basis-state index is the assignment integer itself.
 
 The exact optimum, `brute_force_optimum`, scores the assignments with
-`encoding.energy_factors`, the kernel behind the simulator's energy
-table, which reads its couplings and offset off the graph, in float32:
-exact, since every partial sum is a multiple of 1/2 below 2^17.
+the float32 factors of `encoding.energy_factors`, the kernel behind the
+simulator's energy table, which also states why float32 is exact.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -123,19 +123,18 @@ def generate_random_graph(n: int, density: float, seed: int) -> Graph:
     Every unordered pair (u, v), visited in lexicographic order, is
     included independently with probability `density` using one
     SplitMix64 draw per pair (see seeding module for the exact
-    constants). Deterministic for fixed (n, density, seed).
+    constants). Deterministic for fixed (n, density, seed). Drawing
+    stops at the `MAX_TOTAL_WEIGHT`-th included pair, the edge that
+    `Graph` refuses, so a graph over the weight cap fails after about
+    MAX_TOTAL_WEIGHT / density draws, not n(n - 1)/2.
     """
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
     rng = SplitMix64(seed)
-    pairs = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.next_float() < density:
-                pairs.append((u, v))
-    return graph_from_pairs(n, pairs)
+    pairs = ((u, v) for u in range(n) for v in range(u + 1, n) if rng.next_float() < density)
+    return graph_from_pairs(n, itertools.islice(pairs, MAX_TOTAL_WEIGHT))
 
 
 def as_bits(assignment: Sequence[int] | str, n: int) -> tuple[int, ...]:
@@ -217,17 +216,13 @@ def brute_force_optimum(g: Graph) -> CutSolution:
     """Exact maximum cut: the lowest -cut over every assignment.
 
     Node 0 is fixed to side 0 (cuts are complement-symmetric), so only
-    the 2^(n-1) even assignment integers are scored: the factors of
-    `encoding.energy_factors`, cast to float32 once and the right one
-    transposed into a contiguous copy once, then one product of a row
-    slice of `left` per `_BLOCK` energies. Float32 is exact: integer
-    weights with total W < 2^16 make every factor entry, partial sum and
-    energy a multiple of 1/2 of magnitude at most 3W/2 < 2^17, within its
-    24-bit significand. Each block is dropped before the next is made,
-    which then takes its memory back from the heap. The peak comes while
-    `energy_factors` builds its float64 high-half factor: tracemalloc
-    reads 0.69 MiB at n = 22, 1.47 MiB at n = 24 and 6.8 MiB at n = 28,
-    where the float32 factors take 1.0 and 0.5 MiB.
+    the 2^(n-1) even assignment integers are scored: the float32 factors
+    of `encoding.energy_factors` (exact, as `encoding` says), built once,
+    then one product of a row slice of `left` per `_BLOCK` energies. Each
+    block is dropped before the next is made, which then takes its
+    memory back from the heap. The peak comes while `energy_factors`
+    builds the high-half factor: tracemalloc reads 0.34 MiB at n = 22,
+    0.74 MiB at n = 24 and 3.38 MiB at n = 28.
 
     Ties break toward the lowest assignment integer: blocks come in
     ascending order, `np.argmin` returns the first minimum of a block,
@@ -239,7 +234,6 @@ def brute_force_optimum(g: Graph) -> CutSolution:
     if n > MAX_BRUTE_FORCE_NODES:
         raise ValueError(f"brute force capped at {MAX_BRUTE_FORCE_NODES} nodes, got {n}")
     left, right = energy_factors(g)
-    left, right = left.astype(np.float32), np.ascontiguousarray(right.T, dtype=np.float32)
     rows = max(1, _BLOCK // right.shape[1])
     best_index, best_energy = 0, math.inf
     for start in range(0, len(left), rows):

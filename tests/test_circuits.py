@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,21 @@ def test_one_layer_depth_of_known_shapes(name):
     for strategy in ("naive", "scheduled"):
         assert depth(decompose(build_qaoa_ansatz(g, [0.5], [0.5], strategy))) == d1, strategy
         assert compiled_metrics(g, strategy, [1])[1][0] == d1, strategy
+
+
+@pytest.mark.parametrize("strategy", ["naive", "scheduled"])
+def test_compiled_metrics_memory_follows_the_edges_not_n(strategy):
+    # A header may name any node count; a list of 10^7 frontiers alone takes 76 MiB.
+    n = 10**7
+    g = Graph(n)
+    tracemalloc.start()
+    try:
+        metrics = compiled_metrics(g, strategy, [1, 3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert metrics == {p: (1 + p, {"H": n, "RX": p * n}) for p in (1, 3)}
+    assert peak < 2**20
 
 
 def test_unsorted_pairs_keep_their_naive_order():

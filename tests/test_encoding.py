@@ -152,12 +152,10 @@ TILINGS = [
 
 def row_tiles(g: Graph, entries: int, dtype) -> np.ndarray:
     """The product of `energy_factors` cast to `dtype`, as
-    `brute_force_optimum` forms it: the transposed right factor made
-    contiguous, then one product per slice of as many whole rows of
-    `left` as fit in `entries` (at least one). The tiles are flattened
-    and joined, after checking their dtype and size."""
+    `brute_force_optimum` forms it: one product per slice of as many
+    whole rows of `left` as fit in `entries` (at least one). The tiles
+    are flattened and joined, after checking their dtype and size."""
     left, right = (factor.astype(dtype) for factor in energy_factors(g))
-    right = np.ascontiguousarray(right.T)
     rows = max(1, entries // right.shape[1])
     tiles = [left[start:start + rows] @ right for start in range(0, len(left), rows)]
     assert all(tile.dtype == dtype and tile.size <= max(entries, right.shape[1]) for tile in tiles)
@@ -173,14 +171,24 @@ def assert_same_bits(tiles: np.ndarray, table: np.ndarray):
 
 class TestEnergyBlocks:
     """Row slices of the `energy_factors` product, in float64 and in the
-    float32 that `brute_force_optimum` scores in, against `energy_table`,
-    the whole float64 product, and against the strided oracle's even
-    entries.
+    float32 that the factors come in and `brute_force_optimum` scores
+    in, against `energy_table`, the whole product widened to float64,
+    and against the strided oracle's even entries.
 
     Integer weights make every energy exact in any summation order, so
     the pieces must equal the table bit for bit, also where BLAS takes a
     one-row slice through its matrix-vector kernel.
     """
+
+    @pytest.mark.parametrize("name", sorted({**GRAPHS, **BLOCK_GRAPHS}))
+    def test_factors_are_float32_in_the_products_layout(self, name):
+        g = {**GRAPHS, **BLOCK_GRAPHS}[name]
+        n, low = g.num_nodes, max(1, g.num_nodes // 2)
+        left, right = energy_factors(g)
+        assert left.dtype == right.dtype == np.float32
+        assert left.flags.c_contiguous and right.flags.c_contiguous
+        assert left.shape == (1 << (n - low), low + 2)
+        assert right.shape == (low + 2, 1 << (low - 1))
 
     @pytest.mark.parametrize("entries, name", TILINGS)
     def test_exact_energies_tile_the_table_bit_for_bit(self, name, entries):

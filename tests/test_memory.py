@@ -56,6 +56,13 @@ def test_objective_evaluation_holds_half_a_state(mode):
     assert peak_per_amplitude(20, objective, [0.3, 0.7]) <= 13
 
 
+def test_energy_table_holds_little_beyond_its_table():
+    # The float64 table is 4 bytes per amplitude of the 2^n-long state; a
+    # float32 product widened after it would add 2 more.
+    g = mc(20)
+    assert peak_per_amplitude(20, energy_table, g) <= 4.5
+
+
 def test_energy_levels_adds_little_beyond_its_table():
     table = energy_table(mc(20))
     assert peak_per_amplitude(20, energy_levels, table) <= 10
