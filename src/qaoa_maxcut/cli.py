@@ -6,11 +6,15 @@ table, `depth` reports compiled circuit depths for every scheduling
 strategy, and `verify` cross-checks one instance against the in-repo
 oracles. "Budget" counts objective evaluations, which is the only
 iteration notion a derivative-free optimizer can honor exactly.
+
+Exit status: 0 done, 1 a `verify` check failed, 2 input refused before any
+work, with one `error:` line on stderr (argparse's usage errors exit 2 too).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -23,10 +27,17 @@ from .seeding import mix64
 from .simulator import CapacityError
 
 
+class Refusal(Exception):
+    """Input refused before any work; `main` prints it as `error: ...` and returns 2."""
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (Refusal, CapacityError, bench.BenchArgumentError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,13 +84,11 @@ def cmd_generate(args) -> int:
     try:
         suite = [generate_random_graph(n, args.density, mix64(args.seed, n)) for n in sorted(set(args.sizes))]
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise Refusal(exc) from None
     try:  # an --out that is, or lies under, a file fails here, before anything is made
         args.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot make output directory {args.out}: {exc.strerror}", file=sys.stderr)
-        return 2
+        raise Refusal(f"cannot make output directory {args.out}: {exc.strerror}") from None
     for g in suite:
         path = args.out / f"MC_{g.num_nodes}.txt"
         save_graph(g, path)
@@ -87,54 +96,47 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def load_instances(paths: list[Path]) -> list[tuple[str, Graph]] | None:
-    """(stem, graph) per instance file; on the first unreadable or
-    malformed file, print `error: ...` and return None."""
+def load_instances(paths: list[Path]) -> list[tuple[str, Graph]]:
+    """(stem, graph) per instance file; the first unreadable or malformed
+    file is refused."""
     try:
         return [(path.stem, load_graph(path)) for path in paths]
     except (OSError, GraphFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+        raise Refusal(exc) from None
 
 
-def unwritable_out(path: Path | None) -> bool:
-    """True, after printing `error: ...`, when `path` is set and cannot
-    be written as a file: its directory does not exist, or it names a
-    directory itself. Nothing is created or opened."""
+def check_out(path: Path | None, instances: list[Path]) -> None:
+    """Refuse an output file `path` whose directory is missing, that is a
+    directory, or that is one of `instances`, also through a symlink or a
+    hardlink. Nothing is created or opened; None (no output) passes."""
     if path is None:
-        return False
+        return
     if not path.parent.is_dir():
-        print(f"error: output directory {path.parent} does not exist", file=sys.stderr)
-    elif path.is_dir():
-        print(f"error: output file {path} is a directory", file=sys.stderr)
-    else:
-        return False
-    return True
+        raise Refusal(f"output directory {path.parent} does not exist")
+    if path.is_dir():
+        raise Refusal(f"output file {path} is a directory")
+    # samefile needs both files to exist; every instance does, so a missing output is none of them.
+    if path.exists() and any(os.path.samefile(path, instance) for instance in instances):
+        raise Refusal(f"output file {path} is one of the instance files")
 
 
 def cmd_bench(args) -> int:
     instances = load_instances(args.instances)
-    if instances is None or unwritable_out(args.out):
-        return 2
+    check_out(args.out, args.instances)
     csv_path = args.out.with_suffix(".summary.csv")  # after the check: `--out .` has no name to suffix
-    if unwritable_out(csv_path):
-        return 2
+    check_out(csv_path, args.instances)
     start = time.perf_counter()
-    try:
-        records, warnings = bench.run_benchmark(
-            instances,
-            layer_counts=args.layers,
-            runs=args.runs,
-            shots=args.shots,
-            budget=args.budget,
-            mode=args.mode,
-            strategy=args.strategy,
-            master_seed=args.seed,
-            workers=args.workers,
-        )
-    except (CapacityError, bench.BenchArgumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records, warnings = bench.run_benchmark(
+        instances,
+        layer_counts=args.layers,
+        runs=args.runs,
+        shots=args.shots,
+        budget=args.budget,
+        mode=args.mode,
+        strategy=args.strategy,
+        master_seed=args.seed,
+        workers=args.workers,
+    )
     elapsed = time.perf_counter() - start
     bench.write_records(records, args.out)
     rows = bench.summarize(records)
@@ -149,13 +151,8 @@ def cmd_bench(args) -> int:
 
 def cmd_depth(args) -> int:
     instances = load_instances(args.instances)
-    if instances is None or unwritable_out(args.out):
-        return 2
-    try:
-        rows = bench.depth_table(instances, args.layers)
-    except bench.BenchArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    check_out(args.out, args.instances)
+    rows = bench.depth_table(instances, args.layers)
     print(bench.format_depth_table(rows), end="")
     if args.out is not None:
         args.out.write_text(bench.depth_csv(rows))

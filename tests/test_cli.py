@@ -14,7 +14,7 @@ from qaoa_maxcut import bench, cli, encoding, graphs
 from qaoa_maxcut.circuits import STRATEGIES
 from qaoa_maxcut.graphs import Graph, generate_random_graph, save_graph
 from qaoa_maxcut.seeding import mix64
-from qaoa_maxcut.simulator import DEFAULT_MAX_QUBITS
+from qaoa_maxcut.simulator import DEFAULT_MAX_QUBITS, CapacityError
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -122,6 +122,60 @@ def test_depth_refuses_an_out_file_that_is_a_directory_before_printing(tmp_path,
     captured = capsys.readouterr()
     assert captured.err == f"error: output file {out} is a directory\n" and captured.out == ""
     assert list(out.iterdir()) == []
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("an optimum or a compiled metric was computed before the refusal")
+
+
+@pytest.mark.parametrize("command, instance, out, link, clash", [
+    ("depth", "MC_8.txt", "MC_8.txt", None, "MC_8.txt"),
+    ("bench", "MC_8.txt", "MC_8.txt", None, "MC_8.txt"),
+    ("bench", "r.summary.csv", "r.jsonl", None, "r.summary.csv"),
+    ("depth", "MC_8.txt", "link.txt", os.symlink, "link.txt"),
+    ("bench", "MC_8.txt", "link.txt", os.link, "link.txt"),
+], ids=["depth", "bench-records", "bench-summary", "symlink", "hardlink"])
+def test_an_out_that_is_an_instance_file_is_refused_before_any_work(command, instance, out, link, clash,
+                                                                   tmp_path, capsys, monkeypatch):
+    # `clash` is the output path that names the instance: --out itself, or
+    # for bench the summary beside it.
+    monkeypatch.setattr(bench, "brute_force_optimum", no_work)
+    monkeypatch.setattr(bench, "compiled_metrics", no_work)
+    monkeypatch.chdir(tmp_path)
+    save_graph(generate_random_graph(8, 0.5, mix64(11, 8)), Path(instance))
+    if link is not None:
+        link(instance, out)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = [command, instance, "--layers", "1", "--out", out]
+    if command == "bench":
+        argv += ["--runs", "1", "--budget", "4", "--shots", "10"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: output file {clash} is one of the instance files\n" and captured.out == ""
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("refusal", [cli.Refusal("x"), CapacityError("x"), bench.BenchArgumentError("x")],
+                         ids=["refusal", "capacity", "bench-argument"])
+def test_main_prints_a_refusal_as_one_error_line_and_exits_2(refusal, capsys, monkeypatch):
+    def refuse(args):
+        raise refusal
+
+    monkeypatch.setattr(cli, "cmd_depth", refuse)
+    assert cli.main(["depth", "MC_8.txt"]) == 2
+    assert capsys.readouterr() == ("", "error: x\n")
+
+
+@pytest.mark.parametrize("bug", [ValueError("x"), OSError("x")], ids=["value-error", "os-error"])
+def test_main_lets_any_other_error_propagate(bug, capsys, monkeypatch):
+    # A bug, or a write failing after the run, is never reported as refused input.
+    def fail(args):
+        raise bug
+
+    monkeypatch.setattr(cli, "cmd_depth", fail)
+    with pytest.raises(type(bug), match="^x$"):
+        cli.main(["depth", "MC_8.txt"])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_generate_writes_the_seeded_instances(tmp_path):
