@@ -3,8 +3,9 @@
 One benchmark record corresponds to one (instance, layer count, run)
 triple. `run_benchmark` and `depth_table` share one front end, `_plan`,
 which checks the instance set and layer list and puts both in canonical
-order. `QaoaConfig` judges every run parameter; each triple gets a copy
-of its layer count's config, seeded with
+order. `QaoaConfig` names, defaults and judges every run parameter,
+which `run_benchmark` forwards; each triple gets a copy of its layer
+count's config, seeded with
 mix64(master_seed, fnv1a64(instance_name), layers, run_index), so runs
 are reproducible and independent of execution order or worker count;
 `run_single` hands that config to `run_qaoa` and copies its layers,
@@ -28,9 +29,7 @@ from . import encoding, graphs
 from .circuits import STRATEGIES, compiled_metrics
 # Unused here, but perfbench/layers.py wraps bench:build_qaoa_ansatz, decompose and depth.
 from .circuits import build_qaoa_ansatz, decompose, depth
-from .engine import (
-    DEFAULT_BUDGET, DEFAULT_SHOTS, DEFAULT_STRATEGY, EXACT, SAMPLED, QaoaConfig, QaoaObjective, run_qaoa,
-)
+from .engine import EXACT, QaoaConfig, QaoaObjective, run_qaoa
 from .graphs import Graph, brute_force_optimum
 from .seeding import fnv1a64, mix64
 from .simulator import DEFAULT_MAX_QUBITS, CapacityError
@@ -118,26 +117,26 @@ def run_benchmark(
     layer_counts: list[int],
     runs: int,
     *,
-    shots: int = DEFAULT_SHOTS,
-    budget: int = DEFAULT_BUDGET,
-    mode: str = SAMPLED,
-    strategy: str = DEFAULT_STRATEGY,
     master_seed: int = DEFAULT_SEED,
     workers: int = 1,
+    **run,
 ) -> tuple[list[BenchRecord], list[str]]:
     """All (instance, layers, run) records plus skip warnings.
 
-    Each distinct layer count runs once. `_plan` refuses a bad layer list
-    and an instance name given twice (names key the run seeds and
-    optima), this function `runs` or `workers` below 1, and `QaoaConfig`
-    any other out-of-range run parameter; all raise BenchArgumentError. Any
-    instance wider than the simulator's DEFAULT_MAX_QUBITS raises
-    CapacityError, and so do `workers` runs of the widest instance at
-    BYTES_PER_AMPLITUDE and `shots` draws at BYTES_PER_SHOT each that
-    would not fit in `available_memory()`; all before any optimum is
-    computed or any run starts. An instance
-    whose optimum cut is 0 is skipped with a warning. Records come in
-    `_plan`'s canonical order whatever the worker scheduling.
+    `run` holds the `QaoaConfig` fields but `layers` and `seed` (`shots`,
+    `budget`, `mode`, `strategy`), each left out at the field's default; a
+    `layers` or `seed` key raises TypeError, as run seeds come from
+    `run_seed`. Each distinct layer count runs once. `_plan` refuses a
+    bad layer list and an instance name given twice (names key the run
+    seeds and optima), this function `runs` or `workers` below 1, and
+    `QaoaConfig` any other out-of-range run parameter; all raise
+    BenchArgumentError. Any instance wider than the simulator's
+    DEFAULT_MAX_QUBITS raises CapacityError, and so do `workers` runs of
+    the widest instance at BYTES_PER_AMPLITUDE and `shots` draws at
+    BYTES_PER_SHOT each that would not fit in `available_memory()`; all
+    before any optimum is computed or any run starts. An instance whose
+    optimum cut is 0 is skipped with a warning. Records come in `_plan`'s
+    canonical order whatever the worker scheduling.
     """
     instances, layer_counts = _plan(instances, layer_counts)
     for name, value in (("runs", runs), ("workers", workers)):
@@ -145,8 +144,7 @@ def run_benchmark(
             raise BenchArgumentError(f"{name} must be >= 1, got {value}")
     workers = min(workers, len(instances) * len(layer_counts) * runs)  # no idle worker is budgeted
     try:
-        configs = {p: QaoaConfig(p, shots=shots, max_evaluations=budget, objective_mode=mode, strategy=strategy)
-                   for p in layer_counts}
+        configs = {p: QaoaConfig(p, seed=0, **run) for p in layer_counts}
     except ValueError as exc:
         raise BenchArgumentError(str(exc)) from None
     too_wide = [f"{name} ({g.num_nodes} nodes)" for name, g in instances if g.num_nodes > DEFAULT_MAX_QUBITS]
@@ -155,6 +153,7 @@ def run_benchmark(
             f"wider than the simulator's {DEFAULT_MAX_QUBITS}-qubit limit: {', '.join(too_wide)}"
         )
     widest = max((g.num_nodes for _, g in instances), default=0)
+    shots = configs[layer_counts[0]].shots
     need = workers * ((BYTES_PER_AMPLITUDE << widest) + BYTES_PER_SHOT * shots)
     available = available_memory()
     if need > available:
@@ -341,9 +340,9 @@ def verify_instance(path) -> list[tuple[str, bool, str]]:
     minus the cut value of each entry's assignment (every entry for
     n <= 12, else 512 random ones drawn from the file's stem, so the same
     however the path is spelled; skipped above the simulator's
-    DEFAULT_MAX_QUBITS, where no run could use the table), agreement of
-    the chunked exact optimum with naive enumeration (n <= 12), and the
-    zero-angle expectation identity (n <= 20).
+    DEFAULT_MAX_QUBITS, where no run could use the table), the chunked
+    exact optimum equal to naive enumeration's, assignment included
+    (n <= 12), and the zero-angle expectation identity (n <= 20).
     """
     checks: list[tuple[str, bool, str]] = []
     try:
@@ -369,17 +368,13 @@ def verify_instance(path) -> list[tuple[str, bool, str]]:
     if g.num_nodes <= 12:
         fast = graphs.brute_force_optimum(g)
         naive = graphs.exhaustive_optimum(g)
-        consistent = (
-            fast.value == naive.value
-            and graphs.cut_value(g, fast.assignment) == fast.value
-            and graphs.cut_value(g, naive.assignment) == naive.value
-        )
+        consistent = fast == naive and graphs.cut_value(g, fast.assignment) == fast.value
         checks.append(("optimum-oracle", consistent, f"optimum = {fast.value}"))
     else:
         checks.append(("optimum-oracle", True, "skipped (n > 12)"))
 
     if g.num_edges > 0 and g.num_nodes <= 20:
-        config = QaoaConfig(layers=1, shots=1, objective_mode=EXACT, seed=0)
+        config = QaoaConfig(layers=1, shots=1, mode=EXACT, seed=0)
         value = QaoaObjective(g, config)([0.0, 0.0])
         target = -g.total_weight() / 2.0
         checks.append(

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import bench
 from .circuits import STRATEGIES
-from .engine import MODES, SAMPLED
+from .engine import MODES, QaoaConfig
 from .graphs import Graph, GraphFormatError, generate_random_graph, load_graph, save_graph
 from .seeding import mix64
 from .simulator import CapacityError
@@ -57,11 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("instances", type=Path, nargs="+", help="instance files")
     b.add_argument("--layers", type=int, nargs="+", default=list(bench.DEFAULT_LAYERS))
     b.add_argument("--runs", type=int, default=bench.DEFAULT_RUNS)
-    b.add_argument("--shots", type=int, default=bench.DEFAULT_SHOTS)
-    b.add_argument("--budget", type=int, default=bench.DEFAULT_BUDGET,
+    b.add_argument("--shots", type=int, default=QaoaConfig.shots)
+    b.add_argument("--budget", type=int, default=QaoaConfig.budget,
                    help="max objective evaluations per run")
-    b.add_argument("--strategy", choices=STRATEGIES, default=bench.DEFAULT_STRATEGY)
-    b.add_argument("--mode", choices=MODES, default=SAMPLED)
+    b.add_argument("--strategy", choices=STRATEGIES, default=QaoaConfig.strategy)
+    b.add_argument("--mode", choices=MODES, default=QaoaConfig.mode)
     b.add_argument("--seed", type=int, default=bench.DEFAULT_SEED)
     b.add_argument("--out", type=Path, default=Path("results.jsonl"),
                    help="records file; summary lands next to it as .summary.csv")

@@ -20,8 +20,9 @@ index is folded onto the half before scoring, an odd one through its
 complement. No circuit is measured here: a record's compiled depth and
 gate counts come from `circuits.compiled_metrics`, where the compile
 model lives.
-`QaoaConfig` alone judges a run's parameters, the budget floor included;
-`bench` re-raises its refusals and checks none of them itself.
+`QaoaConfig` alone names, defaults and judges a run's parameters, the
+budget floor included, under the names the `bench` flags take; `bench`
+forwards them, re-raises its refusals and checks none of them itself.
 The cost convention is minimization throughout: for Max-Cut,
 cost(z) = -cut(z), and the reported approximation ratios re-invert the
 sign.
@@ -61,35 +62,29 @@ EXACT = "exact"
 SAMPLED = "sampled"
 MODES = (EXACT, SAMPLED)
 
-# The one default of each run parameter, for QaoaConfig, run_benchmark
-# and the `bench` command alike.
-DEFAULT_SHOTS = 10_000
-DEFAULT_BUDGET = 5_000
-DEFAULT_STRATEGY = "scheduled"
-
 
 @dataclass
 class QaoaConfig:
     layers: int
-    shots: int = DEFAULT_SHOTS
-    max_evaluations: int = DEFAULT_BUDGET
-    objective_mode: str = SAMPLED
+    shots: int = 10_000
+    budget: int = 5_000
+    mode: str = SAMPLED
     seed: int = 0
-    strategy: str = DEFAULT_STRATEGY
+    strategy: str = "scheduled"
 
     def __post_init__(self):
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.objective_mode not in MODES:
-            raise ValueError(f"unknown objective mode {self.objective_mode!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown objective mode {self.mode!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         need = min_evaluations(2 * self.layers)
-        if self.max_evaluations < need:
+        if self.budget < need:
             raise ValueError(
-                f"budget {self.max_evaluations} is below {need}, the least the optimizer accepts at {self.layers} layers"
+                f"budget {self.budget} is below {need}, the least the optimizer accepts at {self.layers} layers"
             )
 
 
@@ -147,7 +142,7 @@ class QaoaObjective:
             raise ValueError(f"expected {2 * self.config.layers} parameters, got {2 * len(gammas)}")
         self.evaluations += 1
         half = qaoa_state(self._levels, self._index, gammas, betas)
-        if self.config.objective_mode == EXACT:
+        if self.config.mode == EXACT:
             return float(2.0 * (probabilities(half) @ self._table))
         seed = mix64(self.config.seed, STREAM_EVAL, self.evaluations)
         return self.mean_cost(sample(half, self.config.shots, seed))
@@ -187,7 +182,7 @@ def run_qaoa(g: Graph, config: QaoaConfig, optimum: float) -> QaoaResult:
     x0 = rng.uniform(0.0, np.pi, size=2 * p)
 
     obj = QaoaObjective(g, config)
-    opt = minimize(obj, x0, OptimizerConfig(max_evaluations=config.max_evaluations))
+    opt = minimize(obj, x0, OptimizerConfig(max_evaluations=config.budget))
 
     state = simulate(build_ansatz(g, opt.best_params, config.strategy))
     final_counts = sample(state, config.shots, mix64(config.seed, STREAM_FINAL))

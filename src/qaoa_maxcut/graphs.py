@@ -17,6 +17,7 @@ simulator's energy table, which also states why float32 is exact.
 
 from __future__ import annotations
 
+import codecs
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -168,14 +169,15 @@ def load_graph(path) -> Graph:
     Format: first data line "<num_nodes> <num_edges>", then one edge per
     line as "u v" or "u v w", w a positive integer weight (0-indexed,
     whitespace separated). '#' starts a comment; blank lines are
-    ignored. The file is read as UTF-8 with universal newlines, in two
-    passes: its data lines with their 1-based numbers, then the header
-    and edges from those. A line that is not UTF-8, and a refused line,
-    header or edge, is named by its line number.
+    ignored. The file is read as UTF-8 with universal newlines, one
+    leading byte-order mark dropped, in two passes: its data lines with
+    their 1-based numbers, then the header and edges from those. A line
+    that is not UTF-8, and a refused line, header or edge, is named by
+    its line number.
     """
     rows: list[tuple[int, str]] = []  # (line number, text) of each data line
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+        for lineno, raw in enumerate(fh.read().removeprefix(codecs.BOM_UTF8).splitlines(), start=1):
             try:
                 line = raw.decode("utf-8").split("#", 1)[0].strip()
             except UnicodeDecodeError:
@@ -247,17 +249,19 @@ def brute_force_optimum(g: Graph) -> CutSolution:
 
 
 def exhaustive_optimum(g: Graph) -> CutSolution:
-    """Reference maximum cut by naive full enumeration of all 2^n assignments.
+    """Reference maximum cut by naive enumeration of the assignments.
 
     Independent of the blocked kernel behind brute_force_optimum (recomputes
-    every cut from scratch in edge order); used to cross-check it. Ties
-    break toward the lowest assignment integer.
+    every cut from scratch in edge order); used to cross-check it. Node 0
+    is fixed to side 0, as there, so only the even assignment integers are
+    visited, in ascending order; ties break toward the lowest one, and
+    both solvers return the same `CutSolution`.
     """
     n = g.num_nodes
     if n > 24:
         raise ValueError("naive enumeration is for small instances (n <= 24)")
     best_mask, best_value = 0, 0.0
-    for mask in range(1 << n):
+    for mask in range(0, 1 << n, 2):
         val = sum(w for u, v, w in g.edges if ((mask >> u) ^ (mask >> v)) & 1)
         if val > best_value:
             best_mask, best_value = mask, val

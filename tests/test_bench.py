@@ -1,4 +1,6 @@
+import argparse
 import concurrent.futures
+import dataclasses
 import json
 from pathlib import Path
 
@@ -6,7 +8,7 @@ import pytest
 
 from qaoa_maxcut import bench, circuits, cli, engine
 from qaoa_maxcut.circuits import build_qaoa_ansatz, decompose, depth, gate_counts
-from qaoa_maxcut.engine import EXACT, SAMPLED
+from qaoa_maxcut.engine import EXACT, SAMPLED, QaoaConfig
 from qaoa_maxcut.graphs import CutSolution, Graph, generate_random_graph, load_graph, save_graph
 from qaoa_maxcut.seeding import mix64
 from qaoa_maxcut.simulator import DEFAULT_MAX_QUBITS, CapacityError
@@ -46,7 +48,7 @@ class TestTooWide:
         # A zero optimum makes run_benchmark skip the instance, so no run starts.
         monkeypatch.setattr(bench, "brute_force_optimum", lambda g: CutSolution((0,) * g.num_nodes, 0.0))
         # Exactly one run's memory at this width and the default shots, whatever this machine has free.
-        one_run = (bench.BYTES_PER_AMPLITUDE << DEFAULT_MAX_QUBITS) + bench.BYTES_PER_SHOT * bench.DEFAULT_SHOTS
+        one_run = (bench.BYTES_PER_AMPLITUDE << DEFAULT_MAX_QUBITS) + bench.BYTES_PER_SHOT * QaoaConfig.shots
         monkeypatch.setattr(bench, "available_memory", lambda: one_run)
         widest = generate_random_graph(DEFAULT_MAX_QUBITS, 0.5, seed=3)
         records, warnings = bench.run_benchmark([("MC_MAX", widest)], [1], 1)
@@ -144,7 +146,7 @@ class TestDepthRepeatedInstanceName:
 class TestMemoryGate:
     INSTANCES = [("MC_8", generate_random_graph(8, 0.5, seed=4)), ("MC_10", generate_random_graph(10, 0.5, seed=5))]
     # Two workers at the widest, 10 qubits, and the default shots.
-    NEED = 2 * ((bench.BYTES_PER_AMPLITUDE << 10) + bench.BYTES_PER_SHOT * bench.DEFAULT_SHOTS)
+    NEED = 2 * ((bench.BYTES_PER_AMPLITUDE << 10) + bench.BYTES_PER_SHOT * QaoaConfig.shots)
 
     def test_fails_before_any_optimum(self, monkeypatch):
         monkeypatch.setattr(bench, "brute_force_optimum", no_optimum)
@@ -158,7 +160,7 @@ class TestMemoryGate:
         records, warnings = bench.run_benchmark(self.INSTANCES, [1], 1, budget=4, workers=2)
         assert records == [] and len(warnings) == 2
 
-    @pytest.mark.parametrize("shots", [bench.DEFAULT_SHOTS + 1, 10**9])
+    @pytest.mark.parametrize("shots", [QaoaConfig.shots + 1, 10**9])
     def test_shots_alone_fail_before_any_optimum(self, shots, monkeypatch):
         # Exactly enough for both workers at the default shots, so one more shot is refused.
         monkeypatch.setattr(bench, "brute_force_optimum", no_optimum)
@@ -175,7 +177,7 @@ class TestMemoryGate:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         # Exactly one run's memory at 8 qubits and the default shots, whatever this machine has free.
-        one_run = (bench.BYTES_PER_AMPLITUDE << 8) + bench.BYTES_PER_SHOT * bench.DEFAULT_SHOTS
+        one_run = (bench.BYTES_PER_AMPLITUDE << 8) + bench.BYTES_PER_SHOT * QaoaConfig.shots
         monkeypatch.setattr(bench, "available_memory", lambda: one_run)
         records, warnings = bench.run_benchmark(instances, [1], 1, budget=4, workers=3)
         assert records == expected and len(records) == 1 and warnings == []
@@ -390,6 +392,23 @@ def test_library_and_cli_share_every_default(tmp_path, capsys):
     bench.write_records(records, tmp_path / "library.jsonl")
     assert (tmp_path / "library.jsonl").read_bytes() == cli_out.read_bytes()
     assert records[0].strategy == "scheduled"
+
+
+def test_bench_flags_are_the_run_config_fields():
+    # `layers` and `seed` are set per run; every other field is a flag of its own name and default.
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {a.dest: a for a in commands.choices["bench"]._actions}
+    for field in dataclasses.fields(QaoaConfig):
+        if field.name not in ("layers", "seed"):
+            assert f"--{field.name}" in options[field.name].option_strings, field.name
+            assert options[field.name].default == field.default, field.name
+
+
+@pytest.mark.parametrize("key", ["layers", "seed"])
+def test_per_run_fields_are_not_run_parameters(key, monkeypatch):
+    monkeypatch.setattr(bench, "brute_force_optimum", no_optimum)
+    with pytest.raises(TypeError):
+        bench.run_benchmark([("MC_5", SMALL)], [1], 1, budget=4, **{key: 5})
 
 
 @pytest.mark.parametrize("mode", [EXACT, SAMPLED], ids=["exact_expectation", "sampled_expectation"])

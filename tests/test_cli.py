@@ -1,6 +1,7 @@
 """Exit codes and outputs of the subcommands, what importing the CLI
 loads, and that every subcommand runs without scipy."""
 
+import codecs
 import os
 import re
 import subprocess
@@ -220,6 +221,31 @@ def test_verify_reports_a_malformed_file(tmp_path, capsys):
     path.write_text("3 2\n0 1\n")
     assert cli.main(["verify", str(path)]) == 1
     assert capsys.readouterr().out.startswith("check parse: FAIL")
+
+
+def test_verify_compares_the_optimal_assignments(tmp_path, capsys, monkeypatch):
+    real_optimum = graphs.exhaustive_optimum
+
+    def complemented(g):
+        solution = real_optimum(g)
+        return graphs.CutSolution(tuple(1 - b for b in solution.assignment), solution.value)
+
+    monkeypatch.setattr(graphs, "exhaustive_optimum", complemented)
+    assert cli.main(["verify", str(write_instance(tmp_path, 8))]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].startswith("check optimum-oracle: FAIL (optimum = ")
+    assert all(": ok (" in line for line in lines[:2] + lines[3:])
+
+
+def test_an_instance_with_a_byte_order_mark_runs_as_the_plain_file(tmp_path, capsys):
+    plain = write_instance(tmp_path, 8)
+    (tmp_path / "marked").mkdir()
+    marked = tmp_path / "marked" / plain.name
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    for path, out in ((plain, "plain.csv"), (marked, "marked.csv")):
+        assert cli.main(["depth", str(path), "--layers", "1", "3", "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "marked.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert cli.main(["verify", str(marked)]) == 0
 
 
 @pytest.mark.parametrize("instance", ["MC_10", "MC_14", "W_9"])

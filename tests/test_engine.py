@@ -66,7 +66,7 @@ class TestClosedFormP1:
         if g.num_edges == 0:
             g = Graph(n, ((0, 1, 1.0),))
         gamma, beta = rng.uniform(-math.pi, math.pi, size=2)
-        config = QaoaConfig(layers=1, objective_mode=EXACT)
+        config = QaoaConfig(layers=1, mode=EXACT)
         got = QaoaObjective(g, config)([gamma, beta])
         want = -float(p1_expected_cut(g, gamma, beta).sum())
         assert got == pytest.approx(want, rel=0, abs=1e-12)
@@ -76,7 +76,7 @@ class TestClosedFormP1:
         # n = 20 is MC_20 as `generate` writes it, where a gate-level
         # reference would be too slow.
         g = generate_random_graph(n, 0.5, mix64(11, n)) if n == 20 else random_unit_graph(n, 300 + n)
-        obj = QaoaObjective(g, QaoaConfig(layers=1, objective_mode=EXACT))
+        obj = QaoaObjective(g, QaoaConfig(layers=1, mode=EXACT))
         for gamma, beta in np.random.default_rng(200 + n).uniform(-math.pi, math.pi, size=(3, 2)):
             want = -float(p1_expected_cut(g, gamma, beta).sum())
             assert obj([gamma, beta]) == pytest.approx(want, rel=1e-12, abs=0)
@@ -100,7 +100,7 @@ class TestHalfState:
     def test_exact_objective_equals_the_full_state_oracle(self, n):
         rng = np.random.default_rng(500 + n)
         g = random_unit_graph(n, 600 + n)
-        obj = QaoaObjective(g, QaoaConfig(layers=2, objective_mode=EXACT))
+        obj = QaoaObjective(g, QaoaConfig(layers=2, mode=EXACT))
         params = rng.uniform(-math.pi, math.pi, size=4)
         gammas, betas = params[:2].tolist(), params[2:].tolist()
         full = probabilities(simulate(build_qaoa_ansatz(g, gammas, betas, "naive")))
@@ -127,7 +127,7 @@ class TestHalfState:
         evaluations, shots = 200, 1000
         g = random_unit_graph(10, 17)
         params = [0.45, -0.8, 1.1, 0.35]
-        obj = QaoaObjective(g, QaoaConfig(layers=2, shots=shots, objective_mode=SAMPLED, seed=5))
+        obj = QaoaObjective(g, QaoaConfig(layers=2, shots=shots, mode=SAMPLED, seed=5))
         half = np.array([obj(params) for _ in range(evaluations)])
         table = strided_cut_table(g)
         state = simulate(build_ansatz(g, params, "naive"))
@@ -162,7 +162,7 @@ class TestScoring:
 
     def test_sampled_objective_draws_with_the_evaluation_seed(self):
         params = [0.4, 1.1, 0.2, 0.7]
-        config = QaoaConfig(layers=2, shots=2000, objective_mode=SAMPLED, seed=9)
+        config = QaoaConfig(layers=2, shots=2000, mode=SAMPLED, seed=9)
         # The objective draws from the half state, the gate-level state's
         # even entries; half index k is assignment 2k.
         half = sample(simulate(build_ansatz(UNIT, params, "scheduled"))[::2], 2000, mix64(9, STREAM_EVAL, 1))
@@ -178,7 +178,7 @@ class TestObjectivePath:
 
         monkeypatch.setattr(engine, "build_ansatz", forbidden)
         monkeypatch.setattr(engine, "simulate", forbidden)
-        QaoaObjective(UNIT, QaoaConfig(layers=2, objective_mode=mode))([0.4, 1.1, 0.2, 0.7])
+        QaoaObjective(UNIT, QaoaConfig(layers=2, mode=mode))([0.4, 1.1, 0.2, 0.7])
 
     def test_refuses_too_wide_before_the_table(self, monkeypatch):
         def no_table(g):
@@ -198,14 +198,14 @@ class TestBudgetFloor:
     # The optimizer's least budget at p layers is its 2p + 1 simplex points plus one step.
     @pytest.mark.parametrize("p", [1, 3, 5])
     def test_the_least_budget_is_accepted(self, p):
-        assert QaoaConfig(layers=p, max_evaluations=min_evaluations(2 * p)).max_evaluations == 2 * p + 2
+        assert QaoaConfig(layers=p, budget=min_evaluations(2 * p)).budget == 2 * p + 2
 
     @pytest.mark.parametrize("p", [1, 3, 5])
     def test_one_less_is_refused(self, p):
         budget = min_evaluations(2 * p) - 1
         message = f"budget {budget} is below {budget + 1}, the least the optimizer accepts at {p} layers"
         with pytest.raises(ValueError, match=f"^{message}$"):
-            QaoaConfig(layers=p, max_evaluations=budget)
+            QaoaConfig(layers=p, budget=budget)
 
 
 class TestBuildAnsatz:

@@ -1,3 +1,4 @@
+import codecs
 import itertools
 import tracemalloc
 
@@ -207,6 +208,12 @@ class TestFileFormat:
         path.write_bytes(newline.join([b"# a triangle", b"3 3", b"0 1", b"", b"1 2", b"0 2", b""]))
         assert load_graph(path) == K3
 
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        save_graph(PETERSEN, plain)
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert load_graph(marked) == load_graph(plain) == PETERSEN
+
     @pytest.mark.parametrize("data, where, message", [
         (b"3\n0 1\n", ":1:", "header must be '<num_nodes> <num_edges>'"),
         (b"# three fields\n3 1 1\n0 1\n", ":2:", "header must be '<num_nodes> <num_edges>'"),
@@ -333,9 +340,12 @@ class TestBruteForce:
             g = generate_random_graph(n, 0.5, seed=seed)
             gray = brute_force_optimum(g)
             naive = exhaustive_optimum(g)
-            assert gray.value == naive.value
+            assert gray == naive
             assert cut_value(g, gray.assignment) == gray.value
-            assert cut_value(g, naive.assignment) == naive.value
+
+    def test_both_solvers_put_node_0_on_side_0(self):
+        star = graph_from_pairs(4, [(0, 1), (0, 2), (0, 3)])
+        assert exhaustive_optimum(star) == brute_force_optimum(star) == CutSolution((0, 1, 1, 1), 3.0)
 
     def test_bounds(self):
         for seed in range(5):

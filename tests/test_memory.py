@@ -44,7 +44,7 @@ def peak_per_amplitude(n, call, *args):
 @pytest.mark.parametrize("mode", [EXACT, SAMPLED], ids=["exact_expectation", "sampled_expectation"])
 def test_run_qaoa_stays_within_the_gate_figure(mode):
     # The fixed few MiB of slice temporaries still show at n = 18.
-    config = QaoaConfig(layers=1, max_evaluations=4, objective_mode=mode, seed=3, strategy="scheduled")
+    config = QaoaConfig(layers=1, budget=4, mode=mode, seed=3, strategy="scheduled")
     assert peak_per_amplitude(18, run_qaoa, mc(18), config, 1.0) <= BYTES_PER_AMPLITUDE
 
 
@@ -52,7 +52,7 @@ def test_run_qaoa_stays_within_the_gate_figure(mode):
 def test_objective_evaluation_holds_half_a_state(mode):
     # The half state is 8 bytes per amplitude of the 2^n-long state, and
     # its probabilities or CDF another 4.
-    objective = QaoaObjective(mc(20), QaoaConfig(layers=1, objective_mode=mode, seed=3))
+    objective = QaoaObjective(mc(20), QaoaConfig(layers=1, mode=mode, seed=3))
     assert peak_per_amplitude(20, objective, [0.3, 0.7]) <= 13
 
 
